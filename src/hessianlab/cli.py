@@ -91,7 +91,10 @@ def _threads(args):
         return int(args.threads)
     env = os.environ.get("HESSIANLAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError as exc:
+            raise InputError(f"HESSIANLAB_THREADS={env!r} is not an integer") from exc
     return os.cpu_count() or 1
 
 
@@ -377,21 +380,45 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(args):
+def _config_value(action, key, value):
+    """Convert a config value as the option's parser would convert a flag."""
+    if action.nargs == 0:  # store_true switch
+        if not isinstance(value, bool):
+            raise InputError(f"config key {key!r} takes true or false")
+        return value
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        raise InputError(f"config key {key!r} takes a string or a number")
+    text = str(value)
+    try:
+        value = action.type(text) if action.type else text
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"config key {key!r}: invalid value {text!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise InputError(f"config key {key!r}: {value!r} not one of {action.choices}")
+    return value
+
+
+def _apply_config_file(args, parser):
     if not getattr(args, "config", None):
         return args
     path = Path(args.config)
     if not path.exists():
         raise InputError(f"config file {path} not found")
-    doc = json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("config file must hold a JSON object")
+    # argparse exposes a parser's options only through its _actions list
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, value in doc.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if not hasattr(args, dest) or dest not in actions:
             raise InputError(f"config key {key!r} unknown for this subcommand")
         if getattr(args, dest) in (None, False):  # flags override the file
-            setattr(args, dest, value)
+            setattr(args, dest, _config_value(actions[dest], key, value))
     return args
 
 
@@ -413,7 +440,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args = _apply_config_file(args)
+        args = _apply_config_file(args, parser)
         for name in _REQUIRED[args.command]:
             if getattr(args, name, None) is None:
                 raise InputError(f"missing required option --{name.replace('_','-')}")

@@ -94,8 +94,7 @@ def msh_envelope(h, omega, m, eps_schedule, cfg=None):
             w_eps, t_path, margin, ok, failure = _continuity_solve(eq, harr, cfg, trace)
         else:
             state, iters, ok, failure = _newton(eq, w, harr, cfg, 1.0, trace)
-            if ok:
-                w_eps, t_path, margin = state.u, [(1.0, iters, state.res_sup)], state.margin
+            w_eps, t_path, margin = state.u, [(1.0, iters, state.res_sup)], state.margin
         if not ok and w is not None and insertions < 3 * len(eps_schedule):
             # Warm start rejected: descend more gently through an intermediate
             # penalization strength.  Once successive converged values stop

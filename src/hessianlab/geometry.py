@@ -148,6 +148,7 @@ class MetricField:
     constant: bool
     generator: dict | None = None
     _li: np.ndarray | None = field(default=None, repr=False)
+    _inv: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def flat(cls, grid, scale=1.0):
@@ -197,8 +198,10 @@ class MetricField:
         return self._li
 
     def inverse(self):
-        li = self.cholesky_inverse()
-        return li.conj().swapaxes(-1, -2) @ li
+        if self._inv is None:
+            li = self.cholesky_inverse()
+            self._inv = li.conj().swapaxes(-1, -2) @ li
+        return self._inv
 
     def torsion_sup(self):
         """sup norm of first differences of the coefficients (d omega diagnostic).

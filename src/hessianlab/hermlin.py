@@ -24,7 +24,6 @@ __all__ = [
     "eigh_desc",
     "eigvalsh_desc",
     "generalized_eigh",
-    "generalized_eigvalsh",
     "cholesky_inverse",
 ]
 
@@ -98,10 +97,6 @@ def generalized_eigh(g, li):
     m = li @ g @ li.conj().swapaxes(-1, -2)
     w, v = eigh_desc(m)
     return w, li.conj().swapaxes(-1, -2) @ v
-
-
-def generalized_eigvalsh(g, li):
-    return eigvalsh_desc(li @ g @ li.conj().swapaxes(-1, -2))
 
 
 def eigenvalues_hermitian(a):

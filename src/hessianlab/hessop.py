@@ -11,14 +11,17 @@ which is absorbed into the data term of any equation written against it.
 
 S_k(lambda(B)) equals the sum of k-by-k principal minors of B = omega^{-1} g,
 so sigma and the cone mask are evaluated from closed-form traces without an
-eigensolve; eigenvalue/eigenvector pairs are computed only where the
-linearization needs its frame.
+eigensolve.  The linearization needs none either: dS_m(B) = tr(T_{m-1}(B) dB)
+with the Newton tensor T_{m-1}(B) = sum_j (-1)^j S_{m-1-j}(B) B^j (Reilly,
+Michigan Math. J. 20, 1973), so its coefficient field is a polynomial in B
+built from the same S_k table.  An eigensolve runs only at the single worst
+point of a cone breach, to report that point's eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
 
@@ -51,33 +54,36 @@ class OperatorValue:
 
 @dataclass
 class LinearizationField:
-    """Eigenframe and weights of the linearized operator at a state u.
+    """Coefficient field of the linearized operator at a state u.
 
-    weights[..., k] = S_{m-1;k}(lambda) / S_m(lambda) in the omega-orthonormal
-    eigenframe; q is the zeroth-order coefficient (1 for the exponential
+    coeff = T_{m-1}(B) omega^{-1} / S_m(B) with B = omega^{-1} g, which in the
+    omega-orthonormal eigenframe e_k of g is sum_k S_{m-1;k}(lambda) / S_m
+    e_k e_k^*; q is the zeroth-order coefficient (1 for the exponential
     equation, epsilon or 1/epsilon in the normalized and envelope modes).
     """
 
     grid: object
-    weights: np.ndarray  # grid.shape + (n,)
-    frame: np.ndarray  # grid.shape + (n, n), columns omega-orthonormal
+    coeff: np.ndarray  # grid.shape + (n, n), Hermitian positive definite
     q: float
-    _coeff: np.ndarray | None = field(default=None, repr=False)
 
     def coefficient_matrices(self):
-        """A = sum_k w_k e_k e_k^*; apply_linearization contracts tr(A h(v))."""
-        if self._coeff is None:
-            self._coeff = np.einsum(
-                "...jk,...k,...lk->...jl",
-                self.frame,
-                self.weights.astype(complex),
-                np.conj(self.frame),
-            )
-        return self._coeff
+        """The field A; apply_linearization contracts tr(A h(v))."""
+        return self.coeff
+
+
+def _is_identity(metric):
+    return metric.constant and np.array_equal(
+        metric.form, np.eye(metric.form.shape[-1])
+    )
 
 
 def _relative_matrices(g, metric):
-    """B = omega^{-1} g; similar to a Hermitian matrix, so spec(B) is real."""
+    """B = omega^{-1} g; similar to a Hermitian matrix, so spec(B) is real.
+
+    For the identity metric B is g itself (inv(I) @ g equals g bit for bit).
+    """
+    if _is_identity(metric):
+        return g
     if metric.constant:
         return np.linalg.inv(metric.form) @ g
     return np.linalg.solve(metric.form, g)
@@ -115,12 +121,7 @@ def sk_table_of_state(g, metric, kmax):
     n = g.shape[-1]
     if kmax > n:
         raise InputError(f"degree {kmax} exceeds dimension {n}")
-    if n <= 3:
-        return _minor_sums(_relative_matrices(g, metric), kmax)
-    from .hermlin import generalized_eigvalsh
-
-    lam = generalized_eigvalsh(g, metric.cholesky_inverse())
-    return elementary_symmetric_table(lam, kmax)
+    return _minor_sums(_relative_matrices(g, metric), kmax)
 
 
 def state_matrices(u_data, metric):
@@ -146,34 +147,54 @@ def sigma_m(u, omega, m):
     return OperatorValue(sigma=ScalarField(grid, sigma), cone_mask=mask)
 
 
+def _matmul(a, b):
+    # einsum beats the batched matmul on stacks of 2x2 and 3x3 matrices
+    return np.einsum("...ij,...jl->...il", a, b)
+
+
+def _newton_tensor(B, table, m):
+    """T_{m-1}(B) by the recursion T_0 = I, T_k = S_k I - B T_{k-1}."""
+    diag = np.arange(B.shape[-1])
+    if m == 1:
+        t = np.zeros_like(B)
+        t[..., diag, diag] = 1.0
+        return t
+    t = -B  # T_1 without the product B @ I
+    t[..., diag, diag] += table[..., 1, None]
+    for k in range(2, m):
+        t = -_matmul(B, t)
+        t[..., diag, diag] += table[..., k, None]
+    return t
+
+
 def linearization(u, omega, m, q):
-    """Weights and omega-orthonormal frame of the linearized operator.
+    """Coefficient field of the linearized operator, without an eigensolve.
 
     Requires lambda strictly inside Gamma_m at every point; the breach error
-    carries the worst offender so failed Newton steps can report it.
+    carries the worst offender and its eigenvalues so failed Newton steps
+    can report it.
     """
     grid = u.grid
     g = state_matrices(u.data, omega)
-    li = omega.cholesky_inverse()
-    lam, frame = generalized_eigh(g, li)
-    table = elementary_symmetric_table(lam, m)
+    B = _relative_matrices(g, omega)
+    table = _minor_sums(B, m)
     bad = ~np.all(table[..., 1 : m + 1] > 0.0, axis=-1)
     if np.any(bad):
         norm = np.array([math.comb(grid.n, k) for k in range(1, m + 1)])
         margins = np.min(table[..., 1 : m + 1] / norm, axis=-1)
         worst = np.unravel_index(int(np.argmin(margins)), grid.shape)
+        li = omega.cholesky_inverse()
+        lam, _ = generalized_eigh(g[worst], li if omega.constant else li[worst])
         raise ConeBreachError(
             f"cone breached at {np.count_nonzero(bad)} points",
             point=worst,
-            lam=lam[worst],
+            lam=lam,
         )
-    s_m = table[..., m]
-    n = grid.n
-    weights = np.empty(grid.shape + (n,))
-    for k in range(n):
-        rest = np.delete(lam, k, axis=-1)
-        weights[..., k] = elementary_symmetric_table(rest, m - 1)[..., m - 1] / s_m
-    return LinearizationField(grid=grid, weights=weights, frame=frame, q=q)
+    coeff = _newton_tensor(B, table, m)
+    if not _is_identity(omega):
+        coeff = _matmul(coeff, omega.inverse())
+    coeff /= table[..., m, None, None]
+    return LinearizationField(grid=grid, coeff=coeff, q=q)
 
 
 def apply_linearization_array(lin, v_data):
@@ -186,7 +207,7 @@ def apply_linearization_array(lin, v_data):
 
 
 def apply_linearization(lin, v):
-    """Sum_k w_k (second derivative of v along frame direction k) - q v."""
+    """tr(A dd^c v) - q v with A the coefficient field of ``lin``."""
     if v.grid != lin.grid:
         raise InputError("linearization and field live on different grids")
     return ScalarField(lin.grid, apply_linearization_array(lin, v.data))

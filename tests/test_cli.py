@@ -111,6 +111,20 @@ class TestConfigFile:
         resolved2 = json.loads((out2 / "resolved_config.json").read_text())
         assert resolved2["N"] == 8
 
+    def test_malformed_config_json_exit_2(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text('{"n": 2, "m": ')
+        assert main(["solve", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_config_value_goes_through_option_type(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({
+            "n": 2, "m": 1, "N": "sixteen", "H": "cos:1,0,0,0:0.5",
+        }))
+        assert main(["solve", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "x")]) == 2
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"frobnicate": 1}))
@@ -154,6 +168,17 @@ class TestThreadsResolution:
 
         monkeypatch.setenv("HESSIANLAB_THREADS", "3")
         assert _threads(Args()) == 3
+
+    def test_non_integer_env_exit_2_before_workers(self, monkeypatch, tmp_path):
+        import hessianlab.cli as cli
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("workers started")
+
+        monkeypatch.setattr(cli, "verify_cone_inequalities", no_workers)
+        monkeypatch.setenv("HESSIANLAB_THREADS", "abc")
+        assert main(["verify-cone", "--n", "3", "--m", "2", "--samples", "10",
+                     "--out", str(tmp_path / "x")]) == 2
 
     def test_flag_overrides_env(self, monkeypatch):
         from hessianlab.cli import _threads

@@ -135,6 +135,36 @@ class TestPartialReport:
         comp = [c for _, c in rep.complementarity_path]
         assert all(b <= a + 1e-9 for a, b in zip(comp, comp[1:]))
 
+    def test_failed_warm_start_reports_its_own_state(self, monkeypatch):
+        # sqrt(1.0 * 0.995) is not below 0.99 * 1.0, so no midpoint is
+        # inserted and the failed eps itself is reported
+        import hessianlab.envelope as envelope
+
+        real_newton = envelope._newton
+        attempts = []
+
+        def failing_newton(eq, u0, harr, cfg, t_label, trace):
+            state, iters, _, _ = real_newton(eq, u0, harr, cfg, t_label, trace)
+            attempts.append((state, iters))
+            return state, iters, False, "forced failure"
+
+        monkeypatch.setattr(envelope, "_newton", failing_newton)
+        grid, omega = flat(2, 8)
+        h = make_field(grid, [((1, 0, 0, 0), 2.0, 0.0)])
+        cfg = SolverConfig(t_steps=1)
+        _, rep = msh_envelope(h, omega, 1, [1.0, 0.995], cfg)
+        assert [eps for eps, _ in rep.eps_path] == [1.0, 0.995]
+        assert not rep.converged
+        (state, iters), = attempts
+        failed = rep.eps_path[-1][1]
+        assert not failed.converged
+        assert failed.failure == "forced failure"
+        assert failed.t_path == [(1.0, iters, state.res_sup)]
+        assert failed.cone_margin_min == state.margin
+        assert failed.sup_u == float(np.max(state.u))
+        assert failed.inf_u == float(np.min(state.u))
+        assert failed.sup_u != rep.eps_path[0][1].sup_u
+
 
 class TestValidation:
     def test_schedule_must_start_at_one(self):

@@ -8,15 +8,19 @@ import pytest
 
 from hessianlab.errors import ConeBreachError, InputError
 from hessianlab.geometry import MetricField, ScalarField, TorusGrid, make_field
+from hessianlab.hermlin import generalized_eigenvalues, generalized_eigh
 from hessianlab.hessop import (
+    _minor_sums,
     apply_linearization,
     linearization,
     mixed_product,
     polarization_constant,
     sigma_m,
     sigma_of_form,
+    sk_table_of_state,
+    state_matrices,
 )
-from hessianlab.symfunc import cone_mask
+from hessianlab.symfunc import cone_mask, elementary_symmetric_table
 
 
 def flat(n=2, N=16):
@@ -114,13 +118,13 @@ class TestVariableMetric:
         assert omega.torsion_sup() > 0
 
     def test_frame_orthonormal_per_point(self):
+        # u = 0 puts every relative eigenvalue at 1, so for m = 1 the
+        # omega-orthonormal frame gives A = sum_k e_k e_k^* / n = omega^{-1} / 2
         grid = TorusGrid(2, 8)
         omega = MetricField.conformal(grid, np.eye(2), [((1, 0, 0, 0), 0.3, 0.0)])
         lin = linearization(ScalarField.zeros(grid), omega, 1, 1.0)
-        gram = np.einsum(
-            "...jk,...jl,...lm->...km", np.conj(lin.frame), omega.form, lin.frame
-        )
-        assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+        want = np.linalg.inv(omega.form) / 2.0
+        assert np.max(np.abs(lin.coefficient_matrices() - want)) < 1e-12
 
 
 class TestLinearization:
@@ -128,12 +132,16 @@ class TestLinearization:
         grid = TorusGrid(3, 8)
         omega = MetricField.flat(grid)
         lin = linearization(ScalarField.zeros(grid), omega, 2, 0.0)
-        np.testing.assert_allclose(lin.weights, 2.0 / 3.0)
+        coeff = lin.coefficient_matrices()
+        want = np.broadcast_to((2.0 / 3.0) * np.eye(3), coeff.shape)
+        np.testing.assert_allclose(coeff, want, atol=1e-15)
 
     def test_m1_weights(self):
         grid, omega = flat()
         lin = linearization(ScalarField.zeros(grid), omega, 1, 0.0)
-        np.testing.assert_allclose(lin.weights, 0.5)  # 1/S_1(1,1)
+        coeff = lin.coefficient_matrices()
+        want = np.broadcast_to(0.5 * np.eye(2), coeff.shape)  # I/S_1(1,1)
+        np.testing.assert_allclose(coeff, want, atol=1e-15)
 
     def test_monge_ampere_weights(self):
         grid, omega = flat()
@@ -143,13 +151,14 @@ class TestLinearization:
         from hessianlab.hermlin import eigvalsh_desc
 
         lam = eigvalsh_desc(complex_hessian(u) + np.eye(2))
-        np.testing.assert_allclose(lin.weights, 1.0 / lam, rtol=1e-9)
+        got = np.sort(np.linalg.eigvalsh(lin.coefficient_matrices()), axis=-1)
+        np.testing.assert_allclose(got, np.sort(1.0 / lam, axis=-1), rtol=1e-9)
 
     def test_ellipticity_on_cone(self):
         grid, omega = flat()
         u = make_field(grid, [((1, 0, 0, 0), 0.5, 0.0), ((0, 0, 1, 1), 0.0, 0.4)])
         lin = linearization(u, omega, 1, 1.0)
-        assert np.all(lin.weights > 0)
+        assert np.all(np.linalg.eigvalsh(lin.coefficient_matrices()) > 0)
 
     def test_cone_breach_reports_witness(self):
         grid, omega = flat()
@@ -158,6 +167,73 @@ class TestLinearization:
             linearization(u, omega, 1, 1.0)
         assert err.value.point is not None
         assert err.value.lam is not None
+
+
+def _metric(kind, grid):
+    n = grid.n
+    if kind == "flat":
+        return MetricField.flat(grid)
+    if kind == "constant":
+        form = np.eye(n, dtype=complex) * np.arange(2, n + 2)
+        form[0, 1], form[1, 0] = 0.4 + 0.3j, 0.4 - 0.3j
+        return MetricField.constant_form(grid, form)
+    x1 = (1,) + (0,) * (2 * n - 1)
+    return MetricField.conformal(grid, np.eye(n), [(x1, 0.3, 0.0)])
+
+
+def _eigenframe_coefficients(lam, frame, m):
+    """sum_k w_k e_k e_k^* with w_k = S_{m-1}(lambda without k) / S_m(lambda).
+
+    The batched-eigensolve route the Newton tensor replaced, kept as the
+    reference it is checked against.
+    """
+    s_m = elementary_symmetric_table(lam, m)[..., m]
+    weights = np.empty(lam.shape)
+    for k in range(lam.shape[-1]):
+        rest = np.delete(lam, k, axis=-1)
+        weights[..., k] = elementary_symmetric_table(rest, m - 1)[..., m - 1] / s_m
+    return np.einsum("...jk,...k,...lk->...jl", frame, weights, np.conj(frame))
+
+
+class TestNewtonTensorOracle:
+    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_eigenframe_route(self, n, kind):
+        grid = TorusGrid(n, 8)
+        omega = _metric(kind, grid)
+        x1 = (1,) + (0,) * (2 * n - 1)
+        y1_xn = (0, 1) + (0,) * (2 * n - 4) + (1, 0)
+        u = make_field(grid, [(x1, 0.3, 0.0), (y1_xn, 0.0, 0.2)])
+        assert sigma_m(u, omega, n).cone_mask.all()  # inside every Gamma_m
+        g = state_matrices(u.data, omega)
+        lam, frame = generalized_eigh(g, omega.cholesky_inverse())
+        for m in range(1, n + 1):
+            got = linearization(u, omega, m, 1.0).coefficient_matrices()
+            want = _eigenframe_coefficients(lam, frame, m)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), m
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_identity_fast_path_bit_exact(self, n):
+        grid = TorusGrid(n, 8)
+        omega = MetricField.flat(grid)
+        u = make_field(grid, [((1,) + (0,) * (2 * n - 1), 0.5, 0.0)])
+        g = state_matrices(u.data, omega)
+        general = _minor_sums(np.linalg.inv(omega.form) @ g, n)
+        assert np.array_equal(sk_table_of_state(g, omega, n), general)
+
+    @pytest.mark.parametrize("kind", ["flat", "conformal"])
+    def test_breach_lam_is_spectrum_at_point(self, kind):
+        grid = TorusGrid(2, 8)
+        omega = _metric(kind, grid)
+        u = make_field(grid, [((1, 0, 0, 0), 12.0, 0.0)])
+        with pytest.raises(ConeBreachError) as err:
+            linearization(u, omega, 1, 1.0)
+        point = err.value.point
+        g = state_matrices(u.data, omega)[point]
+        form = omega.form if omega.constant else omega.form[point]
+        want = generalized_eigenvalues(g, form).values
+        np.testing.assert_allclose(err.value.lam, want, rtol=1e-14, atol=1e-14)
+        assert want[-1] < 0.0
 
 
 class TestApplyLinearization:
@@ -206,8 +282,7 @@ class TestApplyLinearization:
         base = sigma_m(u, omega, m)
         assert base.cone_mask.all()
         lin = linearization(u, omega, m, 0.0)
-        lin.weights = lin.weights * base.sigma.data[..., None]
-        lin._coeff = None
+        lin.coeff = lin.coeff * base.sigma.data[..., None, None]
         pred = apply_linearization(lin, v).data
         s = 1e-5
         bumped = sigma_m(ScalarField(grid, u.data + s * v.data), omega, m)

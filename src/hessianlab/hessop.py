@@ -155,10 +155,14 @@ def _matmul(a, b):
 def _newton_tensor(B, table, m):
     """T_{m-1}(B) by the recursion T_0 = I, T_k = S_k I - B T_{k-1}."""
     diag = np.arange(B.shape[-1])
-    t = np.zeros_like(B)
-    t[..., diag, diag] = 1.0
-    for k in range(1, m):
-        t = -B if k == 1 else -_matmul(B, t)  # B T_0 = B needs no product
+    if m == 1:
+        t = np.zeros_like(B)
+        t[..., diag, diag] = 1.0
+        return t
+    t = -B  # T_1, since B T_0 = B needs no product
+    t[..., diag, diag] += table[..., 1, None]
+    for k in range(2, m):
+        t = -_matmul(B, t)
         t[..., diag, diag] += table[..., k, None]
     return t
 

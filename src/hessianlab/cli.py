@@ -86,15 +86,23 @@ def _parse_int_list(text):
     return [int(x) for x in str(text).split(",") if x != ""]
 
 
+def _positive_int(text):
+    """argparse type of a worker count: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _threads(args):
-    if getattr(args, "threads", None):
-        return int(args.threads)
+    if getattr(args, "threads", None) is not None:
+        return args.threads
     env = os.environ.get("HESSIANLAB_THREADS")
     if env:
         try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InputError(f"HESSIANLAB_THREADS={env!r} is not an integer") from exc
+            return _positive_int(env)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise InputError(f"HESSIANLAB_THREADS={env!r} is not an integer >= 1") from exc
     return os.cpu_count() or 1
 
 
@@ -149,6 +157,12 @@ def _solve_report_doc(report):
     }
 
 
+def _write_trace(outdir, reports):
+    """newton_trace.jsonl: the Newton records of the reports, in order."""
+    trace = "".join(rep.trace_jsonl() for rep in reports)
+    (outdir / "newton_trace.jsonl").write_text(trace)
+
+
 def _cmd_verify_cone(args, outdir):
     report = verify_cone_inequalities(
         args.n, args.m, args.samples, args.seed, tol=args.tol,
@@ -167,7 +181,7 @@ def _cmd_solve(args, outdir):
     H = make_field(grid, parse_field_spec(args.H, grid.n))
     u, report = solve_exponential(H, omega, args.m, _solver_config(args))
     write_field(outdir / "u.field", u, kind="u")
-    (outdir / "newton_trace.jsonl").write_text(report.trace_jsonl())
+    _write_trace(outdir, [report])
     doc = _solve_report_doc(report)
     # diagnostic only: the second-order-vs-gradient constant is unknown
     doc["laplacian_gradient_ratio"] = laplacian_gradient_ratio(u)
@@ -197,8 +211,7 @@ def _cmd_normalized(args, outdir):
         "eps_path": [[eps, _solve_report_doc(rep)] for eps, rep in report.eps_path],
     }
     _write_json(outdir, "report.json", doc)
-    trace = "".join(rep.trace_jsonl() for _, rep in report.eps_path)
-    (outdir / "newton_trace.jsonl").write_text(trace)
+    _write_trace(outdir, [rep for _, rep in report.eps_path])
     print(f"normalized: converged={report.converged} c={c:.8g} "
           f"mismatch={report.final_mismatch:.3g} wallclock={report.wallclock:.2f}s")
     return 0 if report.converged else 1
@@ -222,6 +235,7 @@ def _cmd_envelope(args, outdir):
         "eps_path": [[eps, _solve_report_doc(rep)] for eps, rep in report.eps_path],
     }
     _write_json(outdir, "report.json", doc)
+    _write_trace(outdir, [rep for _, rep in report.eps_path])
     print(f"envelope: converged={report.converged} "
           f"contact_fraction={report.contact_fraction:.4f} "
           f"wallclock={report.wallclock:.2f}s")
@@ -305,7 +319,7 @@ def build_parser():
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=_positive_int, default=None,
                        help="worker pool size (default: HESSIANLAB_THREADS or cores)")
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags override it")
@@ -391,14 +405,15 @@ def _config_value(action, key, value):
     text = str(value)
     try:
         value = action.type(text) if action.type else text
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
         raise InputError(f"config key {key!r}: invalid value {text!r}") from exc
     if action.choices is not None and value not in action.choices:
         raise InputError(f"config key {key!r}: {value!r} not one of {action.choices}")
     return value
 
 
-def _apply_config_file(args, parser):
+def _apply_config_file(args, parser, argv):
+    """Re-parse argv with the config values as defaults, so explicit flags win."""
     if not getattr(args, "config", None):
         return args
     path = Path(args.config)
@@ -412,14 +427,16 @@ def _apply_config_file(args, parser):
         raise InputError("config file must hold a JSON object")
     # argparse exposes a parser's options only through its _actions list
     subparsers = next(a for a in parser._actions if a.dest == "command")
-    actions = {a.dest: a for a in subparsers.choices[args.command]._actions}
+    subparser = subparsers.choices[args.command]
+    actions = {a.dest: a for a in subparser._actions}
+    defaults = {}
     for key, value in doc.items():
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest not in actions:
             raise InputError(f"config key {key!r} unknown for this subcommand")
-        if getattr(args, dest) in (None, False):  # flags override the file
-            setattr(args, dest, _config_value(actions[dest], key, value))
-    return args
+        defaults[dest] = _config_value(actions[dest], key, value)
+    subparser.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 _REQUIRED = {
@@ -440,7 +457,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args = _apply_config_file(args, parser)
+        args = _apply_config_file(args, parser, argv)
         for name in _REQUIRED[args.command]:
             if getattr(args, name, None) is None:
                 raise InputError(f"missing required option --{name.replace('_','-')}")

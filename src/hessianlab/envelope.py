@@ -6,10 +6,11 @@ For a smooth obstacle h the envelope is reached through the family
 
 where F is the raw sigma_m value of h itself (a polynomial in the relative
 eigenvalues, defined whether or not h is in the cone) and F_* = max(F, 0).
-Each eps reuses the Newton core with zeroth-order coefficient 1/eps; the
-residual is evaluated in log form throughout, which is what keeps the stiff
-small-eps regime free of exponential overflow.  Solutions are warm-started
-down the schedule.
+Each eps is one step of the solver's schedule walker with zeroth-order
+coefficient 1/eps; the residual is evaluated in log form throughout, which
+is what keeps the stiff small-eps regime free of exponential overflow.
+Solutions are warm-started down the schedule, with geometric midpoints
+inserted where a warm start is rejected.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import ScalarField
 from .hessop import sigma_m
-from .solver import SolveReport, SolverConfig, _continuity_solve, _Equation, _newton
+from .solver import SolverConfig, _walk_schedule
 
 __all__ = ["EnvelopeReport", "msh_envelope", "contact_set"]
 
@@ -65,10 +66,6 @@ def msh_envelope(h, omega, m, eps_schedule, cfg=None):
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule or abs(eps_schedule[0] - 1.0) > 1e-12:
         raise InputError("eps schedule must start at 1")
-    if any(e <= 0 for e in eps_schedule) or any(
-        b >= a for a, b in zip(eps_schedule, eps_schedule[1:])
-    ):
-        raise InputError("eps schedule must be positive and strictly decreasing")
 
     start = time.perf_counter()
     grid = omega.grid
@@ -79,55 +76,21 @@ def msh_envelope(h, omega, m, eps_schedule, cfg=None):
     eps_path = []
     comp_path = []
     w = None
-    eps_cur = None
     excess = 0.0
     violation = 0.0
-    converged = True
-    pending = list(eps_schedule)
-    insertions = 0
-    while pending:
-        eps = pending[0]
-        eq = _Equation(omega, m, q=1.0 / eps)
-        harr = -h.data / eps + np.log(f_star + eps)
-        trace = []
-        if w is None:
-            w_eps, t_path, margin, ok, failure = _continuity_solve(eq, harr, cfg, trace)
-        else:
-            state, iters, ok, failure = _newton(eq, w, harr, cfg, 1.0, trace)
-            w_eps, t_path, margin = state.u, [(1.0, iters, state.res_sup)], state.margin
-        if not ok and w is not None and insertions < 3 * len(eps_schedule):
-            # Warm start rejected: descend more gently through an intermediate
-            # penalization strength.  Once successive converged values stop
-            # making relative progress the schedule has hit the resolution
-            # wall (sigma below stencil cancellation noise off the contact
-            # set) and pushing further only burns iterations.
-            mid = math.sqrt(eps_cur * eps)
-            if mid < 0.99 * eps_cur:
-                insertions += 1
-                pending.insert(0, mid)
-                continue
-        report = SolveReport(
-            converged=ok,
-            t_path=t_path,
-            cone_margin_min=margin,
-            sup_u=float(np.max(w_eps)),
-            inf_u=float(np.min(w_eps)),
-            wallclock=0.0,
-            trace=trace,
-            failure=failure,
-        )
-        eps_path.append((eps, report))
-        if not ok:
-            converged = False
+    for eps, w_eps, rep in _walk_schedule(
+        omega, m, eps_schedule, lambda eps: 1.0 / eps,
+        lambda eps: -h.data / eps + np.log(f_star + eps), cfg,
+    ):
+        eps_path.append((eps, rep))
+        if not rep.converged:
             if w is None:
                 w = w_eps
-            break
+            continue
         if w is not None:
             # w_eps increases as eps decreases; record any overshoot
             violation = max(violation, float(np.max(w - w_eps)))
         w = w_eps
-        eps_cur = eps
-        pending.pop(0)
         excess = max(excess, float(np.max(w - h.data)))
         sig = sigma_m(ScalarField(grid, w), omega, m).sigma.data
         comp_path.append((eps, _complementarity_sup(sig, h.data, w, hscale)))
@@ -142,7 +105,7 @@ def msh_envelope(h, omega, m, eps_schedule, cfg=None):
         complementarity_sup=comp_path[-1][1] if comp_path else math.inf,
         complementarity_path=comp_path,
         obstacle_excess_sup=excess,
-        converged=converged,
+        converged=all(rep.converged for _, rep in eps_path),
         wallclock=time.perf_counter() - start,
     )
     return w_field, report

@@ -345,7 +345,10 @@ class _Equation:
 
 
 def _newton(eq, u0, harr, cfg, t_label, trace):
-    """Damped Newton at fixed data; returns (state, iters, ok, failure)."""
+    """Damped Newton at fixed data; returns (state, iters, ok, failure).
+
+    ``failure`` is None exactly when ``ok``.
+    """
     state = eq.evaluate(u0, harr)
     grid = eq.metric.grid
     if not (state.in_cone if cfg.cone_guard else state.sigma_positive):
@@ -392,32 +395,85 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
     return state, iters, True, None
 
 
-def _continuity_solve(eq, harr, cfg, trace, u0=None, t_start=0.0):
-    """Walk log sigma = q u + t H from a known solution at t_start to t = 1."""
-    grid = eq.metric.grid
-    u = np.zeros(grid.shape) if u0 is None else u0.copy()
-    t_cur = t_start
-    targets = list(np.linspace(t_start, 1.0, cfg.t_steps + 1)[1:])
-    t_path = []
-    margin_min = math.inf
+def _continuity_solve(eq, harr, cfg, report):
+    """Walk log sigma = q u + t H from u = 0 at t = 0 to t = 1.
+
+    Records the path, the trace, the cone margin and any failure in
+    ``report`` and returns the last accepted iterate.
+    """
+    u = np.zeros(eq.metric.grid.shape)
+    t_cur = 0.0
+    targets = list(np.linspace(0.0, 1.0, cfg.t_steps + 1)[1:])
     halvings = 0
     while targets:
         t_next = targets[0]
-        state, iters, ok, failure = _newton(eq, u, t_next * harr, cfg, t_next, trace)
+        state, iters, ok, failure = _newton(eq, u, t_next * harr, cfg, t_next, report.trace)
         if ok:
             u = state.u
-            margin_min = min(margin_min, state.margin)
-            t_cur = t_next
-            targets.pop(0)
-            t_path.append((float(t_next), iters, state.res_sup))
+            report.cone_margin_min = min(report.cone_margin_min, state.margin)
+            t_cur = targets.pop(0)
+            report.t_path.append((float(t_next), iters, state.res_sup))
         else:
             halvings += 1
             if halvings > cfg.max_t_halvings:
-                return u, t_path, margin_min, False, (
-                    f"continuity stalled at t={t_next:.6f}: {failure}"
-                )
+                report.failure = f"continuity stalled at t={t_next:.6f}: {failure}"
+                return u
             targets.insert(0, 0.5 * (t_cur + t_next))
-    return u, t_path, margin_min, True, None
+    return u
+
+
+def _solve(eq, harr, cfg, u0=None):
+    """Solve log sigma = q u + H by continuity from u = 0, or by Newton from u0.
+
+    Returns the final iterate and its timed SolveReport; nothing else builds one.
+    """
+    start = time.perf_counter()
+    report = SolveReport(converged=False)
+    if u0 is None:
+        u = _continuity_solve(eq, harr, cfg, report)
+    else:
+        state, iters, _, report.failure = _newton(eq, u0, harr, cfg, 1.0, report.trace)
+        u = state.u
+        report.t_path.append((1.0, iters, state.res_sup))
+        report.cone_margin_min = state.margin
+    report.converged = report.failure is None
+    report.sup_u = float(np.max(u))
+    report.inf_u = float(np.min(u))
+    report.wallclock = time.perf_counter() - start
+    return u, report
+
+
+def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg):
+    """Solve log sigma_m(u) = q_of(eps) u + harr_of(eps) down a decreasing schedule.
+
+    Yields (eps, u_eps, report): continuity at the first eps, then Newton
+    warm-started from the last converged eps_prev.  A rejected warm start is
+    retried through sqrt(eps_prev eps), at most 3 len(schedule) times and only
+    while that is below 0.99 eps_prev; closer than that the walk has hit the
+    resolution wall (sigma below stencil noise) and more midpoints only burn
+    iterations.  The walk ends after the first failed report.
+    """
+    schedule = [float(e) for e in schedule]
+    if not schedule or any(e <= 0 for e in schedule) or any(
+        b >= a for a, b in zip(schedule, schedule[1:])
+    ):
+        raise InputError("eps schedule must be non-empty, positive, strictly decreasing")
+    pending = list(schedule)
+    u = eps_prev = None
+    insertions = 0
+    while pending:
+        eps = pending[0]
+        u_eps, report = _solve(_Equation(omega, m, q_of(eps)), harr_of(eps), cfg, u)
+        if not report.converged and u is not None and insertions < 3 * len(schedule):
+            mid = math.sqrt(eps_prev * eps)
+            if mid < 0.99 * eps_prev:
+                insertions += 1
+                pending.insert(0, mid)
+                continue
+        yield eps, u_eps, report
+        if not report.converged:
+            return
+        u, eps_prev = u_eps, pending.pop(0)
 
 
 def solve_exponential(H, omega, m, cfg=None):
@@ -432,31 +488,20 @@ def solve_exponential(H, omega, m, cfg=None):
         raise InputError("field and metric live on different grids")
     if not np.all(np.isfinite(H.data)):
         raise InputError("H must be finite")
-    start = time.perf_counter()
-    eq = _Equation(omega, m, q=1.0)
-    trace = []
-    u, t_path, margin_min, ok, failure = _continuity_solve(eq, H.data, cfg, trace)
-    report = SolveReport(
-        converged=ok,
-        t_path=t_path,
-        cone_margin_min=margin_min,
-        sup_u=float(np.max(u)),
-        inf_u=float(np.min(u)),
-        wallclock=time.perf_counter() - start,
-        trace=trace,
-        failure=failure,
-    )
+    u, report = _solve(_Equation(omega, m, q=1.0), H.data, cfg)
     return ScalarField(omega.grid, u), report
 
 
 def solve_normalized(f, omega, m, eps_schedule, cfg=None):
     """Solve sigma_m(u) = c f by the vanishing zeroth-order family.
 
-    For each eps the auxiliary equation log sigma_m(v) = eps v + log f is
-    solved (warm-started along the schedule); c := exp(eps sup v) and
-    u := v - sup v, so sup u = 0 holds exactly.  The report records the
-    per-eps c estimates, their gaps, and the drift-extrapolated tolerance
-    against which the final residual sup |sigma_m(u) - c f| is compared.
+    The auxiliary equations log sigma_m(v) = eps v + log f are walked down
+    the schedule by _walk_schedule, which inserts geometric midpoints where
+    a warm start is rejected.  Each converged eps gives c := exp(eps sup v);
+    the last gives c and u := v - sup v, so sup u = 0 holds exactly.  The
+    report records every solved eps (midpoints included), the c estimates,
+    their gaps, and the tolerance for sup |sigma_m(u) - c f| extrapolated
+    from the drift over the last two converged eps.
     """
     cfg = cfg or SolverConfig()
     if f.grid != omega.grid:
@@ -466,68 +511,38 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None):
     fmin = float(np.min(fdata))
     if fmax <= 0 or fmin < 1e-6 * fmax:
         raise InputError("f must be strictly positive (min f >= 1e-6 max f)")
-    eps_schedule = [float(e) for e in eps_schedule]
-    if any(e <= 0 for e in eps_schedule) or any(
-        b >= a for a, b in zip(eps_schedule, eps_schedule[1:])
-    ):
-        raise InputError("eps schedule must be positive and strictly decreasing")
 
     start = time.perf_counter()
     logf = np.log(fdata)
-    grid = omega.grid
     eps_path = []
     c_estimates = []
     v = None
-    converged = True
-    for i, eps in enumerate(eps_schedule):
-        eq = _Equation(omega, m, q=eps)
-        trace = []
-        if v is None:
-            u_eps, t_path, margin, ok, failure = _continuity_solve(eq, logf, cfg, trace)
-        else:
-            state, iters, ok, failure = _newton(eq, v, logf, cfg, 1.0, trace)
-            if ok:
-                u_eps, t_path, margin = state.u, [(1.0, iters, state.res_sup)], state.margin
-            else:  # warm start rejected; rebuild the path from scratch
-                u_eps, t_path, margin, ok, failure = _continuity_solve(
-                    eq, logf, cfg, trace
-                )
-        report = SolveReport(
-            converged=ok,
-            t_path=t_path,
-            cone_margin_min=margin,
-            sup_u=float(np.max(u_eps)),
-            inf_u=float(np.min(u_eps)),
-            wallclock=0.0,
-            trace=trace,
-            failure=failure,
-        )
-        eps_path.append((eps, report))
-        if not ok:
-            converged = False
-            if v is None:
-                v = u_eps  # best effort: hand back the stalled iterate
-            break
-        v = u_eps
-        c_estimates.append(float(math.exp(eps * np.max(v))))
+    for eps, v_eps, rep in _walk_schedule(
+        omega, m, eps_schedule, lambda eps: eps, lambda eps: logf, cfg
+    ):
+        eps_path.append((eps, rep))
+        if rep.converged:
+            v = v_eps
+            c_estimates.append(float(math.exp(eps * np.max(v))))
+        elif v is None:
+            v = v_eps  # best effort: hand back the stalled iterate
 
     u = v - np.max(v)
     c = c_estimates[-1] if c_estimates else math.nan
     gaps = [abs(b - a) for a, b in zip(c_estimates, c_estimates[1:])]
 
     table = sk_table_of_state(state_matrices(u, omega), omega, m)
-    sigma = table[..., m] / math.comb(grid.n, m)
+    sigma = table[..., m] / math.comb(omega.grid.n, m)
     final_mismatch = float(np.max(np.abs(sigma - c * fdata))) if c_estimates else math.nan
-    if len(c_estimates) >= 2 and len(eps_schedule) >= 2:
-        ratio = eps_schedule[len(c_estimates) - 1] / eps_schedule[len(c_estimates) - 2]
-        drift = gaps[-1] if gaps else 0.0
+    tol_c = 100.0 * cfg.newton_tol * fmax
+    k = len(c_estimates)  # the converged eps lead eps_path
+    if k >= 2:
+        ratio = eps_path[k - 1][0] / eps_path[k - 2][0]
+        drift = gaps[-1]
         # geometric extrapolation of the remaining c-error, scaled to sigma units
-        tol_c = fmax * (10.0 * drift * ratio / (1.0 - ratio) + 10.0 * drift)
-        tol_c += 100.0 * cfg.newton_tol * fmax
-    else:
-        tol_c = 100.0 * cfg.newton_tol * fmax
+        tol_c += fmax * (10.0 * drift * ratio / (1.0 - ratio) + 10.0 * drift)
     report = NormalizedReport(
-        converged=converged,
+        converged=all(rep.converged for _, rep in eps_path),
         eps_path=eps_path,
         c_estimates=c_estimates,
         c_gaps=gaps,
@@ -537,4 +552,4 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None):
         inf_u=float(np.min(u)),
         wallclock=time.perf_counter() - start,
     )
-    return ScalarField(grid, u), c, report
+    return ScalarField(omega.grid, u), c, report

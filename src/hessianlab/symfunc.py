@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -405,7 +406,8 @@ def verify_cone_inequalities(n, m, samples, seed, tol=1e-10, workers=1):
 
     Returns a :class:`ConeSuiteReport`; every inequality must hold with
     relative slack >= -tol.  ``workers`` shards the sample budget; shard
-    results merge associatively so the report is independent of scheduling.
+    results merge associatively so the report is independent of scheduling,
+    and at most ``os.cpu_count()`` threads run the shards.
     """
     if not 1 <= m < n:
         raise InputError(f"require 1 <= m < n, got n={n}, m={m}")
@@ -422,7 +424,7 @@ def verify_cone_inequalities(n, m, samples, seed, tol=1e-10, workers=1):
     if shards == 1:
         partials = [run(0)]
     else:
-        with ThreadPoolExecutor(max_workers=shards) as ex:
+        with ThreadPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as ex:
             partials = list(ex.map(run, range(shards)))
 
     report = ConeSuiteReport(

@@ -125,6 +125,16 @@ class TestConfigFile:
         assert main(["solve", "--config", str(cfgfile),
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_explicit_zero_flag_beats_config(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"seed": 5, "n": 2, "m": 1, "samples": 50}))
+        out = tmp_path / "x"
+        assert main(["verify-cone", "--config", str(cfgfile), "--seed", "0",
+                     "--threads", "1", "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["seed"] == 0
+        assert resolved["samples"] == 50
+
     def test_unknown_config_key_exit_2(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"frobnicate": 1}))
@@ -149,6 +159,26 @@ class TestDeterminism:
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
+    def test_envelope_bit_identical_reruns(self, tmp_path):
+        args = ["envelope", "--n", "2", "--m", "1", "--N", "8",
+                "--h", "cos:1,0,0,0:2", "--eps-schedule", "1,0.3,0.1",
+                "--t-steps", "1"]
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        files1 = _tree_files(out1)
+        assert files1 == _tree_files(out2)
+        for rel in files1:
+            assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+        doc = json.loads((out1 / "report.json").read_text())
+        assert all("wallclock" not in rep for _, rep in doc["eps_path"])
+        trace = (out1 / "newton_trace.jsonl").read_text().splitlines()
+        labels = [json.loads(line)["t"] for line in trace]
+        # one continuity step at eps = 1, then one warm start per later eps
+        iters = [rep["t_path"][0][1] for _, rep in doc["eps_path"]]
+        assert len(trace) == sum(it + 1 for it in iters)
+        assert labels == [1.0] * len(trace)
+
     def test_verify_cone_bit_identical(self, tmp_path):
         args = ["verify-cone", "--n", "3", "--m", "2", "--samples", "3000",
                 "--seed", "11", "--threads", "2"]
@@ -160,6 +190,26 @@ class TestDeterminism:
 
 
 class TestThreadsResolution:
+    @pytest.mark.parametrize("how", ["flag", "env", "config"])
+    def test_worker_count_below_one_exit_2(self, monkeypatch, tmp_path, how):
+        import hessianlab.cli as cli
+
+        def no_workers(*args, **kwargs):
+            raise AssertionError("workers started")
+
+        monkeypatch.setattr(cli, "verify_cone_inequalities", no_workers)
+        argv = ["verify-cone", "--n", "3", "--m", "2", "--samples", "10",
+                "--out", str(tmp_path / "x")]
+        if how == "flag":
+            argv += ["--threads", "0"]
+        elif how == "env":
+            monkeypatch.setenv("HESSIANLAB_THREADS", "0")
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"threads": 0}))
+            argv += ["--config", str(cfgfile)]
+        assert main(argv) == 2
+
     def test_env_var_overrides_default(self, monkeypatch):
         from hessianlab.cli import _threads
 

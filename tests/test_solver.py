@@ -224,6 +224,44 @@ class TestSolveNormalized:
         tail = rep.c_gaps[1:]
         assert all(b <= a + 10 * FAST.newton_tol for a, b in zip(tail, tail[1:]))
 
+    def test_rejected_warm_start_descends_through_a_midpoint(self, monkeypatch):
+        import hessianlab.solver as solver
+
+        real_newton = solver._newton
+        forced = []
+
+        def newton_failing_once(eq, u0, harr, cfg, t_label, trace):
+            out = real_newton(eq, u0, harr, cfg, t_label, trace)
+            if eq.q == 0.1 and not forced:  # the first warm start at eps 0.1
+                forced.append(eq.q)
+                return out[0], out[1], False, "forced failure"
+            return out
+
+        monkeypatch.setattr(solver, "_newton", newton_failing_once)
+        grid, omega = flat()
+        from hessianlab.experiments import exact_sigma, manufactured_terms
+
+        sigma, _ = exact_sigma(grid, manufactured_terms(2, 0.25), 1)
+        f = ScalarField(grid, sigma / sigma.max())
+        sched = [1.0, 0.3, 0.1]
+        u, c, rep = solve_normalized(f, omega, 1, sched, FAST)
+        assert forced == [0.1]
+        mid = math.sqrt(0.3 * 0.1)
+        assert [eps for eps, _ in rep.eps_path] == [1.0, 0.3, mid, 0.1]
+        assert rep.converged
+        assert all(r.converged for _, r in rep.eps_path)
+        assert len(rep.c_estimates) == len(sched) + 1
+        assert c == rep.c_estimates[-1]
+        # the drift extrapolation uses the last two eps on the path
+        ratio = 0.1 / mid
+        drift = rep.c_gaps[-1]
+        fmax = float(np.max(f.data))
+        expected = 100.0 * FAST.newton_tol * fmax + fmax * (
+            10.0 * drift * ratio / (1.0 - ratio) + 10.0 * drift
+        )
+        assert drift > 0.0
+        assert rep.tol_c == pytest.approx(expected, rel=1e-12)
+
     def test_rejects_nonpositive_f(self):
         grid, omega = flat()
         f = make_field(grid, [((1, 0, 0, 0), 2.0, 0.0)])  # dips negative
@@ -235,6 +273,12 @@ class TestSolveNormalized:
         f = ScalarField(grid, np.ones(grid.shape))
         with pytest.raises(InputError):
             solve_normalized(f, omega, 1, [0.1, 0.3])
+
+    def test_rejects_empty_schedule(self):
+        grid, omega = flat()
+        f = ScalarField(grid, np.ones(grid.shape))
+        with pytest.raises(InputError):
+            solve_normalized(f, omega, 1, [])
 
 
 class TestSolverConfigValidation:

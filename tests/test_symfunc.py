@@ -267,6 +267,44 @@ class TestVerificationSuite:
         b = verify_cone_inequalities(4, 2, 2000, seed=5, workers=2)
         assert a.to_json() == b.to_json()
 
+    def test_thread_pool_capped_at_cpu_count(self, monkeypatch):
+        import os
+        import threading
+
+        import hessianlab.symfunc as symfunc
+
+        pools = []
+
+        class InlineExecutor:  # runs every shard in the calling thread
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                self.shards = 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                items = list(items)
+                self.shards = len(items)
+                return [fn(i) for i in items]
+
+        def no_threads(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        monkeypatch.setattr(symfunc, "ThreadPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        capped = verify_cone_inequalities(3, 2, 600, seed=4, workers=6)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        uncapped = verify_cone_inequalities(3, 2, 600, seed=4, workers=6)
+        # the shard count follows workers, the pool size is capped
+        assert [(p.max_workers, p.shards) for p in pools] == [(2, 6), (6, 6)]
+        assert capped.to_json() == uncapped.to_json()
+
     def test_rejects_bad_range(self):
         with pytest.raises(InputError):
             verify_cone_inequalities(3, 3, 100, seed=0)

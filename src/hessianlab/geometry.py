@@ -199,8 +199,7 @@ class MetricField:
 
     def inverse(self):
         if self._inv is None:
-            li = self.cholesky_inverse()
-            self._inv = li.conj().swapaxes(-1, -2) @ li
+            self._inv = np.linalg.inv(self.form)
         return self._inv
 
     def torsion_sup(self):
@@ -323,9 +322,18 @@ def write_field(path, u, kind="scalar"):
         fh.write(u.data.astype("<f8").flatten(order="F").tobytes())
 
 
+# A written header is about 40 bytes; the limit keeps a file without a
+# newline from being read whole as its header.
+_HEADER_LIMIT = 1024
+
+
 def read_field(path, memory_cap=2 << 30):
     with open(path, "rb") as fh:
-        header = fh.readline()
+        header = fh.readline(_HEADER_LIMIT)
+        if not header.endswith(b"\n"):
+            raise InputError(
+                f"field header in {path} is not a line of at most {_HEADER_LIMIT} bytes"
+            )
         payload = fh.read()
     try:
         meta = json.loads(header.decode("ascii"))
@@ -339,4 +347,6 @@ def read_field(path, memory_cap=2 << 30):
             f"field payload has {len(payload)} bytes, expected {expected}"
         )
     data = np.frombuffer(payload, dtype="<f8").reshape(grid.shape, order="F")
+    if not np.all(np.isfinite(data)):
+        raise InputError(f"field values in {path} must be finite")
     return ScalarField(grid, data.astype(float)), kind

@@ -16,6 +16,11 @@ with the Newton tensor T_{m-1}(B) = sum_j (-1)^j S_{m-1-j}(B) B^j (Reilly,
 Michigan Math. J. 20, 1973), so its coefficient field is a polynomial in B
 built from the same S_k table.  An eigensolve runs only at the single worst
 point of a cone breach, to report that point's eigenvalues.
+
+The linearized operator tr(A dd^c v) - q v is a real combination of second
+differences of v, so the Krylov matvec applies it from n^2 real stencil
+weights per point (see LinearizationField) on shifted views of one
+wrap-padded copy of v; it never forms the complex Hessian of v.
 """
 
 from __future__ import annotations
@@ -54,21 +59,40 @@ class OperatorValue:
 
 @dataclass
 class LinearizationField:
-    """Coefficient field of the linearized operator at a state u.
+    """Stencil weights of the linearized operator at a state u.
 
-    coeff = T_{m-1}(B) omega^{-1} / S_m(B) with B = omega^{-1} g, which in the
-    omega-orthonormal eigenframe e_k of g is sum_k S_{m-1;k}(lambda) / S_m
-    e_k e_k^*; q is the zeroth-order coefficient (1 for the exponential
-    equation, epsilon or 1/epsilon in the normalized and envelope modes).
+    The operator is tr(A dd^c v) - q v with the Hermitian coefficient field
+    A = T_{m-1}(B) omega^{-1} / S_m(B), B = omega^{-1} g; q is the zeroth-order
+    coefficient (1 for the exponential equation, epsilon or 1/epsilon in the
+    normalized and envelope modes).  With u_{j kbar} discretized as in
+    geometry, tr(A dd^c v) is
+
+        sum_j     (A_jj / 4)    (D_{x_j x_j} + D_{y_j y_j}) v
+      + sum_{j<k} (Re A_kj / 2) (D_{x_j x_k} + D_{y_j y_k}) v
+                - (Im A_kj / 2) (D_{x_j y_k} - D_{y_j x_k}) v.
+
+    ``weights`` has shape (n, n) + grid.shape and holds these factors with
+    the stencils' 1/h^2 folded in, against the undivided differences:
+    weights[j, j] = A_jj / (4 h^2) multiplies the sum of the four x_j, y_j
+    neighbours minus 4 v, and for j < k weights[k, j] = Re A_kj / (8 h^2)
+    and weights[j, k] = Im A_kj / (8 h^2) multiply 4-point cross stencils.
     """
 
     grid: object
-    coeff: np.ndarray  # grid.shape + (n, n), Hermitian positive definite
+    weights: np.ndarray  # (n, n) + grid.shape, real
     q: float
 
     def coefficient_matrices(self):
-        """The field A; apply_linearization contracts tr(A h(v))."""
-        return self.coeff
+        """The field A rebuilt from the weights, for tests and diagnostics."""
+        n, hh = self.grid.n, self.grid.h * self.grid.h
+        w = self.weights
+        a = np.empty(self.grid.shape + (n, n), dtype=complex)
+        for j in range(n):
+            a[..., j, j] = (4.0 * hh) * w[j, j]
+            for k in range(j + 1, n):
+                a[..., k, j] = (8.0 * hh) * (w[k, j] + 1j * w[j, k])
+                a[..., j, k] = np.conj(a[..., k, j])
+        return a
 
 
 def _is_identity(metric):
@@ -84,9 +108,7 @@ def _relative_matrices(g, metric):
     """
     if _is_identity(metric):
         return g
-    if metric.constant:
-        return np.linalg.inv(metric.form) @ g
-    return np.linalg.solve(metric.form, g)
+    return _matmul(metric.inverse(), g)
 
 
 def _minor_sums(B, kmax):
@@ -147,9 +169,23 @@ def sigma_m(u, omega, m):
     return OperatorValue(sigma=ScalarField(grid, sigma), cone_mask=mask)
 
 
+def _entry(a, b, i, l):
+    """Entry (i, l) of the batched product a b of n-by-n matrix fields."""
+    acc = a[..., i, 0] * b[..., 0, l]
+    for j in range(1, b.shape[-1]):
+        acc += a[..., i, j] * b[..., j, l]
+    return acc
+
+
 def _matmul(a, b):
-    # einsum beats the batched matmul on stacks of 2x2 and 3x3 matrices
-    return np.einsum("...ij,...jl->...il", a, b)
+    # written out per entry: faster than einsum or the batched matmul on
+    # stacks of 2x2 and 3x3 matrices
+    n = b.shape[-1]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for i in range(n):
+        for l in range(n):
+            out[..., i, l] = _entry(a, b, i, l)
+    return out
 
 
 def _newton_tensor(B, table, m):
@@ -167,15 +203,35 @@ def _newton_tensor(B, table, m):
     return t
 
 
-def linearization(u, omega, m, q):
-    """Coefficient field of the linearized operator, without an eigensolve.
+def _stencil_weights(t, inv, s_m, h):
+    """LinearizationField weights of A = t inv / s_m (inv None: the identity)."""
+    n = t.shape[-1]
+    lap = 0.25 / (h * h)
+    cross = 0.125 / (h * h)
+    w = np.empty((n, n) + s_m.shape)
+    for k in range(n):
+        for j in range(k + 1):
+            a = t[..., k, j] if inv is None else _entry(t, inv, k, j)
+            a = a / s_m
+            if j == k:
+                w[j, j] = lap * a.real
+            else:
+                w[k, j] = cross * a.real
+                w[j, k] = cross * a.imag
+    return w
 
-    Requires lambda strictly inside Gamma_m at every point; the breach error
-    carries the worst offender and its eigenvalues so failed Newton steps
-    can report it.
+
+def linearization(u, omega, m, q, g=None):
+    """Stencil weights of the linearized operator, without an eigensolve.
+
+    ``g`` may pass in state_matrices(u.data, omega) when the caller already
+    holds it.  Requires lambda strictly inside Gamma_m at every point; the
+    breach error carries the worst offender and its eigenvalues so failed
+    Newton steps can report it.
     """
     grid = u.grid
-    g = state_matrices(u.data, omega)
+    if g is None:
+        g = state_matrices(u.data, omega)
     B = _relative_matrices(g, omega)
     table = _minor_sums(B, m)
     bad = ~np.all(table[..., 1 : m + 1] > 0.0, axis=-1)
@@ -190,19 +246,47 @@ def linearization(u, omega, m, q):
             point=worst,
             lam=lam,
         )
-    coeff = _newton_tensor(B, table, m)
-    if not _is_identity(omega):
-        coeff = _matmul(coeff, omega.inverse())
-    coeff /= table[..., m, None, None]
-    return LinearizationField(grid=grid, coeff=coeff, q=q)
+    inv = None if _is_identity(omega) else omega.inverse()
+    weights = _stencil_weights(_newton_tensor(B, table, m), inv, table[..., m], grid.h)
+    return LinearizationField(grid=grid, weights=weights, q=q)
+
+
+def _cut(p, N, axis, s, others=True):
+    """p offset by s along ``axis`` and cut there to length N, p being padded
+    by one on each side; with ``others`` every other padded axis is cut too."""
+    idx = [slice(1, N + 1) if others and size == N + 2 else slice(None)
+           for size in p.shape]
+    idx[axis] = slice(1 + s, N + 1 + s)
+    return p[tuple(idx)]
+
+
+def _difference(p, N, axis, others=True):
+    """Undivided central difference p(+1) - p(-1) along ``axis``."""
+    return _cut(p, N, axis, 1, others) - _cut(p, N, axis, -1, others)
 
 
 def apply_linearization_array(lin, v_data):
-    hess = complex_hessian_array(v_data, lin.grid)
-    coeff = lin.coefficient_matrices()
-    out = np.einsum("...jl,...lj->...", coeff, hess).real
-    if lin.q:
-        out = out - lin.q * v_data
+    """tr(A dd^c v) - q v summed from the stencil weights of ``lin``."""
+    n, N, w = lin.grid.n, lin.grid.N, lin.weights
+    p = np.pad(v_data, 1, mode="wrap")
+    out = -lin.q * v_data
+    for j in range(n):
+        xj, yj = 2 * j, 2 * j + 1
+        ring = -4.0 * v_data
+        for a in (xj, yj):
+            ring += _cut(p, N, a, 1)
+            ring += _cut(p, N, a, -1)
+        out += w[j, j] * ring
+        if j + 1 == n:
+            break
+        # differenced again along a second axis b, these give the 4-point
+        # cross stencils on (x_j, b) and (y_j, b)
+        dx = _difference(p, N, xj, others=False)
+        dy = _difference(p, N, yj, others=False)
+        for k in range(j + 1, n):
+            xk, yk = 2 * k, 2 * k + 1
+            out += w[k, j] * (_difference(dx, N, xk) + _difference(dy, N, yk))
+            out += w[j, k] * (_difference(dy, N, xk) - _difference(dx, N, yk))
     return out
 
 

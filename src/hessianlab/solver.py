@@ -9,7 +9,7 @@ log f with c extracted as exp(eps sup v).
 Inner solves use restarted GMRES, right-preconditioned so the stopping rule
 is on the true residual.  The default preconditioner is the pointwise
 diagonal of the linearized operator; for q > 0 a constant-coefficient
-spectral (FFT) preconditioner built from the grid-averaged coefficients is
+spectral (FFT) preconditioner built from the grid-averaged stencil weights is
 also available and is what the drivers pick under "auto", since on a flat
 torus it is exact at the continuity start and stays strong along the path.
 Residual tolerances passed to the inner solve follow the usual inexact-
@@ -187,12 +187,10 @@ def gmres_raw(matvec, b, tol, restart, maxiter, psolve):
 
 
 def _diagonal_preconditioner(lin):
-    # Every same-axis second difference contributes -2/h^2 at the center and
-    # mixed stencils contribute nothing, so the operator diagonal is
-    # -tr(A)/h^2 - q with A the coefficient matrix field.
-    h = lin.grid.h
-    coeff = lin.coefficient_matrices()
-    diag = -np.trace(coeff, axis1=-2, axis2=-1).real / (h * h) - lin.q
+    # Each in-plane Laplacian puts -4 times its weight on the center and the
+    # cross stencils put nothing there, so the operator diagonal is
+    # -4 sum_j w_jj - q (that is -tr(A)/h^2 - q).
+    diag = -4.0 * np.trace(lin.weights) - lin.q
     flat = diag.reshape(-1)
 
     def psolve(v):
@@ -201,8 +199,13 @@ def _diagonal_preconditioner(lin):
     return psolve
 
 
-def _spectral_symbol(grid, coeff_mean, q):
-    """Fourier symbol of the constant-coefficient surrogate operator."""
+def _spectral_symbol(grid, wmean, q):
+    """Fourier symbol of the operator with the grid-averaged weights wmean.
+
+    On exp(i k.x) an undivided second difference along axis a acts as
+    c_a = 2 cos(k_a h) - 2 and a 4-point cross stencil on (a, b) as
+    -e_a e_b with e_a = 2 sin(k_a h).
+    """
     dims = 2 * grid.n
     N, h = grid.N, grid.h
 
@@ -215,30 +218,23 @@ def _spectral_symbol(grid, coeff_mean, q):
         shape[a] = k.size
         return k.reshape(shape)
 
-    s = [(2.0 - 2.0 * np.cos(axis_freq(a) * h)) / (h * h) for a in range(dims)]
-    t = [np.sin(axis_freq(a) * h) / h for a in range(dims)]
-
-    def sig(a, b):
-        return -s[a] if a == b else -(t[a] * t[b])
-
-    rshape = (N,) * (dims - 1) + (N // 2 + 1,)
-    total = np.zeros(rshape, dtype=complex)
+    c = [2.0 * np.cos(axis_freq(a) * h) - 2.0 for a in range(dims)]
+    e = [2.0 * np.sin(axis_freq(a) * h) for a in range(dims)]
+    sym = -q
     for j in range(grid.n):
         xj, yj = 2 * j, 2 * j + 1
-        for l in range(grid.n):
-            xl, yl = 2 * l, 2 * l + 1
-            re = 0.25 * (sig(xj, xl) + sig(yj, yl))
-            im = 0.25 * (sig(xj, yl) - sig(yj, xl))
-            total = total + coeff_mean[l, j] * (re + 1j * im)
-    sym = total.real - q
+        sym = sym + wmean[j, j] * (c[xj] + c[yj])
+        for k in range(j + 1, grid.n):
+            xk, yk = 2 * k, 2 * k + 1
+            sym = sym - wmean[k, j] * (e[xj] * e[xk] + e[yj] * e[yk])
+            sym = sym - wmean[j, k] * (e[yj] * e[xk] - e[xj] * e[yk])
     sym[sym == 0.0] = -1.0  # leave an exactly-null mode untouched
     return sym
 
 
 def _spectral_preconditioner(lin):
     grid = lin.grid
-    coeff = lin.coefficient_matrices()
-    mean = coeff.reshape(-1, grid.n, grid.n).mean(axis=0)
+    mean = lin.weights.reshape(grid.n, grid.n, -1).mean(axis=-1)
     sym = _spectral_symbol(grid, mean, lin.q)
     shape = grid.shape
     axes = tuple(range(2 * grid.n))
@@ -253,14 +249,14 @@ def _spectral_preconditioner(lin):
 
 def _make_preconditioner(lin, kind):
     if kind == "auto":
-        # The spectral surrogate is built from grid-averaged coefficients, so
-        # it is only trustworthy while the coefficients are comparable across
+        # The spectral surrogate is built from grid-averaged weights, so it
+        # is only trustworthy while the coefficients are comparable across
         # the grid; penalized envelopes near the contact set spread them over
         # many orders of magnitude, where pointwise diagonal scaling wins.
         if lin.q <= 0:
             kind = "diagonal"
         else:
-            tr = np.trace(lin.coefficient_matrices(), axis1=-2, axis2=-1).real
+            tr = np.trace(lin.weights)  # tr(A) / (4 h^2) per point
             lo, hi = float(np.min(tr)), float(np.max(tr))
             kind = "spectral" if lo > 0 and hi <= 1e3 * lo else "diagonal"
     if kind == "diagonal":
@@ -360,7 +356,7 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
             return state, iters, False, "Newton iteration cap"
         try:
             lin = linearization(
-                ScalarField(grid, state.u), eq.metric, eq.m, eq.q
+                ScalarField(grid, state.u), eq.metric, eq.m, eq.q, g=state.g
             )
         except ConeBreachError as exc:
             return state, iters, False, f"cone breach in linearization: {exc}"

@@ -208,6 +208,28 @@ class TestFieldFiles:
         with pytest.raises(InputError):
             read_field(path)
 
+    def test_rejects_non_finite_payload(self, tmp_path):
+        g = TorusGrid(2, 8)
+        data = np.zeros(g.shape)
+        data[1, 2, 3, 4] = np.nan
+        path = tmp_path / "nan.field"
+        write_field(path, ScalarField(g, data))
+        with pytest.raises(InputError):
+            read_field(path)
+
+    def test_header_length_limit(self, tmp_path):
+        # valid JSON padded past the header limit, and a file with no newline
+        g = TorusGrid(2, 8)
+        payload = np.zeros(g.points).tobytes()
+        long_header = b'{"n": 2, "N": 8, "kind": "u"}' + b" " * 8192 + b"\n"
+        path = tmp_path / "long.field"
+        path.write_bytes(long_header + payload)
+        with pytest.raises(InputError):
+            read_field(path)
+        path.write_bytes(b"{" + b"0" * 65536)
+        with pytest.raises(InputError):
+            read_field(path)
+
     def test_x1_fastest_layout(self, tmp_path):
         g = TorusGrid(2, 8)
         u = make_field(g, [((1, 0, 0, 0), 1.0, 0.0)])  # varies along x_1 only

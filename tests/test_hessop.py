@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from hessianlab.errors import ConeBreachError, InputError
-from hessianlab.geometry import MetricField, ScalarField, TorusGrid, make_field
+from hessianlab.geometry import (
+    MetricField,
+    ScalarField,
+    TorusGrid,
+    complex_hessian_array,
+    make_field,
+)
 from hessianlab.hermlin import generalized_eigenvalues, generalized_eigh
 from hessianlab.hessop import (
     _minor_sums,
@@ -195,15 +201,21 @@ def _eigenframe_coefficients(lam, frame, m):
     return np.einsum("...jk,...k,...lk->...jl", frame, weights, np.conj(frame))
 
 
+def _cone_state(grid):
+    """A state with off-diagonal Hessian entries inside every Gamma_m."""
+    n = grid.n
+    x1 = (1,) + (0,) * (2 * n - 1)
+    y1_xn = (0, 1) + (0,) * (2 * n - 4) + (1, 0)
+    return make_field(grid, [(x1, 0.3, 0.0), (y1_xn, 0.0, 0.2)])
+
+
 class TestNewtonTensorOracle:
     @pytest.mark.parametrize("kind", ["flat", "constant", "conformal"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_eigenframe_route(self, n, kind):
         grid = TorusGrid(n, 8)
         omega = _metric(kind, grid)
-        x1 = (1,) + (0,) * (2 * n - 1)
-        y1_xn = (0, 1) + (0,) * (2 * n - 4) + (1, 0)
-        u = make_field(grid, [(x1, 0.3, 0.0), (y1_xn, 0.0, 0.2)])
+        u = _cone_state(grid)
         assert sigma_m(u, omega, n).cone_mask.all()  # inside every Gamma_m
         g = state_matrices(u.data, omega)
         lam, frame = generalized_eigh(g, omega.cholesky_inverse())
@@ -237,6 +249,24 @@ class TestNewtonTensorOracle:
 
 
 class TestApplyLinearization:
+    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matvec_matches_hessian_contraction(self, n, kind):
+        # the stencil-weight matvec against tr(A dd^c v) - q v formed from
+        # the complex Hessian of v and the coefficient field A
+        grid = TorusGrid(n, 8)
+        omega = _metric(kind, grid)
+        u = _cone_state(grid)
+        v = ScalarField(grid, np.random.default_rng(n).normal(size=grid.shape))
+        hess = complex_hessian_array(v.data, grid)
+        q = 0.7
+        for m in range(1, n + 1):
+            lin = linearization(u, omega, m, q)
+            a = lin.coefficient_matrices()
+            want = np.einsum("...jl,...lj->...", a, hess).real - q * v.data
+            got = apply_linearization(lin, v).data
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), m
+
     def test_constant_field(self):
         grid, omega = flat()
         lin = linearization(ScalarField.zeros(grid), omega, 1, 3.0)
@@ -282,7 +312,7 @@ class TestApplyLinearization:
         base = sigma_m(u, omega, m)
         assert base.cone_mask.all()
         lin = linearization(u, omega, m, 0.0)
-        lin.coeff = lin.coeff * base.sigma.data[..., None, None]
+        lin.weights = lin.weights * base.sigma.data
         pred = apply_linearization(lin, v).data
         s = 1e-5
         bumped = sigma_m(ScalarField(grid, u.data + s * v.data), omega, m)

@@ -9,9 +9,14 @@ import pytest
 from hessianlab.errors import InputError
 from hessianlab.experiments import manufactured_problem, mms_study
 from hessianlab.geometry import MetricField, ScalarField, TorusGrid, make_field
-from hessianlab.hessop import apply_linearization, linearization
+from hessianlab.hessop import (
+    apply_linearization,
+    apply_linearization_array,
+    linearization,
+)
 from hessianlab.solver import (
     SolverConfig,
+    _diagonal_preconditioner,
     krylov_solve,
     solve_exponential,
     solve_normalized,
@@ -63,6 +68,22 @@ class TestKrylovSolve:
         lin = linearization(ScalarField.zeros(grid), omega, 1, 1.0)
         with pytest.raises(InputError):
             krylov_solve(lin, ScalarField.zeros(TorusGrid(2, 16)), 1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_diagonal_preconditioner_is_operator_diagonal(self, n):
+        # L e_p at p, probed with unit impulses, is what psolve divides by
+        grid = TorusGrid(n, 8)
+        x1 = (1,) + (0,) * (2 * n - 1)
+        omega = MetricField.conformal(grid, np.eye(n), [(x1, 0.3, 0.0)])
+        u = make_field(grid, [(x1, 0.3, 0.0), ((0, 1) + (1,) + (0,) * (2 * n - 3), 0.0, 0.2)])
+        lin = linearization(u, omega, 2, 0.7)
+        diag = 1.0 / _diagonal_preconditioner(lin)(np.ones(grid.points))
+        diag = diag.reshape(grid.shape)
+        for point in [(0,) * (2 * n), (7,) * (2 * n), (3, 5, 0, 7, 1, 2)[: 2 * n]]:
+            impulse = np.zeros(grid.shape)
+            impulse[point] = 1.0
+            got = apply_linearization_array(lin, impulse)[point]
+            assert got == pytest.approx(diag[point], rel=1e-13), point
 
 
 class TestSolveExponential:

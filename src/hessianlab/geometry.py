@@ -221,8 +221,8 @@ class MetricField:
 def _inverse(a):
     """Inverse of 2x2 or 3x3 matrices, stacked on leading axes, by cofactors.
 
-    Written out per entry, which on a metric field beats LAPACK's one call
-    per point by several times.
+    Written out per entry, which on a field of small matrices is faster than
+    LAPACK's one call per point.
     """
     n = a.shape[-1]
     adj = np.empty_like(a)

@@ -72,10 +72,12 @@ class LinearizationField:
                 - (Im A_kj / 2) (D_{x_j y_k} - D_{y_j x_k}) v.
 
     ``weights`` has shape (n, n) + grid.shape and holds these factors with
-    the stencils' 1/h^2 folded in, against the undivided differences:
-    weights[j, j] = A_jj / (4 h^2) multiplies the sum of the four x_j, y_j
-    neighbours minus 4 v, and for j < k weights[k, j] = Re A_kj / (8 h^2)
-    and weights[j, k] = Im A_kj / (8 h^2) multiply 4-point cross stencils.
+    the stencils' 1/h^2 folded in, so that they multiply undivided
+    differences: weights[j, j] = A_jj / (4 h^2) multiplies the sum of the
+    four x_j, y_j neighbours minus 4 v, and for j < k, with X_ab = 4 h^2 D_ab
+    the 4-point cross stencil, weights[k, j] = Re A_kj / (8 h^2) multiplies
+    X_{x_j x_k} + X_{y_j y_k} and weights[j, k] = Im A_kj / (8 h^2)
+    multiplies X_{y_j x_k} - X_{x_j y_k}.
     """
 
     grid: object

@@ -75,7 +75,8 @@ class TestKrylovSolve:
         grid = TorusGrid(n, 8)
         x1 = (1,) + (0,) * (2 * n - 1)
         omega = MetricField.conformal(grid, np.eye(n), [(x1, 0.3, 0.0)])
-        u = make_field(grid, [(x1, 0.3, 0.0), ((0, 1) + (1,) + (0,) * (2 * n - 3), 0.0, 0.2)])
+        y1_x2 = (0, 1, 1) + (0,) * (2 * n - 3)
+        u = make_field(grid, [(x1, 0.3, 0.0), (y1_x2, 0.0, 0.2)])
         lin = linearization(u, omega, 2, 0.7)
         diag = 1.0 / _diagonal_preconditioner(lin)(np.ones(grid.points))
         diag = diag.reshape(grid.shape)

@@ -223,31 +223,41 @@ def _stencil_weights(t, inv, s_m, h):
     return w
 
 
-def linearization(u, omega, m, q, g=None):
+def _check_cone(g, omega, table, m):
+    """Raise ConeBreachError, with the worst point and its eigenvalues, unless
+    the table is strictly inside Gamma_m at every point."""
+    bad = ~np.all(table[..., 1 : m + 1] > 0.0, axis=-1)
+    if not np.any(bad):
+        return
+    grid = omega.grid
+    norm = np.array([math.comb(grid.n, k) for k in range(1, m + 1)])
+    margins = np.min(table[..., 1 : m + 1] / norm, axis=-1)
+    worst = np.unravel_index(int(np.argmin(margins)), grid.shape)
+    li = omega.cholesky_inverse()
+    lam, _ = generalized_eigh(g[worst], li if omega.constant else li[worst])
+    raise ConeBreachError(
+        f"cone breached at {np.count_nonzero(bad)} points",
+        point=worst,
+        lam=lam,
+    )
+
+
+def linearization(u, omega, m, q, g=None, table=None):
     """Stencil weights of the linearized operator, without an eigensolve.
 
     ``g`` may pass in state_matrices(u.data, omega) when the caller already
-    holds it.  Requires lambda strictly inside Gamma_m at every point; the
-    breach error carries the worst offender and its eigenvalues so failed
-    Newton steps can report it.
+    holds it, and ``table`` its S_0..S_m table when the caller has already
+    found that table strictly inside Gamma_m.  Without ``table`` the cone is
+    checked here, and the breach error carries the worst offender and its
+    eigenvalues so failed Newton steps can report it.
     """
     grid = u.grid
     if g is None:
         g = state_matrices(u.data, omega)
     B = _relative_matrices(g, omega)
-    table = _minor_sums(B, m)
-    bad = ~np.all(table[..., 1 : m + 1] > 0.0, axis=-1)
-    if np.any(bad):
-        norm = np.array([math.comb(grid.n, k) for k in range(1, m + 1)])
-        margins = np.min(table[..., 1 : m + 1] / norm, axis=-1)
-        worst = np.unravel_index(int(np.argmin(margins)), grid.shape)
-        li = omega.cholesky_inverse()
-        lam, _ = generalized_eigh(g[worst], li if omega.constant else li[worst])
-        raise ConeBreachError(
-            f"cone breached at {np.count_nonzero(bad)} points",
-            point=worst,
-            lam=lam,
-        )
+    if table is None:
+        table = _minor_sums(B, m)
+        _check_cone(g, omega, table, m)
     inv = None if _is_identity(omega) else omega.inverse()
     weights = _stencil_weights(_newton_tensor(B, table, m), inv, table[..., m], grid.h)
     return LinearizationField(grid=grid, weights=weights, q=q)

@@ -8,10 +8,11 @@ log f with c extracted as exp(eps sup v).
 
 Inner solves use restarted GMRES, right-preconditioned so the stopping rule
 is on the true residual.  The default preconditioner is the pointwise
-diagonal of the linearized operator; for q > 0 a constant-coefficient
-spectral (FFT) preconditioner built from the grid-averaged stencil weights is
-also available and is what the drivers pick under "auto", since on a flat
-torus it is exact at the continuity start and stays strong along the path.
+diagonal of the linearized operator.  For q > 0 the drivers pick, under
+"auto", a constant-coefficient spectral (FFT) solve scaled pointwise by the
+operator diagonal (Concus & Golub, SIAM J. Numer. Anal. 10, 1973): it is
+exact at the flat continuity start and follows coefficients that vary by
+orders of magnitude across the torus, such as a conformal factor.
 Residual tolerances passed to the inner solve follow the usual inexact-
 Newton forcing rule (proportional to the outer residual, floored at
 ``krylov_tol``) so the quadratic tail is preserved.
@@ -78,6 +79,8 @@ class NewtonRecord:
     residual_sup: float
     step_scale: float
     cone_margin: float
+    krylov_iters: int = 0  # GMRES iterations behind this step
+    krylov_relres: float | None = None  # their true relative residual
 
     def to_json(self):
         return json.dumps(
@@ -87,6 +90,8 @@ class NewtonRecord:
                 "residual_sup": self.residual_sup,
                 "step_scale": self.step_scale,
                 "cone_margin": self.cone_margin,
+                "krylov_iters": self.krylov_iters,
+                "krylov_relres": self.krylov_relres,
             },
             sort_keys=True,
         )
@@ -199,8 +204,8 @@ def _diagonal_preconditioner(lin):
     return psolve
 
 
-def _spectral_symbol(grid, wmean, q):
-    """Fourier symbol of the operator with the grid-averaged weights wmean.
+def _spectral_symbol(grid, wbar, q):
+    """Fourier symbol of the operator with the constant weights wbar.
 
     On exp(i k.x) an undivided second difference along axis a acts as
     c_a = 2 cos(k_a h) - 2 and a 4-point cross stencil on (a, b) as
@@ -223,42 +228,46 @@ def _spectral_symbol(grid, wmean, q):
     sym = -q
     for j in range(grid.n):
         xj, yj = 2 * j, 2 * j + 1
-        sym = sym + wmean[j, j] * (c[xj] + c[yj])
+        sym = sym + wbar[j, j] * (c[xj] + c[yj])
         for k in range(j + 1, grid.n):
             xk, yk = 2 * k, 2 * k + 1
-            sym = sym - wmean[k, j] * (e[xj] * e[xk] + e[yj] * e[yk])
-            sym = sym - wmean[j, k] * (e[yj] * e[xk] - e[xj] * e[yk])
+            sym = sym - wbar[k, j] * (e[xj] * e[xk] + e[yj] * e[yk])
+            sym = sym - wbar[j, k] * (e[yj] * e[xk] - e[xj] * e[yk])
     sym[sym == 0.0] = -1.0  # leave an exactly-null mode untouched
     return sym
 
 
 def _spectral_preconditioner(lin):
+    """psolve(v) = C^{-1}(v / s): the constant-coefficient operator C, scaled
+    pointwise by s, the operator diagonal 4 tr(w) + q over its grid mean.
+
+    C has weights mean(w / s) and zeroth-order term q mean(1 / s), so P = s C
+    equals the operator wherever w / s is constant and q = 0.  1/s is the
+    only per-point array, built in place.
+    """
     grid = lin.grid
-    mean = lin.weights.reshape(grid.n, grid.n, -1).mean(axis=-1)
-    sym = _spectral_symbol(grid, mean, lin.q)
+    n = grid.n
+    inv_s = np.trace(lin.weights)
+    inv_s *= 4.0
+    inv_s += lin.q
+    np.divide(np.mean(inv_s), inv_s, out=inv_s)
+    wbar = np.tensordot(lin.weights.reshape(n, n, -1), inv_s.reshape(-1), axes=(2, 0))
+    wbar /= inv_s.size
+    inv_sym = 1.0 / _spectral_symbol(grid, wbar, lin.q * np.mean(inv_s))
     shape = grid.shape
-    axes = tuple(range(2 * grid.n))
+    axes = tuple(range(2 * n))
 
     def psolve(v):
-        spec = np.fft.rfftn(v.reshape(shape), axes=axes)
-        out = np.fft.irfftn(spec / sym, s=shape, axes=axes)
-        return out.reshape(-1)
+        spec = np.fft.rfftn((v * inv_s.reshape(-1)).reshape(shape), axes=axes)
+        spec *= inv_sym
+        return np.fft.irfftn(spec, s=shape, axes=axes).reshape(-1)
 
     return psolve
 
 
 def _make_preconditioner(lin, kind):
     if kind == "auto":
-        # The spectral surrogate is built from grid-averaged weights, so it
-        # is only trustworthy while the coefficients are comparable across
-        # the grid; penalized envelopes near the contact set spread them over
-        # many orders of magnitude, where pointwise diagonal scaling wins.
-        if lin.q <= 0:
-            kind = "diagonal"
-        else:
-            tr = np.trace(lin.weights)  # tr(A) / (4 h^2) per point
-            lo, hi = float(np.min(tr)), float(np.max(tr))
-            kind = "spectral" if lo > 0 and hi <= 1e3 * lo else "diagonal"
+        kind = "spectral" if lin.q > 0 else "diagonal"
     if kind == "diagonal":
         return _diagonal_preconditioner(lin)
     if kind == "spectral":
@@ -355,15 +364,18 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
         if iters >= cfg.max_newton:
             return state, iters, False, "Newton iteration cap"
         try:
+            # an in-cone table skips the cone check; outside, the check
+            # raises the breach error with its worst point
             lin = linearization(
-                ScalarField(grid, state.u), eq.metric, eq.m, eq.q, g=state.g
+                ScalarField(grid, state.u), eq.metric, eq.m, eq.q, g=state.g,
+                table=state.table if state.in_cone else None,
             )
         except ConeBreachError as exc:
             return state, iters, False, f"cone breach in linearization: {exc}"
         tol_k = max(cfg.krylov_tol, min(3e-2, 0.3 * state.res_sup))
         rhs = ScalarField(grid, -state.residual)
         try:
-            delta, _ = krylov_solve(
+            delta, info = krylov_solve(
                 lin,
                 rhs,
                 tol_k,
@@ -373,7 +385,7 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
         except LinearSolveError as exc:
             if exc.best is None:
                 return state, iters, False, "linear solve failed"
-            delta = exc.best
+            delta, info = exc.best, KrylovInfo(exc.iterations, exc.relres)
         step = 1.0
         accepted = None
         while step >= cfg.min_step:
@@ -387,7 +399,8 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
             return state, iters, False, "line search stalled at minimum step"
         state = accepted
         iters += 1
-        trace.append(NewtonRecord(t_label, iters, state.res_sup, step, state.margin))
+        trace.append(NewtonRecord(t_label, iters, state.res_sup, step, state.margin,
+                                  info.iterations, info.relres))
     return state, iters, True, None
 
 

@@ -72,7 +72,7 @@ class TestSolveCommand:
         trace = (out / "newton_trace.jsonl").read_text().strip().splitlines()
         assert all(
             set(json.loads(line)) == {"t", "iter", "residual_sup", "step_scale",
-                                      "cone_margin"}
+                                      "cone_margin", "krylov_iters", "krylov_relres"}
             for line in trace
         )
 

@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from hessianlab.errors import InputError
+from hessianlab import solver
+from hessianlab.errors import InputError, LinearSolveError
 from hessianlab.experiments import manufactured_problem, mms_study
 from hessianlab.geometry import MetricField, ScalarField, TorusGrid, make_field
 from hessianlab.hessop import (
+    LinearizationField,
     apply_linearization,
     apply_linearization_array,
     linearization,
@@ -17,6 +19,7 @@ from hessianlab.hessop import (
 from hessianlab.solver import (
     SolverConfig,
     _diagonal_preconditioner,
+    _spectral_preconditioner,
     krylov_solve,
     solve_exponential,
     solve_normalized,
@@ -85,6 +88,34 @@ class TestKrylovSolve:
             impulse[point] = 1.0
             got = apply_linearization_array(lin, impulse)[point]
             assert got == pytest.approx(diag[point], rel=1e-13), point
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_scaled_spectral_exact_on_scaled_constant_weights(self, n):
+        # weights s(x) wbar with q = 0: P = s C is the operator itself
+        grid = TorusGrid(n, 8)
+        form = np.eye(n, dtype=complex) * np.arange(2, n + 2)
+        form[0, 1], form[1, 0] = 0.4 + 0.3j, 0.4 - 0.3j
+        constant = MetricField.constant_form(grid, form)
+        wbar = linearization(ScalarField.zeros(grid), constant, 2, 0.0).weights
+        x1 = (1,) + (0,) * (2 * n - 1)
+        y1_x2 = (0, 1, 1) + (0,) * (2 * n - 3)
+        s = make_field(grid, [(x1, 1.2, 0.0), (y1_x2, 0.0, 0.6)]).data
+        lin = LinearizationField(grid=grid, weights=np.exp(s) * wbar, q=0.0)
+        psolve = _spectral_preconditioner(lin)
+        v = np.random.default_rng(n).standard_normal(grid.shape)
+        v -= v.mean()
+        got = psolve(apply_linearization_array(lin, v).reshape(-1)).reshape(grid.shape)
+        assert np.linalg.norm(got - v) <= 1e-12 * np.linalg.norm(v)
+
+    def test_spectral_iteration_ceiling_on_conformal_metric(self):
+        grid = TorusGrid(2, 8)
+        metric_terms = [((1, 0, 0, 0), 1.2, 0.0), ((0, 0, 1, 1), 0.0, 0.6)]
+        omega = MetricField.conformal(grid, np.eye(2), metric_terms)
+        u = make_field(grid, [((1, 0, 0, 0), 0.1, 0.0), ((0, 1, 1, 0), 0.0, 0.05)])
+        lin = linearization(u, omega, 2, 1.0)
+        rhs = ScalarField(grid, np.random.default_rng(0).standard_normal(grid.shape))
+        _, info = krylov_solve(lin, rhs, 1e-10, precond="spectral")
+        assert info.iterations <= 24
 
 
 class TestSolveExponential:
@@ -167,7 +198,35 @@ class TestSolveExponential:
         assert lines
         for line in lines:
             rec = json.loads(line)
-            assert set(rec) == {"t", "iter", "residual_sup", "step_scale", "cone_margin"}
+            assert set(rec) == {"t", "iter", "residual_sup", "step_scale", "cone_margin",
+                                "krylov_iters", "krylov_relres"}
+
+    def test_trace_records_krylov_work(self, monkeypatch):
+        # the last step's solve is reported as capped: its record carries the
+        # error's counts, every other step those of its own solve
+        grid, omega = flat()
+        H = make_field(grid, [((1, 0, 0, 0), 0.3, 0.0)])
+        _, clean = solve_exponential(H, omega, 1, FAST)
+        steps = len(clean.trace) - 1
+        calls = []
+
+        def capped_last(lin, rhs, tol, **kwargs):
+            out, info = krylov_solve(lin, rhs, tol, **kwargs)
+            calls.append(info)
+            if len(calls) < steps:
+                return out, info
+            raise LinearSolveError("cap", best=out, relres=info.relres,
+                                   iterations=info.iterations + 1000)
+
+        monkeypatch.setattr(solver, "krylov_solve", capped_last)
+        _, rep = solve_exponential(H, omega, 1, FAST)
+        first, *rest = [json.loads(line) for line in rep.trace_jsonl().splitlines()]
+        assert (first["krylov_iters"], first["krylov_relres"]) == (0, None)
+        assert len(rest) == steps == len(calls)
+        want = [(c.iterations, c.relres) for c in calls]
+        want[-1] = (calls[-1].iterations + 1000, calls[-1].relres)
+        assert [(r["krylov_iters"], r["krylov_relres"]) for r in rest] == want
+        assert all(i >= 1 for i, _ in want)
 
     def test_grid_mismatch(self):
         grid, omega = flat()

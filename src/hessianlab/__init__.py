@@ -62,7 +62,6 @@ from .symfunc import (
     in_cone,
     reduced_symmetric,
     sample_cone,
-    symmetric_gradient,
     verify_cone_inequalities,
 )
 

@@ -116,8 +116,6 @@ def _solver_config(args):
         val = getattr(args, name, None)
         if val is not None:
             kwargs[name] = int(val)
-    if getattr(args, "precond", None) is not None:
-        kwargs["krylov_precond"] = args.precond
     if getattr(args, "no_cone_guard", False):
         kwargs["cone_guard"] = False
     return SolverConfig(**kwargs)
@@ -138,12 +136,12 @@ def _write_json(outdir, name, doc):
 
 def _grid(args):
     cap = getattr(args, "memory_cap", None)
-    return TorusGrid(args.n, args.N, memory_cap=cap if cap else 2 << 30)
+    return TorusGrid(args.n, args.N, memory_cap=2 << 30 if cap is None else cap)
 
 
 def _metric(args, grid):
     scale = getattr(args, "metric_scale", None)
-    return MetricField.flat(grid, scale=scale if scale else 1.0)
+    return MetricField.flat(grid, scale=1.0 if scale is None else scale)
 
 
 def _solve_report_doc(report):
@@ -336,8 +334,6 @@ def build_parser():
         p.add_argument("--krylov-tol", dest="krylov_tol", type=float, default=None)
         p.add_argument("--max-newton", dest="max_newton", type=int, default=None)
         p.add_argument("--t-steps", dest="t_steps", type=int, default=None)
-        p.add_argument("--precond", choices=("auto", "diagonal", "spectral"),
-                       default=None)
         p.add_argument("--no-cone-guard", dest="no_cone_guard", action="store_true")
 
     p = sub.add_parser("verify-cone", help="randomized cone inequality suite")

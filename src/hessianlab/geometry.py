@@ -10,8 +10,11 @@ differences and periodic wrap:
     u_{j kbar} = (1/4) [(D_{x_j x_k} + D_{y_j y_k}) u]
                + (i/4) [(D_{x_j y_k} - D_{y_j x_k}) u].
 
-Mixed derivatives use the standard 4-point cross stencil.  Only the upper
-triangle is computed and mirrored, so the result is Hermitian exactly.
+Mixed derivatives use the standard 4-point cross stencil.  Every difference
+is a sum of shifted slices of one wrap-padded copy of u, produced by
+_stencils, which the Krylov matvec (hessop) runs on its vector too, so dd^c
+is written once.  Only the upper triangle is computed and mirrored, so the
+result is Hermitian exactly.
 """
 
 from __future__ import annotations
@@ -152,6 +155,8 @@ class MetricField:
 
     @classmethod
     def flat(cls, grid, scale=1.0):
+        if not (math.isfinite(scale) and scale > 0):
+            raise InputError(f"metric scale {scale} must be finite and positive")
         n = grid.n
         return cls(grid, scale * np.eye(n, dtype=complex), True,
                    {"kind": "flat", "scale": scale})
@@ -186,10 +191,6 @@ class MetricField:
         if not self.constant and self.form.shape != self.grid.shape + (self.grid.n,) * 2:
             raise InputError("variable metric shape mismatch")
 
-    def matrices(self):
-        """Per-point (or broadcastable) metric matrices."""
-        return self.form
-
     def cholesky_inverse(self):
         from .hermlin import cholesky_inverse
 
@@ -201,21 +202,6 @@ class MetricField:
         if self._inv is None:
             self._inv = _inverse(self.form)
         return self._inv
-
-    def torsion_sup(self):
-        """sup norm of first differences of the coefficients (d omega diagnostic).
-
-        Identically zero for constant metrics; no operation consumes this, it
-        is recorded so variable-metric runs document how non-closed omega is.
-        """
-        if self.constant:
-            return 0.0
-        h = self.grid.h
-        worst = 0.0
-        for axis in range(2 * self.grid.n):
-            diff = (np.roll(self.form, -1, axis) - np.roll(self.form, 1, axis)) / (2 * h)
-            worst = max(worst, float(np.max(np.abs(diff))))
-        return worst
 
 
 def _inverse(a):
@@ -239,45 +225,64 @@ def _inverse(a):
     return adj / det[..., None, None]
 
 
-def _second_difference(data, axis, h):
-    return (np.roll(data, -1, axis) - 2.0 * data + np.roll(data, 1, axis)) / (h * h)
+def _cut(p, N, axis, s, others=True):
+    """p offset by s along ``axis`` and cut there to length N, p being padded
+    by one on each side; with ``others`` every other padded axis is cut too."""
+    idx = [slice(1, N + 1) if others and size == N + 2 else slice(None)
+           for size in p.shape]
+    idx[axis] = slice(1 + s, N + 1 + s)
+    return p[tuple(idx)]
 
 
-def _cross_difference(data, ax_a, ax_b, h):
-    up = np.roll(data, -1, ax_a)
-    dn = np.roll(data, 1, ax_a)
-    return (
-        np.roll(up, -1, ax_b) - np.roll(up, 1, ax_b)
-        - np.roll(dn, -1, ax_b) + np.roll(dn, 1, ax_b)
-    ) / (4.0 * h * h)
+def _difference(p, N, axis, others=True):
+    """Undivided central difference p(+1) - p(-1) along ``axis``."""
+    return _cut(p, N, axis, 1, others) - _cut(p, N, axis, -1, others)
+
+
+def _stencils(data, n, N):
+    """The undivided differences that make up dd^c of ``data``, taken from
+    slices of one wrap-padded copy.
+
+    Yields (j, j, ring, None) with ring the 5-point Laplacian of the
+    (x_j, y_j) plane, and for j < k (j, k, re, im) with re = X_{x_j x_k} +
+    X_{y_j y_k} and im = X_{x_j y_k} - X_{y_j x_k}, X_ab the 4-point cross
+    stencil, so u_{j jbar} = ring / (4 h^2) and u_{j kbar} = (re + i im) /
+    (16 h^2).
+    """
+    p = np.pad(data, 1, mode="wrap")
+    for j in range(n):
+        xj, yj = 2 * j, 2 * j + 1
+        ring = -4.0 * data
+        for a in (xj, yj):
+            ring += _cut(p, N, a, 1)
+            ring += _cut(p, N, a, -1)
+        yield j, j, ring, None
+        if j + 1 == n:
+            return
+        # differenced again along a second axis b, these give the cross
+        # stencils on (x_j, b) and (y_j, b)
+        dx = _difference(p, N, xj, others=False)
+        dy = _difference(p, N, yj, others=False)
+        for k in range(j + 1, n):
+            xk, yk = 2 * k, 2 * k + 1
+            yield (j, k, _difference(dx, N, xk) + _difference(dy, N, yk),
+                   _difference(dx, N, yk) - _difference(dy, N, xk))
 
 
 def complex_hessian_array(data, grid):
     """Complex Hessian field as a grid.shape + (n, n) complex array."""
     n, h = grid.n, grid.h
-    second = {}
-
-    def d2(a, b):
-        key = (a, b) if a <= b else (b, a)
-        if key not in second:
-            if key[0] == key[1]:
-                second[key] = _second_difference(data, key[0], h)
-            else:
-                second[key] = _cross_difference(data, key[0], key[1], h)
-        return second[key]
-
     hess = np.empty(grid.shape + (n, n), dtype=complex)
-    for j in range(n):
-        xj, yj = 2 * j, 2 * j + 1
-        for k in range(j, n):
-            xk, yk = 2 * k, 2 * k + 1
-            re = 0.25 * (d2(xj, xk) + d2(yj, yk))
-            if j == k:
-                hess[..., j, j] = re  # cross terms cancel exactly on the diagonal
-            else:
-                im = 0.25 * (d2(xj, yk) - d2(yj, xk))
-                hess[..., j, k] = re + 1j * im
-                hess[..., k, j] = re - 1j * im
+    re, im = hess.real, hess.imag
+    for j, k, d_re, d_im in _stencils(data, n, grid.N):
+        if d_im is None:
+            np.multiply(d_re, 0.25 / (h * h), out=re[..., j, j])
+            im[..., j, j] = 0.0  # cross terms cancel exactly on the diagonal
+            continue
+        np.multiply(d_re, 0.0625 / (h * h), out=re[..., j, k])
+        np.multiply(d_im, 0.0625 / (h * h), out=im[..., j, k])
+        re[..., k, j] = re[..., j, k]
+        np.negative(im[..., j, k], out=im[..., k, j])
     return hess
 
 
@@ -317,10 +322,11 @@ def analytic_complex_hessian(grid, terms):
 
 
 def gradient_sup_array(data, grid):
-    h = grid.h
+    N, h = grid.N, grid.h
+    p = np.pad(data, 1, mode="wrap")
     total = np.zeros(grid.shape)
     for axis in range(2 * grid.n):
-        d = (np.roll(data, -1, axis) - np.roll(data, 1, axis)) / (2.0 * h)
+        d = _difference(p, N, axis) / (2.0 * h)
         total += d * d
     return float(np.sqrt(np.max(total)))
 

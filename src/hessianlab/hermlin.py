@@ -21,8 +21,6 @@ __all__ = [
     "eigenvalues_hermitian",
     "generalized_eigenvalues",
     "is_m_positive",
-    "eigh_desc",
-    "eigvalsh_desc",
     "generalized_eigh",
     "cholesky_inverse",
 ]
@@ -61,10 +59,6 @@ def eigh_desc(mats):
     """Batched Hermitian eigendecomposition, values non-increasing."""
     w, v = np.linalg.eigh(mats)
     return w[..., ::-1], v[..., :, ::-1]
-
-
-def eigvalsh_desc(mats):
-    return np.linalg.eigvalsh(mats)[..., ::-1]
 
 
 def _positive_definite_check(omega, name="metric"):

@@ -20,7 +20,8 @@ point of a cone breach, to report that point's eigenvalues.
 The linearized operator tr(A dd^c v) - q v is a real combination of second
 differences of v, so the Krylov matvec applies it from n^2 real stencil
 weights per point (see LinearizationField) on shifted views of one
-wrap-padded copy of v; it never forms the complex Hessian of v.
+wrap-padded copy of v, taken from the same geometry._stencils that build
+the complex Hessian; it never forms the complex Hessian of v.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import scipy.linalg
 from scipy.stats import qmc
 
 from .errors import ConeBreachError, InputError
-from .geometry import ScalarField, complex_hessian_array
+from .geometry import ScalarField, _stencils, complex_hessian_array
 from .hermlin import check_hermitian, cholesky_inverse, generalized_eigh
 from .symfunc import elementary_symmetric_table
 
@@ -150,7 +151,9 @@ def sk_table_of_state(g, metric, kmax):
 
 def state_matrices(u_data, metric):
     """g = omega + dd^c u as a matrix field."""
-    return complex_hessian_array(u_data, metric.grid) + metric.form
+    g = complex_hessian_array(u_data, metric.grid)
+    g += metric.form
+    return g
 
 
 def sigma_m(u, omega, m):
@@ -263,42 +266,16 @@ def linearization(u, omega, m, q, g=None, table=None):
     return LinearizationField(grid=grid, weights=weights, q=q)
 
 
-def _cut(p, N, axis, s, others=True):
-    """p offset by s along ``axis`` and cut there to length N, p being padded
-    by one on each side; with ``others`` every other padded axis is cut too."""
-    idx = [slice(1, N + 1) if others and size == N + 2 else slice(None)
-           for size in p.shape]
-    idx[axis] = slice(1 + s, N + 1 + s)
-    return p[tuple(idx)]
-
-
-def _difference(p, N, axis, others=True):
-    """Undivided central difference p(+1) - p(-1) along ``axis``."""
-    return _cut(p, N, axis, 1, others) - _cut(p, N, axis, -1, others)
-
-
 def apply_linearization_array(lin, v_data):
     """tr(A dd^c v) - q v summed from the stencil weights of ``lin``."""
-    n, N, w = lin.grid.n, lin.grid.N, lin.weights
-    p = np.pad(v_data, 1, mode="wrap")
+    w = lin.weights
     out = -lin.q * v_data
-    for j in range(n):
-        xj, yj = 2 * j, 2 * j + 1
-        ring = -4.0 * v_data
-        for a in (xj, yj):
-            ring += _cut(p, N, a, 1)
-            ring += _cut(p, N, a, -1)
-        out += w[j, j] * ring
-        if j + 1 == n:
-            break
-        # differenced again along a second axis b, these give the 4-point
-        # cross stencils on (x_j, b) and (y_j, b)
-        dx = _difference(p, N, xj, others=False)
-        dy = _difference(p, N, yj, others=False)
-        for k in range(j + 1, n):
-            xk, yk = 2 * k, 2 * k + 1
-            out += w[k, j] * (_difference(dx, N, xk) + _difference(dy, N, yk))
-            out += w[j, k] * (_difference(dy, N, xk) - _difference(dx, N, yk))
+    for j, k, d_re, d_im in _stencils(v_data, lin.grid.n, lin.grid.N):
+        if d_im is None:
+            out += w[j, j] * d_re
+        else:
+            out += w[k, j] * d_re
+            out -= w[j, k] * d_im
     return out
 
 

@@ -7,12 +7,11 @@ reached through the vanishing-zeroth-order family log sigma_m(v) = eps v +
 log f with c extracted as exp(eps sup v).
 
 Inner solves use restarted GMRES, right-preconditioned so the stopping rule
-is on the true residual.  The default preconditioner is the pointwise
-diagonal of the linearized operator.  For q > 0 the drivers pick, under
-"auto", a constant-coefficient spectral (FFT) solve scaled pointwise by the
-operator diagonal (Concus & Golub, SIAM J. Numer. Anal. 10, 1973): it is
-exact at the flat continuity start and follows coefficients that vary by
-orders of magnitude across the torus, such as a conformal factor.
+is on the true residual.  The preconditioner is a constant-coefficient
+spectral (FFT) solve scaled pointwise by the operator diagonal (Concus &
+Golub, SIAM J. Numer. Anal. 10, 1973): it is exact at the flat continuity
+start and follows coefficients that vary by orders of magnitude across the
+torus, such as a conformal factor.
 Residual tolerances passed to the inner solve follow the usual inexact-
 Newton forcing rule (proportional to the outer residual, floored at
 ``krylov_tol``) so the quadratic tail is preserved.
@@ -60,7 +59,6 @@ class SolverConfig:
     min_step: float = 2.0**-20
     cone_guard: bool = True
     krylov_restart: int = 60
-    krylov_precond: str = "auto"  # auto | diagonal | spectral
     max_t_halvings: int = 12
 
     def __post_init__(self):
@@ -191,19 +189,6 @@ def gmres_raw(matvec, b, tol, restart, maxiter, psolve):
         x = x + psolve(np.tensordot(y, basis[:k], axes=(0, 0)))
 
 
-def _diagonal_preconditioner(lin):
-    # Each in-plane Laplacian puts -4 times its weight on the center and the
-    # cross stencils put nothing there, so the operator diagonal is
-    # -4 sum_j w_jj - q (that is -tr(A)/h^2 - q).
-    diag = -4.0 * np.trace(lin.weights) - lin.q
-    flat = diag.reshape(-1)
-
-    def psolve(v):
-        return v / flat
-
-    return psolve
-
-
 def _spectral_symbol(grid, wbar, q):
     """Fourier symbol of the operator with the constant weights wbar.
 
@@ -239,7 +224,9 @@ def _spectral_symbol(grid, wbar, q):
 
 def _spectral_preconditioner(lin):
     """psolve(v) = C^{-1}(v / s): the constant-coefficient operator C, scaled
-    pointwise by s, the operator diagonal 4 tr(w) + q over its grid mean.
+    pointwise by s, the magnitude 4 tr(w) + q of the operator diagonal over
+    its grid mean (each plane Laplacian puts -4 times its weight on the
+    centre point, the cross stencils put nothing there).
 
     C has weights mean(w / s) and zeroth-order term q mean(1 / s), so P = s C
     equals the operator wherever w / s is constant and q = 0.  1/s is the
@@ -265,18 +252,9 @@ def _spectral_preconditioner(lin):
     return psolve
 
 
-def _make_preconditioner(lin, kind):
-    if kind == "auto":
-        kind = "spectral" if lin.q > 0 else "diagonal"
-    if kind == "diagonal":
-        return _diagonal_preconditioner(lin)
-    if kind == "spectral":
-        return _spectral_preconditioner(lin)
-    raise InputError(f"unknown preconditioner {kind!r}")
-
-
-def krylov_solve(lin, rhs, tol, restart=60, maxiter=None, precond="diagonal"):
-    """Solve the linearized equation matrix-free to a true relative residual.
+def krylov_solve(lin, rhs, tol, restart=60, maxiter=None):
+    """Solve the linearized equation matrix-free to a true relative residual,
+    preconditioned by _spectral_preconditioner.
 
     Raises LinearSolveError (with the best iterate attached) when the
     iteration cap 10 N^n is exceeded; the Newton driver treats that as a
@@ -287,7 +265,7 @@ def krylov_solve(lin, rhs, tol, restart=60, maxiter=None, precond="diagonal"):
         raise InputError("rhs and linearization live on different grids")
     if maxiter is None:
         maxiter = 10 * grid.N**grid.n
-    psolve = _make_preconditioner(lin, precond)
+    psolve = _spectral_preconditioner(lin)
 
     def matvec(v):
         return apply_linearization_array(lin, v.reshape(grid.shape)).reshape(-1)
@@ -375,13 +353,7 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
         tol_k = max(cfg.krylov_tol, min(3e-2, 0.3 * state.res_sup))
         rhs = ScalarField(grid, -state.residual)
         try:
-            delta, info = krylov_solve(
-                lin,
-                rhs,
-                tol_k,
-                restart=cfg.krylov_restart,
-                precond=cfg.krylov_precond,
-            )
+            delta, info = krylov_solve(lin, rhs, tol_k, restart=cfg.krylov_restart)
         except LinearSolveError as exc:
             if exc.best is None:
                 return state, iters, False, "linear solve failed"

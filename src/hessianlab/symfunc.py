@@ -30,7 +30,6 @@ __all__ = [
     "elementary_symmetric",
     "elementary_symmetric_table",
     "reduced_symmetric",
-    "symmetric_gradient",
     "in_cone",
     "cone_mask",
     "cone_margin",
@@ -88,24 +87,6 @@ def reduced_symmetric(lam, k, excluded):
         raise InputError(f"excluded index out of range for n={n}")
     rest = np.delete(lam, idx, axis=-1)
     return elementary_symmetric(rest, k)
-
-
-def symmetric_gradient(lam, m):
-    """Gradient of S_m: the vector (S_{m-1;0}, ..., S_{m-1;n-1}).
-
-    Strictly positive at every index when lam lies in Gamma_m.
-    """
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if not 1 <= m <= n:
-        raise InputError(f"m={m} out of range 1..{n}")
-    scalar = lam.ndim == 1
-    lam2 = lam[None, :] if scalar else lam
-    out = np.empty(lam2.shape, dtype=float)
-    for i in range(n):
-        rest = np.delete(lam2, i, axis=-1)
-        out[..., i] = elementary_symmetric_table(rest, m - 1)[..., m - 1]
-    return out[0] if scalar else out
 
 
 @dataclass

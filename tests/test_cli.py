@@ -81,6 +81,16 @@ class TestSolveCommand:
                      "--H", "cos:1,0,0,0:0.5", "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--metric-scale", "-1"], ["--metric-scale", "0"],
+                                      ["--memory-cap", "0"]],
+                             ids=["negative-scale", "zero-scale", "zero-cap"])
+    def test_metric_scale_and_memory_cap_faults_exit_2(self, tmp_path, flag):
+        # a zero value is a fault, not a request for the default
+        code = main(["solve", "--n", "2", "--m", "1", "--N", "8",
+                     "--H", "cos:1,0,0,0:0.5", "--t-steps", "1",
+                     "--out", str(tmp_path / "x")] + flag)
+        assert code == 2
+
     def test_convergence_failure_exit_1(self, tmp_path):
         code = main(["solve", "--n", "2", "--m", "1", "--N", "8",
                      "--H", "cos:1,0,0,0:50", "--t-steps", "1",

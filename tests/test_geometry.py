@@ -109,18 +109,56 @@ class TestComplexHessian:
 
     def test_hermitian_exact(self):
         rng = np.random.default_rng(0)
-        g = TorusGrid(2, 8)
-        u = ScalarField(g, rng.normal(size=g.shape))
-        h = complex_hessian(u)
-        assert np.array_equal(h, np.conj(np.swapaxes(h, -1, -2)))
+        for n in (2, 3):
+            g = TorusGrid(n, 8)
+            u = ScalarField(g, rng.normal(size=g.shape))
+            h = complex_hessian(u)
+            assert np.array_equal(h, np.conj(np.swapaxes(h, -1, -2))), n
 
     def test_translation_equivariance_exact(self):
         rng = np.random.default_rng(1)
-        g = TorusGrid(2, 8)
-        data = rng.normal(size=g.shape)
-        h1 = complex_hessian(ScalarField(g, np.roll(data, 1, axis=0)))
-        h2 = np.roll(complex_hessian(ScalarField(g, data)), 1, axis=0)
-        assert np.array_equal(h1, h2)
+        for n in (2, 3):
+            g = TorusGrid(n, 8)
+            data = rng.normal(size=g.shape)
+            for axis in (0, 2 * n - 1):
+                h1 = complex_hessian(ScalarField(g, np.roll(data, 1, axis=axis)))
+                h2 = np.roll(complex_hessian(ScalarField(g, data)), 1, axis=axis)
+                assert np.array_equal(h1, h2), (n, axis)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_discrete_symbol_exact(self, n):
+        # On a trigonometric polynomial the stencil is exact against the
+        # discrete symbol: k_a k_b of the continuum Hessian becomes
+        # (2 - 2 cos(k_a h)) / h^2 on the diagonal, sin(k_a h) sin(k_b h) / h^2
+        # off it.  Written out here independently of the stencil code.
+        g = TorusGrid(n, 8)
+        h = g.h
+        freqs = {
+            2: [(1, 1, 1, 1), (2, -1, 0, 1), (0, 1, -2, 1), (1, 0, 1, 0), (0, 2, 0, -1)],
+            3: [(1, 1, 1, 1, 1, 1), (2, -1, 0, 1, -1, 0), (0, 1, -2, 1, 0, 2),
+                (1, 0, 1, 0, 1, 0), (0, 2, 0, -1, 1, -1)],
+        }[n]
+        coeffs = [(0.7, -0.2), (0.0, 0.4), (0.3, 0.5), (0.6, 0.0), (0.0, 0.9)]
+        terms = [(k, c, s) for k, (c, s) in zip(freqs, coeffs)]
+        want = np.zeros(g.shape + (n, n), dtype=complex)
+        for kvec, c, s in terms:
+            phase = sum(k * g.axis_coordinate(a) for a, k in enumerate(kvec))
+            base = -(c * np.cos(phase) + s * np.sin(phase)) * np.ones(g.shape)
+
+            def kk(a, b):
+                if a == b:
+                    return (2.0 - 2.0 * np.cos(kvec[a] * h)) / h**2
+                return np.sin(kvec[a] * h) * np.sin(kvec[b] * h) / h**2
+
+            for j in range(n):
+                xj, yj = 2 * j, 2 * j + 1
+                for k in range(n):
+                    xk, yk = 2 * k, 2 * k + 1
+                    re = 0.25 * (kk(xj, xk) + kk(yj, yk))
+                    im = 0.25 * (kk(xj, yk) - kk(yj, xk))
+                    want[..., j, k] += (re + 1j * im) * base
+        got = complex_hessian(make_field(g, terms))
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_second_order_convergence(self):
         terms = [((1, 0, 0, 0), 0.7, 0.0), ((0, 1, -1, 0), 0.0, 0.4),
@@ -167,7 +205,12 @@ class TestMetricField:
         om = MetricField.flat(grid2(), scale=2.0)
         assert om.constant
         np.testing.assert_array_equal(om.form, 2.0 * np.eye(2))
-        assert om.torsion_sup() == 0.0
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf])
+    def test_flat_rejects_bad_scale(self, scale):
+        # a non-positive scale gives an indefinite or zero form
+        with pytest.raises(InputError):
+            MetricField.flat(grid2(), scale=scale)
 
     def test_constant_rejects_indefinite(self):
         with pytest.raises(InputError):
@@ -177,7 +220,6 @@ class TestMetricField:
         g = TorusGrid(2, 8)
         om = MetricField.conformal(g, np.eye(2), [((1, 0, 0, 0), 0.2, 0.0)])
         assert not om.constant
-        assert om.torsion_sup() > 0.0
         w = np.linalg.eigvalsh(om.form)
         assert np.min(w) > 0.0
 

@@ -76,11 +76,10 @@ class TestSigmaM:
         grid, omega = flat(2, 8)
         u = ScalarField(grid, 0.3 * rng.normal(size=grid.shape))
         from hessianlab.geometry import complex_hessian
-        from hessianlab.hermlin import eigvalsh_desc
         from hessianlab.symfunc import elementary_symmetric_table
 
         got = sigma_m(u, omega, 2).sigma.data
-        lam = eigvalsh_desc(complex_hessian(u) + np.eye(2))
+        lam = np.linalg.eigvalsh(complex_hessian(u) + np.eye(2))[..., ::-1]
         want = elementary_symmetric_table(lam, 2)[..., 2] / math.comb(2, 2)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -121,7 +120,6 @@ class TestVariableMetric:
         val = sigma_m(ScalarField.zeros(grid), omega, 1)
         np.testing.assert_allclose(val.sigma.data, 1.0, atol=1e-12)
         assert val.cone_mask.all()
-        assert omega.torsion_sup() > 0
 
     def test_frame_orthonormal_per_point(self):
         # u = 0 puts every relative eigenvalue at 1, so for m = 1 the
@@ -154,9 +152,8 @@ class TestLinearization:
         u = make_field(grid, [((1, 0, 0, 0), 0.4, 0.0), ((0, 1, 1, 0), 0.0, 0.3)])
         lin = linearization(u, omega, 2, 0.0)
         from hessianlab.geometry import complex_hessian
-        from hessianlab.hermlin import eigvalsh_desc
 
-        lam = eigvalsh_desc(complex_hessian(u) + np.eye(2))
+        lam = np.linalg.eigvalsh(complex_hessian(u) + np.eye(2))[..., ::-1]
         got = np.sort(np.linalg.eigvalsh(lin.coefficient_matrices()), axis=-1)
         np.testing.assert_allclose(got, np.sort(1.0 / lam, axis=-1), rtol=1e-9)
 

@@ -18,7 +18,6 @@ from hessianlab.hessop import (
 )
 from hessianlab.solver import (
     SolverConfig,
-    _diagonal_preconditioner,
     _spectral_preconditioner,
     krylov_solve,
     solve_exponential,
@@ -42,13 +41,12 @@ class TestKrylovSolve:
         assert np.all(v.data == 0.0)
         assert info.iterations == 0
 
-    @pytest.mark.parametrize("precond", ["diagonal", "spectral", "auto"])
-    def test_fourier_symbol_oracle(self, precond):
+    def test_fourier_symbol_oracle(self):
         # constant-coefficient m=1 operator: L cos(x1) = sym * cos(x1)
         grid, omega = flat(2, 16)
         lin = linearization(ScalarField.zeros(grid), omega, 1, 1.0)
         rhs = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)])
-        v, info = krylov_solve(lin, rhs, 1e-10, precond=precond)
+        v, info = krylov_solve(lin, rhs, 1e-10)
         ch = (2 - 2 * np.cos(grid.h)) / grid.h**2
         sym_disc = -(ch / (4 * grid.n)) - 1.0
         assert np.max(np.abs(v.data - rhs.data / sym_disc)) < 1e-9
@@ -74,15 +72,15 @@ class TestKrylovSolve:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_diagonal_preconditioner_is_operator_diagonal(self, n):
-        # L e_p at p, probed with unit impulses, is what psolve divides by
+        # L e_p at p, probed with unit impulses, is -4 tr(w) - q, the diagonal
+        # whose magnitude the spectral preconditioner's scale s is built from
         grid = TorusGrid(n, 8)
         x1 = (1,) + (0,) * (2 * n - 1)
         omega = MetricField.conformal(grid, np.eye(n), [(x1, 0.3, 0.0)])
         y1_x2 = (0, 1, 1) + (0,) * (2 * n - 3)
         u = make_field(grid, [(x1, 0.3, 0.0), (y1_x2, 0.0, 0.2)])
         lin = linearization(u, omega, 2, 0.7)
-        diag = 1.0 / _diagonal_preconditioner(lin)(np.ones(grid.points))
-        diag = diag.reshape(grid.shape)
+        diag = -4.0 * np.trace(lin.weights) - lin.q
         for point in [(0,) * (2 * n), (7,) * (2 * n), (3, 5, 0, 7, 1, 2)[: 2 * n]]:
             impulse = np.zeros(grid.shape)
             impulse[point] = 1.0
@@ -114,7 +112,7 @@ class TestKrylovSolve:
         u = make_field(grid, [((1, 0, 0, 0), 0.1, 0.0), ((0, 1, 1, 0), 0.0, 0.05)])
         lin = linearization(u, omega, 2, 1.0)
         rhs = ScalarField(grid, np.random.default_rng(0).standard_normal(grid.shape))
-        _, info = krylov_solve(lin, rhs, 1e-10, precond="spectral")
+        _, info = krylov_solve(lin, rhs, 1e-10)
         assert info.iterations <= 24
 
 

@@ -18,7 +18,6 @@ from hessianlab.symfunc import (
     in_cone,
     reduced_symmetric,
     sample_cone,
-    symmetric_gradient,
     verify_cone_inequalities,
 )
 
@@ -119,42 +118,6 @@ class TestReducedSymmetric:
         want = brute_force_sk(entries[1:], k)
         scale = max(1.0, abs(got), abs(want))
         assert abs(got - want) <= 1e-12 * scale
-
-
-class TestSymmetricGradient:
-    def test_symmetry(self):
-        np.testing.assert_allclose(symmetric_gradient(np.ones(3), 2), [2.0, 2.0, 2.0])
-
-    def test_deletion_example(self):
-        np.testing.assert_allclose(
-            symmetric_gradient(np.array([3.0, 2.0, -1.0]), 2), [1.0, 2.0, 5.0]
-        )
-
-    def test_m_one_is_ones(self):
-        np.testing.assert_allclose(
-            symmetric_gradient(np.array([9.0, -4.0, 0.3]), 1), [1.0, 1.0, 1.0]
-        )
-
-    def test_finite_difference_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            n = int(rng.integers(2, 7))
-            m = int(rng.integers(1, n + 1))
-            lam = rng.normal(size=n)
-            grad = symmetric_gradient(lam, m)
-            eps = 1e-6
-            for i in range(n):
-                up, dn = lam.copy(), lam.copy()
-                up[i] += eps
-                dn[i] -= eps
-                fd = (elementary_symmetric(up, m) - elementary_symmetric(dn, m)) / (2 * eps)
-                assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd))
-
-    def test_positive_on_cone(self):
-        rng = np.random.default_rng(1)
-        lam = sample_cone(rng, 4, 2, 500)
-        grads = symmetric_gradient(lam, 2)
-        assert np.all(grads > 0)
 
     def test_expansion_identity_exact(self):
         # S_k = S_{k;i} + lam_i S_{k-1;i} to 1e-12 relative

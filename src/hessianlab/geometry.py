@@ -13,8 +13,10 @@ differences and periodic wrap:
 Mixed derivatives use the standard 4-point cross stencil.  Every difference
 is a sum of shifted slices of one wrap-padded copy of u, produced by
 _stencils, which the Krylov matvec (hessop) runs on its vector too, so dd^c
-is written once.  Only the upper triangle is computed and mirrored, so the
-result is Hermitian exactly.
+is written once, straight into the Hermitian layout that every per-point
+matrix field shares: real, shape (n, n) + grid.shape, with M_jj on [j, j]
+and, for j < k, Re M_kj on [k, j] and Im M_kj on [j, k].  The complex
+grid.shape + (n, n) field is built from it only for tests and diagnostics.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .hermlin import check_hermitian, cholesky_inverse
 
 __all__ = [
     "TorusGrid",
@@ -40,8 +43,8 @@ __all__ = [
 ]
 
 def _bytes_per_point(n):
-    # Rough per-point footprint of a solve: Hessian field of complex entries
-    # plus Krylov basis headroom.  Used only for the desk-scale guard.
+    # Rough per-point footprint of a solve, a guess not fitted to measurement:
+    # 16 n^2 bytes of matrix fields plus Krylov basis headroom.
     return 16 * n * n + 640
 
 
@@ -106,9 +109,6 @@ class ScalarField:
     def inf(self):
         return float(np.min(self.data))
 
-    def copy(self):
-        return ScalarField(self.grid, self.data.copy())
-
 
 def make_field(grid, terms):
     """Sample a trigonometric polynomial exactly on the grid.
@@ -150,8 +150,8 @@ class MetricField:
     form: np.ndarray  # (n, n) when constant, grid.shape + (n, n) otherwise
     constant: bool
     generator: dict | None = None
-    _li: np.ndarray | None = field(default=None, repr=False)
-    _inv: np.ndarray | None = field(default=None, repr=False)
+    # L^{-1} for form = L L^*, in the Hermitian layout; None for the identity
+    factor: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     @classmethod
     def flat(cls, grid, scale=1.0):
@@ -163,8 +163,6 @@ class MetricField:
 
     @classmethod
     def constant_form(cls, grid, form):
-        from .hermlin import check_hermitian, cholesky_inverse
-
         form = check_hermitian(form, "metric")
         if form.shape[0] != grid.n:
             raise InputError("metric dimension must equal grid complex dimension")
@@ -174,8 +172,6 @@ class MetricField:
     @classmethod
     def conformal(cls, grid, base_form, terms):
         """omega = exp(phi) * base_form with phi a truncated Fourier series."""
-        from .hermlin import check_hermitian, cholesky_inverse
-
         base_form = check_hermitian(base_form, "metric")
         cholesky_inverse(base_form)
         phi = make_field(grid, terms)
@@ -190,39 +186,28 @@ class MetricField:
         self.form = np.asarray(self.form, dtype=complex)
         if not self.constant and self.form.shape != self.grid.shape + (self.grid.n,) * 2:
             raise InputError("variable metric shape mismatch")
-
-    def cholesky_inverse(self):
-        from .hermlin import cholesky_inverse
-
-        if self._li is None:
-            self._li = cholesky_inverse(self.form)
-        return self._li
-
-    def inverse(self):
-        if self._inv is None:
-            self._inv = _inverse(self.form)
-        return self._inv
+        identity = self.constant and np.array_equal(self.form, np.eye(self.grid.n))
+        self.factor = None if identity else _cholesky_inverse_layout(self.form)
 
 
-def _inverse(a):
-    """Inverse of 2x2 or 3x3 matrices, stacked on leading axes, by cofactors.
-
-    Written out per entry, which on a field of small matrices is faster than
-    LAPACK's one call per point.
-    """
-    n = a.shape[-1]
-    adj = np.empty_like(a)
-    if n == 2:
-        adj[..., 0, 0], adj[..., 1, 1] = a[..., 1, 1], a[..., 0, 0]
-        adj[..., 0, 1], adj[..., 1, 0] = -a[..., 0, 1], -a[..., 1, 0]
-    else:
-        for i in range(3):
-            for j in range(3):
-                # cyclic row and column order gives each minor its sign
-                r, s, c, d = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
-                adj[..., i, j] = a[..., r, c] * a[..., s, d] - a[..., r, d] * a[..., s, c]
-    det = sum(a[..., 0, k] * adj[..., k, 0] for k in range(n))
-    return adj / det[..., None, None]
+def _cholesky_inverse_layout(form):
+    """L^{-1} for form = L L^* (L lower triangular, positive diagonal), stacked
+    on leading axes, in the Hermitian layout.  Written out per entry, which on
+    fields of 2x2 or 3x3 forms beats LAPACK's one call per point."""
+    n = form.shape[-1]
+    chol, inv = {}, {}
+    out = np.empty((n, n) + form.shape[:-2])
+    for i in range(n):
+        for j in range(i + 1):
+            s = form[..., i, j] - sum(chol[i, k] * chol[j, k].conj() for k in range(j))
+            if i == j and not np.all(s.real > 0.0):
+                raise InputError("metric is not positive definite")
+            chol[i, j] = np.sqrt(s.real) if i == j else s / chol[j, j]
+        inv[i, i] = out[i, i] = 1.0 / chol[i, i]
+        for j in range(i):  # row i of L inv = 0 left of the diagonal
+            inv[i, j] = -sum(chol[i, k] * inv[k, j] for k in range(j, i)) / chol[i, i]
+            out[i, j], out[j, i] = inv[i, j].real, inv[i, j].imag
+    return out
 
 
 def _cut(p, N, axis, s, others=True):
@@ -269,21 +254,39 @@ def _stencils(data, n, N):
                    _difference(dx, N, yk) - _difference(dy, N, xk))
 
 
-def complex_hessian_array(data, grid):
-    """Complex Hessian field as a grid.shape + (n, n) complex array."""
+def complex_hessian_layout(data, grid):
+    """dd^c of ``data`` in the Hermitian layout, (n, n) + grid.shape real."""
     n, h = grid.n, grid.h
-    hess = np.empty(grid.shape + (n, n), dtype=complex)
-    re, im = hess.real, hess.imag
+    out = np.empty((n, n) + grid.shape)
     for j, k, d_re, d_im in _stencils(data, n, grid.N):
         if d_im is None:
-            np.multiply(d_re, 0.25 / (h * h), out=re[..., j, j])
-            im[..., j, j] = 0.0  # cross terms cancel exactly on the diagonal
-            continue
-        np.multiply(d_re, 0.0625 / (h * h), out=re[..., j, k])
-        np.multiply(d_im, 0.0625 / (h * h), out=im[..., j, k])
-        re[..., k, j] = re[..., j, k]
-        np.negative(im[..., j, k], out=im[..., k, j])
-    return hess
+            np.multiply(d_re, 0.25 / (h * h), out=out[j, j])
+        else:
+            np.multiply(d_re, 0.0625 / (h * h), out=out[k, j])
+            np.multiply(d_im, -0.0625 / (h * h), out=out[j, k])  # Im u_{k jbar}
+    return out
+
+
+def complex_of_layout(x):
+    """The complex shape + (n, n) matrix field held in the Hermitian layout x."""
+    k, j = np.tril_indices(x.shape[0], -1)
+    out = np.zeros(x.shape, dtype=complex)
+    out.real, out.real[j, k] = x, x[k, j]
+    out.imag[k, j], out.imag[j, k] = x[j, k], -x[j, k]
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def layout_of_complex(a):
+    """The Hermitian layout of a complex shape + (n, n) field (lower triangle read)."""
+    k, j = np.tril_indices(a.shape[-1], -1)
+    out = np.moveaxis(a.real, (-2, -1), (0, 1)).copy()
+    out[j, k] = np.moveaxis(a.imag, (-2, -1), (0, 1))[k, j]
+    return out
+
+
+def complex_hessian_array(data, grid):
+    """Complex Hessian field as a grid.shape + (n, n) complex array."""
+    return complex_of_layout(complex_hessian_layout(data, grid))
 
 
 def complex_hessian(u):

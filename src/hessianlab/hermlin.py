@@ -1,9 +1,9 @@
 """Small dense complex Hermitian eigenproblems, plain and metric-relative.
 
-The grid kernels call the batched helpers millions of times per sweep, so
-they avoid per-point Python and lean on LAPACK's stacked drivers; values are
-always returned in non-increasing order, matching the sorting convention of
-the cone algebra.
+The batched helpers avoid per-point Python and lean on LAPACK's stacked
+drivers (the solver's grid kernels need none: hessop works in closed form);
+values are always returned in non-increasing order, matching the sorting
+convention of the cone algebra.
 """
 
 from __future__ import annotations

@@ -9,35 +9,44 @@ so the flat metric is the exact fixed point sigma_m(0) = 1.  A log S_m
 formulation differs from log sigma_m by the additive constant log C(n, m),
 which is absorbed into the data term of any equation written against it.
 
-S_k(lambda(B)) equals the sum of k-by-k principal minors of B = omega^{-1} g,
-so sigma and the cone mask are evaluated from closed-form traces without an
-eigensolve.  The linearization needs none either: dS_m(B) = tr(T_{m-1}(B) dB)
-with the Newton tensor T_{m-1}(B) = sum_j (-1)^j S_{m-1-j}(B) B^j (Reilly,
-Michigan Math. J. 20, 1973), so its coefficient field is a polynomial in B
-built from the same S_k table.  An eigensolve runs only at the single worst
-point of a cone breach, to report that point's eigenvalues.
+With omega = L L^*, lambda is the spectrum of the Hermitian B' = L^{-1} g
+L^{-*} (g itself for the identity metric), kept like every per-point matrix
+in geometry's real Hermitian layout.  S_k(lambda) is the sum of k-by-k
+principal minors of B', so sigma and the cone mask need no eigensolve; nor
+does the linearization: dS_m = tr(T_{m-1}(B') dB') with the Newton tensor
+T_{m-1}(B') = sum_j (-1)^j S_{m-1-j} B'^j (Reilly, Michigan Math. J. 20,
+1973), so A = L^{-*} T_{m-1}(B') L^{-1} / S_m is a polynomial in B' built
+from the same S_k table.  An eigensolve runs only at the single worst point
+of a cone breach, to report that point's eigenvalues.
 
 The linearized operator tr(A dd^c v) - q v is a real combination of second
 differences of v, so the Krylov matvec applies it from n^2 real stencil
 weights per point (see LinearizationField) on shifted views of one
-wrap-padded copy of v, taken from the same geometry._stencils that build
-the complex Hessian; it never forms the complex Hessian of v.
+wrap-padded copy of v, taken from the same geometry._stencils that write
+dd^c u; it never forms the complex Hessian of v.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as _iproduct
+from operator import iadd
 
 import numpy as np
 import scipy.linalg
 from scipy.stats import qmc
 
 from .errors import ConeBreachError, InputError
-from .geometry import ScalarField, _stencils, complex_hessian_array
-from .hermlin import check_hermitian, cholesky_inverse, generalized_eigh
+from .geometry import (
+    ScalarField,
+    _stencils,
+    complex_hessian_layout,
+    complex_of_layout,
+    layout_of_complex,
+)
+from .hermlin import check_hermitian, cholesky_inverse
 from .symfunc import elementary_symmetric_table
 
 __all__ = [
@@ -87,73 +96,102 @@ class LinearizationField:
 
     def coefficient_matrices(self):
         """The field A rebuilt from the weights, for tests and diagnostics."""
-        n, hh = self.grid.n, self.grid.h * self.grid.h
-        w = self.weights
-        a = np.empty(self.grid.shape + (n, n), dtype=complex)
-        for j in range(n):
-            a[..., j, j] = (4.0 * hh) * w[j, j]
-            for k in range(j + 1, n):
-                a[..., k, j] = (8.0 * hh) * (w[k, j] + 1j * w[j, k])
-                a[..., j, k] = np.conj(a[..., k, j])
-        return a
+        a = (8.0 * self.grid.h * self.grid.h) * self.weights
+        a[range(self.grid.n), range(self.grid.n)] *= 0.5
+        return complex_of_layout(a)
 
 
-def _is_identity(metric):
-    return metric.constant and np.array_equal(
-        metric.form, np.eye(metric.form.shape[-1])
-    )
-
-
-def _relative_matrices(g, metric):
-    """B = omega^{-1} g; similar to a Hermitian matrix, so spec(B) is real.
-
-    For the identity metric B is g itself (inv(I) @ g equals g bit for bit).
-    """
-    if _is_identity(metric):
-        return g
-    return _matmul(metric.inverse(), g)
-
-
-def _minor_sums(B, kmax):
-    """S_1..S_kmax of the (real) spectrum of B via principal-minor sums."""
-    n = B.shape[-1]
-    out = np.ones(B.shape[:-2] + (kmax + 1,), dtype=float)
-    t1 = np.trace(B, axis1=-2, axis2=-1).real
-    if kmax >= 1:
-        out[..., 1] = t1
-    if kmax >= 2:
-        if n == 2:
-            det2 = (B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]).real
-            out[..., 2] = det2
-        else:
-            s2 = (
-                B[..., 0, 0] * B[..., 1, 1] - B[..., 0, 1] * B[..., 1, 0]
-                + B[..., 0, 0] * B[..., 2, 2] - B[..., 0, 2] * B[..., 2, 0]
-                + B[..., 1, 1] * B[..., 2, 2] - B[..., 1, 2] * B[..., 2, 1]
-            )
-            out[..., 2] = s2.real
-    if kmax >= 3:
-        a, b, c = B[..., 0, 0], B[..., 0, 1], B[..., 0, 2]
-        d, e, f = B[..., 1, 0], B[..., 1, 1], B[..., 1, 2]
-        g_, h_, i_ = B[..., 2, 0], B[..., 2, 1], B[..., 2, 2]
-        out[..., 3] = (a * (e * i_ - f * h_) - b * (d * i_ - f * g_)
-                       + c * (d * h_ - e * g_)).real
+def _entries(x, kind="hermitian"):
+    """Entries of a matrix held in the Hermitian layout x, as {(a, b): (re,
+    im)} with im None where it is zero: the Hermitian matrix, or for "lower"
+    and "upper" the lower-triangular matrix stored in x and its adjoint."""
+    out = {}
+    for a in range(x.shape[0]):
+        out[a, a] = (x[a, a], None)
+        for b in range(a):
+            if kind != "upper":
+                out[a, b] = (x[a, b], x[b, a])
+            if kind != "lower":
+                out[b, a] = (x[a, b], -x[b, a])
     return out
 
 
-def sk_table_of_state(g, metric, kmax):
-    """Table of S_1..S_kmax of the relative eigenvalues at every grid point."""
-    n = g.shape[-1]
-    if kmax > n:
-        raise InputError(f"degree {kmax} exceeds dimension {n}")
-    return _minor_sums(_relative_matrices(g, metric), kmax)
+def _product(x, y, n, like=None):
+    """The product of two entry dicts as an entry dict or, for a product known
+    to be Hermitian, as the Hermitian layout shaped like ``like`` (only its
+    lower triangle computed).  Written out per entry in real arithmetic: on
+    fields of 2x2 and 3x3 matrices that beats a batched product."""
+    out = {}
+    for a in range(n):
+        for b in range(n if like is None else a + 1):
+            re, im = [], []
+            for (xr, xi), (yr, yi) in [(x[a, c], y[c, b]) for c in range(n)
+                                       if (a, c) in x and (c, b) in y]:
+                re.append(xr * yr if xi is None or yi is None else xr * yr - xi * yi)
+                im += [p * q for p, q in ((xr, yi), (xi, yr))
+                       if p is not None and q is not None]
+            # sums accumulate in place into their first, freshly made, term
+            out[a, b] = tuple(reduce(iadd, v) if v else None for v in (re, im))
+    if like is None:
+        return out
+    layout = np.empty_like(like)
+    for (a, b), (re, im) in out.items():
+        layout[a, b] = re
+        if a != b:
+            layout[b, a] = 0.0 if im is None else im
+    return layout
+
+
+def _congruence(f, x, adjoint=False):
+    """P X P^* in the Hermitian layout, for X Hermitian in layout x and P the
+    lower-triangular f (its adjoint when ``adjoint``); f None is the identity."""
+    if f is None:
+        return x
+    p, p_adj = _entries(f, "lower"), _entries(f, "upper")
+    if adjoint:
+        p, p_adj = p_adj, p
+    n = x.shape[0]
+    return _product(_product(p, _entries(x), n), p_adj, n, like=x)
+
+
+def _minor_sums(b, kmax):
+    """S_0..S_kmax of the spectrum of the Hermitian layout b, as a
+    shape + (kmax + 1,) table, from principal-minor sums."""
+    n = b.shape[0]
+    out = np.ones(b.shape[2:] + (kmax + 1,))
+    if kmax >= 1:
+        out[..., 1] = sum(b[j, j] for j in range(n))
+    if kmax >= 2:
+        out[..., 2] = sum(b[j, j] * b[k, k] - (b[k, j] ** 2 + b[j, k] ** 2)
+                          for k in range(n) for j in range(k))
+    if kmax >= 3:  # n = 3, the determinant: b_00 b_11 b_22 + 2 Re(b_01 b_12 b_20)
+        # - b_00 |b_12|^2 - b_11 |b_02|^2 - b_22 |b_01|^2
+        re = b[1, 0] * b[2, 1] - b[0, 1] * b[1, 2]  # b_10 b_21
+        im = b[1, 0] * b[1, 2] + b[0, 1] * b[2, 1]
+        out[..., 3] = (b[0, 0] * b[1, 1] * b[2, 2] + 2.0 * (re * b[2, 0] + im * b[0, 2])
+                       - b[0, 0] * (b[2, 1] ** 2 + b[1, 2] ** 2)
+                       - b[1, 1] * (b[2, 0] ** 2 + b[0, 2] ** 2)
+                       - b[2, 2] * (b[1, 0] ** 2 + b[0, 1] ** 2))
+    return out
 
 
 def state_matrices(u_data, metric):
-    """g = omega + dd^c u as a matrix field."""
-    g = complex_hessian_array(u_data, metric.grid)
-    g += metric.form
-    return g
+    """B' = L^{-1} g L^{-*} for g = omega + dd^c u and omega = L L^*, in the
+    Hermitian layout; L^{-1} omega L^{-*} = I, so B' = I + L^{-1} dd^c u L^{-*}."""
+    b = _congruence(metric.factor, complex_hessian_layout(u_data, metric.grid))
+    for j in range(b.shape[0]):
+        b[j, j] += 1.0
+    return b
+
+
+def sk_table_of_state(state, metric, kmax):
+    """Table of S_0..S_kmax of the relative eigenvalues at every grid point,
+    from B' (state_matrices) or from a complex grid.shape + (n, n) field g."""
+    if np.iscomplexobj(state):
+        state = _congruence(metric.factor, layout_of_complex(state))
+    if kmax > state.shape[0]:
+        raise InputError(f"degree {kmax} exceeds dimension {state.shape[0]}")
+    return _minor_sums(state, kmax)
 
 
 def sigma_m(u, omega, m):
@@ -167,103 +205,60 @@ def sigma_m(u, omega, m):
         raise InputError(f"m={m} out of range 1..{grid.n}")
     if omega.grid != grid:
         raise InputError("field and metric live on different grids")
-    g = state_matrices(u.data, omega)
-    table = sk_table_of_state(g, omega, m)
+    table = sk_table_of_state(state_matrices(u.data, omega), omega, m)
     sigma = table[..., m] / math.comb(grid.n, m)
     mask = np.all(table[..., 1 : m + 1] > 0.0, axis=-1)
     return OperatorValue(sigma=ScalarField(grid, sigma), cone_mask=mask)
 
 
-def _entry(a, b, i, l):
-    """Entry (i, l) of the batched product a b of n-by-n matrix fields."""
-    acc = a[..., i, 0] * b[..., 0, l]
-    for j in range(1, b.shape[-1]):
-        acc += a[..., i, j] * b[..., j, l]
-    return acc
-
-
-def _matmul(a, b):
-    # written out per entry: faster than einsum or the batched matmul on
-    # stacks of 2x2 and 3x3 matrices
-    n = b.shape[-1]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    for i in range(n):
-        for l in range(n):
-            out[..., i, l] = _entry(a, b, i, l)
-    return out
-
-
-def _newton_tensor(B, table, m):
-    """T_{m-1}(B) by the recursion T_0 = I, T_k = S_k I - B T_{k-1}."""
-    diag = np.arange(B.shape[-1])
-    if m == 1:
-        t = np.zeros_like(B)
-        t[..., diag, diag] = 1.0
-        return t
-    t = -B  # T_1, since B T_0 = B needs no product
-    t[..., diag, diag] += table[..., 1, None]
-    for k in range(2, m):
-        t = -_matmul(B, t)
-        t[..., diag, diag] += table[..., k, None]
+def _newton_tensor(b, table, m):
+    """T_{m-1}(B) in the Hermitian layout by T_0 = I, T_k = S_k I - B T_{k-1};
+    B T_{k-1} is a polynomial in B, so Hermitian."""
+    # T_0 = I; T_1 = S_1 I - B, since B T_0 = B needs no product
+    t = np.zeros_like(b) if m == 1 else -b
+    for k in range(0 if m == 1 else 1, m):
+        if k > 1:
+            t = -_product(_entries(b), _entries(t), b.shape[0], like=b)
+        for j in range(b.shape[0]):
+            t[j, j] += table[..., k]
     return t
 
 
-def _stencil_weights(t, inv, s_m, h):
-    """LinearizationField weights of A = t inv / s_m (inv None: the identity)."""
-    n = t.shape[-1]
-    lap = 0.25 / (h * h)
-    cross = 0.125 / (h * h)
-    w = np.empty((n, n) + s_m.shape)
-    for k in range(n):
-        for j in range(k + 1):
-            a = t[..., k, j] if inv is None else _entry(t, inv, k, j)
-            a = a / s_m
-            if j == k:
-                w[j, j] = lap * a.real
-            else:
-                w[k, j] = cross * a.real
-                w[j, k] = cross * a.imag
-    return w
-
-
-def _check_cone(g, omega, table, m):
+def _check_cone(b, table, m):
     """Raise ConeBreachError, with the worst point and its eigenvalues, unless
     the table is strictly inside Gamma_m at every point."""
     bad = ~np.all(table[..., 1 : m + 1] > 0.0, axis=-1)
     if not np.any(bad):
         return
-    grid = omega.grid
-    norm = np.array([math.comb(grid.n, k) for k in range(1, m + 1)])
+    norm = np.array([math.comb(b.shape[0], k) for k in range(1, m + 1)])
     margins = np.min(table[..., 1 : m + 1] / norm, axis=-1)
-    worst = np.unravel_index(int(np.argmin(margins)), grid.shape)
-    li = omega.cholesky_inverse()
-    lam, _ = generalized_eigh(g[worst], li if omega.constant else li[worst])
-    raise ConeBreachError(
-        f"cone breached at {np.count_nonzero(bad)} points",
-        point=worst,
-        lam=lam,
-    )
+    worst = np.unravel_index(int(np.argmin(margins)), margins.shape)
+    lam = np.linalg.eigvalsh(complex_of_layout(b[(slice(None),) * 2 + worst]))[::-1]
+    raise ConeBreachError(f"cone breached at {np.count_nonzero(bad)} points",
+                          point=worst, lam=lam)
 
 
-def linearization(u, omega, m, q, g=None, table=None):
+def linearization(u, omega, m, q, b=None, table=None):
     """Stencil weights of the linearized operator, without an eigensolve.
 
-    ``g`` may pass in state_matrices(u.data, omega) when the caller already
+    ``b`` may pass in state_matrices(u.data, omega) when the caller already
     holds it, and ``table`` its S_0..S_m table when the caller has already
     found that table strictly inside Gamma_m.  Without ``table`` the cone is
     checked here, and the breach error carries the worst offender and its
     eigenvalues so failed Newton steps can report it.
     """
     grid = u.grid
-    if g is None:
-        g = state_matrices(u.data, omega)
-    B = _relative_matrices(g, omega)
+    if b is None:
+        b = state_matrices(u.data, omega)
     if table is None:
-        table = _minor_sums(B, m)
-        _check_cone(g, omega, table, m)
-    inv = None if _is_identity(omega) else omega.inverse()
-    weights = _stencil_weights(_newton_tensor(B, table, m), inv, table[..., m], grid.h)
-    return LinearizationField(grid=grid, weights=weights, q=q)
+        table = _minor_sums(b, m)
+        _check_cone(b, table, m)
+    a = _congruence(omega.factor, _newton_tensor(b, table, m), adjoint=True)
+    # weights: A_jj / (4 h^2) on the diagonal, A / (8 h^2) off it
+    a *= 0.125 / (grid.h * grid.h * table[..., m])
+    for j in range(grid.n):
+        a[j, j] *= 2.0
+    return LinearizationField(grid=grid, weights=a, q=q)
 
 
 def apply_linearization_array(lin, v_data):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,6 +66,7 @@ class StabilityRecord:
     rhs: float  # ||f - g||_p^a
     ratio: float
     legal: bool  # a < 1/(m+1) and p > n/m
+    converged: bool  # the base solve and this delta's solve both converged
 
     def to_dict(self):
         return asdict(self)
@@ -77,7 +78,8 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
 
     Each delta solves the normalized equation for g = f (1 + delta psi); the
     base solve for f is shared.  Illegal exponents are allowed for
-    exploratory runs and are just flagged on the records.
+    exploratory runs and are just flagged on the records, and so are
+    unconverged solves, whose ratios mean nothing.
     """
     cfg = cfg or SolverConfig()
     if p <= 0 or a <= 0:
@@ -88,31 +90,29 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     if float(np.min(fdata)) <= 0:
         raise InputError("f must be strictly positive")
 
-    u_base, _, _ = solve_normalized(f, omega, m, eps_schedule, cfg)
+    u_base, _, base = solve_normalized(f, omega, m, eps_schedule, cfg)
     records = []
     for delta in deltas:
         gdata = fdata * (1.0 + delta * psi.data)
         if float(np.min(gdata)) <= 0:
             raise InputError(f"perturbed density nonpositive at delta={delta}")
-        g = ScalarField(f.grid, gdata)
-        if delta == 0:
-            records.append(StabilityRecord(delta=0.0, p=p, a=a, lhs=0.0,
-                                           rhs=0.0, ratio=0.0, legal=legal))
-            continue
-        v, _, _ = solve_normalized(g, omega, m, eps_schedule, cfg)
+        if delta == 0:  # g = f: v is the base solution, the ratio 0
+            v, rep = u_base, base
+        else:
+            v, _, rep = solve_normalized(ScalarField(f.grid, gdata), omega, m,
+                                         eps_schedule, cfg)
         lhs = float(np.max(np.abs(u_base.data - v.data)))
         rhs = lp_norm(ScalarField(f.grid, fdata - gdata), p) ** a
         ratio = lhs / rhs if rhs > 0 else 0.0
-        records.append(StabilityRecord(delta=float(delta), p=p, a=a,
-                                       lhs=lhs, rhs=rhs, ratio=ratio, legal=legal))
+        records.append(StabilityRecord(delta=float(delta), p=p, a=a, lhs=lhs,
+                                       rhs=rhs, ratio=ratio, legal=legal,
+                                       converged=base.converged and rep.converged))
     return records
 
 
 def stability_records_csv(records, path):
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["delta", "p", "a", "lhs", "rhs", "ratio", "legal"]
-        )
+        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(StabilityRecord)])
         writer.writeheader()
         for rec in records:
             writer.writerow(rec.to_dict())

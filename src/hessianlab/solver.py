@@ -290,12 +290,12 @@ def krylov_solve(lin, rhs, tol, restart=60, maxiter=None):
 
 
 class _State:
-    __slots__ = ("u", "g", "table", "sigma", "residual", "res_sup",
+    __slots__ = ("u", "b", "table", "sigma", "residual", "res_sup",
                  "in_cone", "sigma_positive", "margin")
 
-    def __init__(self, u, g, table, norm, m, q, harr, binom_m):
+    def __init__(self, u, b, table, norm, m, q, harr, binom_m):
         self.u = u
-        self.g = g
+        self.b = b  # B' in the Hermitian layout, kept for the linearization
         self.table = table
         self.margin = float(np.min(table[..., 1 : m + 1] / norm))
         self.in_cone = self.margin > 0.0
@@ -322,9 +322,9 @@ class _Equation:
         self.binom_m = float(math.comb(n, m))
 
     def evaluate(self, u, harr):
-        g = state_matrices(u, self.metric)
-        table = sk_table_of_state(g, self.metric, self.m)
-        return _State(u, g, table, self.norm, self.m, self.q, harr, self.binom_m)
+        b = state_matrices(u, self.metric)
+        table = sk_table_of_state(b, self.metric, self.m)
+        return _State(u, b, table, self.norm, self.m, self.q, harr, self.binom_m)
 
 
 def _newton(eq, u0, harr, cfg, t_label, trace):
@@ -345,7 +345,7 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
             # an in-cone table skips the cone check; outside, the check
             # raises the breach error with its worst point
             lin = linearization(
-                ScalarField(grid, state.u), eq.metric, eq.m, eq.q, g=state.g,
+                ScalarField(grid, state.u), eq.metric, eq.m, eq.q, b=state.b,
                 table=state.table if state.in_cone else None,
             )
         except ConeBreachError as exc:

@@ -296,3 +296,17 @@ class TestOtherCommands:
         assert (out / "records.csv").exists()
         doc = json.loads((out / "summary.json").read_text())
         assert doc["max_ratio"] > 0
+        assert all(rec["converged"] for rec in doc["records"])
+
+    def test_stability_sweep_unconverged_exits_1(self, tmp_path):
+        # one Newton step per solve stalls the continuity path, so the
+        # ratio is meaningless: flagged in both outputs, and exit 1
+        out = tmp_path / "sweep"
+        code = main(["stability-sweep", "--n", "2", "--m", "2", "--N", "8",
+                     "--p", "2", "--a", "0.25", "--deltas", "0.1",
+                     "--max-newton", "1", "--out", str(out)])
+        assert code == 1
+        doc = json.loads((out / "summary.json").read_text())
+        assert [rec["converged"] for rec in doc["records"]] == [False]
+        lines = (out / "records.csv").read_text().splitlines()
+        assert lines[0].endswith(",converged") and lines[1].endswith(",False")

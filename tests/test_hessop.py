@@ -11,12 +11,12 @@ from hessianlab.geometry import (
     MetricField,
     ScalarField,
     TorusGrid,
+    complex_hessian,
     complex_hessian_array,
     make_field,
 )
-from hessianlab.hermlin import generalized_eigenvalues, generalized_eigh
+from hessianlab.hermlin import cholesky_inverse, generalized_eigenvalues, generalized_eigh
 from hessianlab.hessop import (
-    _minor_sums,
     apply_linearization,
     linearization,
     mixed_product,
@@ -214,8 +214,8 @@ class TestNewtonTensorOracle:
         omega = _metric(kind, grid)
         u = _cone_state(grid)
         assert sigma_m(u, omega, n).cone_mask.all()  # inside every Gamma_m
-        g = state_matrices(u.data, omega)
-        lam, frame = generalized_eigh(g, omega.cholesky_inverse())
+        g = complex_hessian(u) + omega.form
+        lam, frame = generalized_eigh(g, cholesky_inverse(omega.form))
         for m in range(1, n + 1):
             got = linearization(u, omega, m, 1.0).coefficient_matrices()
             want = _eigenframe_coefficients(lam, frame, m)
@@ -223,12 +223,20 @@ class TestNewtonTensorOracle:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_identity_fast_path_bit_exact(self, n):
+        # the flat metric skips the congruence; a conformal metric with
+        # phi = 0 runs it with an identity factor, which changes no bit
         grid = TorusGrid(n, 8)
         omega = MetricField.flat(grid)
+        general = MetricField.conformal(grid, np.eye(n), [])
+        assert omega.factor is None and general.factor is not None
         u = make_field(grid, [((1,) + (0,) * (2 * n - 1), 0.5, 0.0)])
-        g = state_matrices(u.data, omega)
-        general = _minor_sums(np.linalg.inv(omega.form) @ g, n)
-        assert np.array_equal(sk_table_of_state(g, omega, n), general)
+        b = state_matrices(u.data, omega)
+        assert np.array_equal(b, state_matrices(u.data, general))
+        assert np.array_equal(sk_table_of_state(b, omega, n),
+                              sk_table_of_state(b, general, n))
+        for m in range(1, n + 1):
+            assert np.array_equal(linearization(u, omega, m, 1.0).weights,
+                                  linearization(u, general, m, 1.0).weights)
 
     @pytest.mark.parametrize("kind", ["flat", "conformal"])
     def test_breach_lam_is_spectrum_at_point(self, kind):
@@ -238,11 +246,49 @@ class TestNewtonTensorOracle:
         with pytest.raises(ConeBreachError) as err:
             linearization(u, omega, 1, 1.0)
         point = err.value.point
-        g = state_matrices(u.data, omega)[point]
+        g = (complex_hessian(u) + omega.form)[point]
         form = omega.form if omega.constant else omega.form[point]
         want = generalized_eigenvalues(g, form).values
         np.testing.assert_allclose(err.value.lam, want, rtol=1e-14, atol=1e-14)
         assert want[-1] < 0.0
+
+
+class TestHermitianLayout:
+    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sk_table_matches_eigenvalues(self, n, kind):
+        # S_k from the layout, through B' and through a complex g, against
+        # the elementary symmetric functions of the relative eigenvalues
+        grid = TorusGrid(n, 8)
+        omega = _metric(kind, grid)
+        u = ScalarField(grid, 0.3 * np.random.default_rng(n).normal(size=grid.shape))
+        g = complex_hessian(u) + omega.form
+        lam, _ = generalized_eigh(g, cholesky_inverse(omega.form))
+        b = state_matrices(u.data, omega)
+        for m in range(1, n + 1):
+            want = elementary_symmetric_table(lam, m)
+            scale = np.max(np.abs(want), axis=tuple(range(2 * n)))
+            for got in (sk_table_of_state(b, omega, m), sk_table_of_state(g, omega, m)):
+                assert got.shape == want.shape
+                assert np.all(np.max(np.abs(got - want), axis=tuple(range(2 * n)))
+                              <= 1e-13 * scale), m
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_constant_metric_is_scaled_flat(self, n):
+        # omega = s I: B' = I + dd^c u / s, so sigma_m(u) is sigma_m(u / s)
+        # on the flat metric and A = T_{m-1}(B') / (s S_m) is its A over s
+        grid = TorusGrid(n, 8)
+        s = 4.0
+        scaled, flat1 = MetricField.flat(grid, s), MetricField.flat(grid)
+        u = _cone_state(grid)
+        v = ScalarField(grid, u.data / s)
+        for m in range(1, n + 1):
+            got = sigma_m(u, scaled, m).sigma.data
+            want = sigma_m(v, flat1, m).sigma.data
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), m
+            got = linearization(u, scaled, m, 0.7).weights
+            want = linearization(v, flat1, m, 0.7).weights / s
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), m
 
 
 class TestApplyLinearization:

@@ -169,7 +169,7 @@ class TestStabilitySweep:
         path = tmp_path / "records.csv"
         stability_records_csv(sweep, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "delta,p,a,lhs,rhs,ratio,legal"
+        assert lines[0] == "delta,p,a,lhs,rhs,ratio,legal,converged"
         assert len(lines) == len(sweep) + 1
 
 

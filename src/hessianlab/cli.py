@@ -6,8 +6,10 @@ in {cos, sin}, the frequency vector comma-separated over the real axes
 n = 2:  "cos:1,0,0,0:0.5+sin:0,0,0,1:0.25".  A constant offset is a zero
 frequency cosine: "cos:0,0,0,0:1".
 
-Configuration may come from a JSON file (--config); explicit flags override
-file values.  All outputs land under --out.  Wall-clock timings are printed
+Configuration may come from a JSON file (--config): its keys are spliced
+into argv as --key=value flags right after the subcommand, so one parse
+types and checks every setting and an explicit flag, coming later, wins.
+All outputs land under --out.  Wall-clock timings are printed
 but never written into output files, and the echoed configuration omits the
 output path itself, so identical (config, seed) pairs reproduce every output
 file bit-exactly.
@@ -18,6 +20,7 @@ Exit codes: 0 success, 1 convergence failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -78,12 +81,15 @@ def parse_field_spec(spec, n):
     return terms
 
 
-def _parse_float_list(text):
-    return [float(x) for x in str(text).split(",") if x != ""]
-
-
-def _parse_int_list(text):
-    return [int(x) for x in str(text).split(",") if x != ""]
+def _parse_list(text, kind):
+    """A comma-separated list of finite numbers of type ``kind``."""
+    try:
+        values = [kind(x) for x in str(text).split(",") if x != ""]
+    except ValueError as exc:
+        raise InputError(f"bad number list {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"number list {text!r} is not finite")
+    return values
 
 
 def _positive_int(text):
@@ -95,7 +101,7 @@ def _positive_int(text):
 
 
 def _threads(args):
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         return args.threads
     env = os.environ.get("HESSIANLAB_THREADS")
     if env:
@@ -107,18 +113,10 @@ def _threads(args):
 
 
 def _solver_config(args):
-    kwargs = {}
-    for name in ("newton_tol", "krylov_tol"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kwargs[name] = float(val)
-    for name in ("max_newton", "t_steps"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kwargs[name] = int(val)
-    if getattr(args, "no_cone_guard", False):
-        kwargs["cone_guard"] = False
-    return SolverConfig(**kwargs)
+    given = {name: getattr(args, name)
+             for name in ("newton_tol", "krylov_tol", "max_newton", "t_steps")
+             if getattr(args, name) is not None}
+    return SolverConfig(cone_guard=not args.no_cone_guard, **given)
 
 
 def _echo_config(args, outdir):
@@ -134,14 +132,11 @@ def _write_json(outdir, name, doc):
     (outdir / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _grid(args):
-    cap = getattr(args, "memory_cap", None)
-    return TorusGrid(args.n, args.N, memory_cap=2 << 30 if cap is None else cap)
-
-
-def _metric(args, grid):
-    scale = getattr(args, "metric_scale", None)
-    return MetricField.flat(grid, scale=1.0 if scale is None else scale)
+def _grid_metric(args):
+    cap = 2 << 30 if args.memory_cap is None else args.memory_cap
+    scale = 1.0 if args.metric_scale is None else args.metric_scale
+    grid = TorusGrid(args.n, args.N, memory_cap=cap)
+    return grid, MetricField.flat(grid, scale=scale)
 
 
 def _solve_report_doc(report):
@@ -174,8 +169,7 @@ def _cmd_verify_cone(args, outdir):
 
 
 def _cmd_solve(args, outdir):
-    grid = _grid(args)
-    omega = _metric(args, grid)
+    grid, omega = _grid_metric(args)
     H = make_field(grid, parse_field_spec(args.H, grid.n))
     u, report = solve_exponential(H, omega, args.m, _solver_config(args))
     write_field(outdir / "u.field", u, kind="u")
@@ -190,11 +184,10 @@ def _cmd_solve(args, outdir):
 
 
 def _cmd_normalized(args, outdir):
-    grid = _grid(args)
-    omega = _metric(args, grid)
+    grid, omega = _grid_metric(args)
     f = make_field(grid, parse_field_spec(args.f, grid.n))
     u, c, report = solve_normalized(
-        f, omega, args.m, _parse_float_list(args.eps_schedule), _solver_config(args)
+        f, omega, args.m, _parse_list(args.eps_schedule, float), _solver_config(args)
     )
     write_field(outdir / "u.field", u, kind="u")
     doc = {
@@ -216,11 +209,10 @@ def _cmd_normalized(args, outdir):
 
 
 def _cmd_envelope(args, outdir):
-    grid = _grid(args)
-    omega = _metric(args, grid)
+    grid, omega = _grid_metric(args)
     h = make_field(grid, parse_field_spec(args.h, grid.n))
     w, report = msh_envelope(
-        h, omega, args.m, _parse_float_list(args.eps_schedule), _solver_config(args)
+        h, omega, args.m, _parse_list(args.eps_schedule, float), _solver_config(args)
     )
     write_field(outdir / "w.field", w, kind="w")
     doc = {
@@ -242,7 +234,7 @@ def _cmd_envelope(args, outdir):
 
 def _cmd_mms(args, outdir):
     rows, orders = mms_study(
-        args.n, args.m, _parse_int_list(args.N_list),
+        args.n, args.m, _parse_list(args.N_list, int),
         amplitude=args.amplitude, cfg=_solver_config(args),
     )
     doc = {
@@ -263,8 +255,7 @@ def _cmd_mms(args, outdir):
 
 
 def _cmd_stability_sweep(args, outdir):
-    grid = _grid(args)
-    omega = _metric(args, grid)
+    grid, omega = _grid_metric(args)
     f_terms = (parse_field_spec(args.f, grid.n) if args.f
                else default_density_terms(grid.n))
     psi_terms = (parse_field_spec(args.psi, grid.n) if args.psi
@@ -272,9 +263,9 @@ def _cmd_stability_sweep(args, outdir):
     f = make_field(grid, f_terms)
     psi = make_field(grid, psi_terms)
     records = stability_sweep(
-        f, psi, _parse_float_list(args.deltas), args.p, args.a,
+        f, psi, _parse_list(args.deltas, float), args.p, args.a,
         omega, args.m, _solver_config(args),
-        eps_schedule=tuple(_parse_float_list(args.eps_schedule)),
+        eps_schedule=tuple(_parse_list(args.eps_schedule, float)),
     )
     stability_records_csv(records, outdir / "records.csv")
     ratios = [r.ratio for r in records if r.ratio > 0]
@@ -291,12 +282,11 @@ def _cmd_stability_sweep(args, outdir):
 
 
 def _cmd_decay(args, outdir):
-    grid = _grid(args)
-    omega = _metric(args, grid)
+    grid, omega = _grid_metric(args)
     phi = make_field(grid, parse_field_spec(args.phi, grid.n))
     data = phi.data - float(np.max(phi.data))  # normalize sup = 0
     report = sublevel_volume_decay(
-        ScalarField(grid, data), _parse_float_list(args.t_list), omega, args.m
+        ScalarField(grid, data), _parse_list(args.t_list, float), omega, args.m
     )
     with open(outdir / "table.csv", "w") as fh:
         fh.write("t,fraction,t_fraction\n")
@@ -315,6 +305,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # no abbreviations: a config key such as "eps" must not pass for --eps-schedule
+    command = functools.partial(sub.add_parser, allow_abbrev=False)
+
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
@@ -324,9 +317,9 @@ def build_parser():
                        help="JSON config file; explicit flags override it")
 
     def grid_flags(p):
-        p.add_argument("--n", type=int, required=False)
-        p.add_argument("--m", type=int, required=False)
-        p.add_argument("--N", type=int, required=False)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--N", type=int, required=True)
         p.add_argument("--metric-scale", dest="metric_scale", type=float, default=None)
         p.add_argument("--memory-cap", dest="memory_cap", type=int, default=None)
 
@@ -337,132 +330,111 @@ def build_parser():
         p.add_argument("--t-steps", dest="t_steps", type=int, default=None)
         p.add_argument("--no-cone-guard", dest="no_cone_guard", action="store_true")
 
-    p = sub.add_parser("verify-cone", help="randomized cone inequality suite")
+    p = command("verify-cone", help="randomized cone inequality suite")
     common(p)
-    p.add_argument("--n", type=int, required=False)
-    p.add_argument("--m", type=int, required=False)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_verify_cone)
 
-    p = sub.add_parser("solve", help="exponential-type equation log sigma = u + H")
+    p = command("solve", help="exponential-type equation log sigma = u + H")
     common(p); grid_flags(p); solver_flags(p)
-    p.add_argument("--H", required=False, help="field spec for H")
+    p.add_argument("--H", required=True, help="field spec for H")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("normalized", help="sigma_m(u) = c f with sup u = 0")
+    p = command("normalized", help="sigma_m(u) = c f with sup u = 0")
     common(p); grid_flags(p); solver_flags(p)
-    p.add_argument("--f", required=False, help="field spec for f (> 0)")
+    p.add_argument("--f", required=True, help="field spec for f (> 0)")
     p.add_argument("--eps-schedule", dest="eps_schedule",
                    default="1,0.3,0.1,0.03,0.01")
     p.set_defaults(func=_cmd_normalized)
 
-    p = sub.add_parser("envelope", help="penalized m-subharmonic envelope")
+    p = command("envelope", help="penalized m-subharmonic envelope")
     common(p); grid_flags(p); solver_flags(p)
-    p.add_argument("--h", required=False, help="field spec for the obstacle")
+    p.add_argument("--h", required=True, help="field spec for the obstacle")
     p.add_argument("--eps-schedule", dest="eps_schedule",
                    default="1,0.3,0.1,0.03,0.01")
     p.set_defaults(func=_cmd_envelope)
 
-    p = sub.add_parser("mms", help="manufactured-solution convergence study")
+    p = command("mms", help="manufactured-solution convergence study")
     common(p); solver_flags(p)
-    p.add_argument("--n", type=int, required=False)
-    p.add_argument("--m", type=int, required=False)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
     p.add_argument("--N-list", dest="N_list", default="8,16")
     p.add_argument("--amplitude", type=float, default=0.25)
     p.set_defaults(func=_cmd_mms)
 
-    p = sub.add_parser("stability-sweep", help="perturbation stability ratios")
+    p = command("stability-sweep", help="perturbation stability ratios")
     common(p); grid_flags(p); solver_flags(p)
     p.add_argument("--f", default=None)
     p.add_argument("--psi", default=None)
     p.add_argument("--deltas", default="0.1,0.01,0.001")
-    p.add_argument("--p", type=float, required=False)
-    p.add_argument("--a", type=float, required=False)
+    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--a", type=float, required=True)
     p.add_argument("--eps-schedule", dest="eps_schedule", default="1,0.3,0.1,0.03")
     p.set_defaults(func=_cmd_stability_sweep)
 
-    p = sub.add_parser("decay", help="sublevel volume decay table")
+    p = command("decay", help="sublevel volume decay table")
     common(p); grid_flags(p)
-    p.add_argument("--phi", required=False)
+    p.add_argument("--phi", required=True)
     p.add_argument("--t-list", dest="t_list", default="0.1,0.3,1,3")
     p.set_defaults(func=_cmd_decay)
 
     return parser
 
 
-def _config_value(action, key, value):
-    """Convert a config value as the option's parser would convert a flag."""
-    if action.nargs == 0:  # store_true switch
-        if not isinstance(value, bool):
-            raise InputError(f"config key {key!r} takes true or false")
-        return value
-    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
-        raise InputError(f"config key {key!r} takes a string or a number")
-    text = str(value)
+def _config_flags(argv):
+    """The --config file named in argv as --key=value flags, and the keys
+    set to true or false, which must name switches: true is the bare flag,
+    false adds nothing.  An underscore in a key stands for a hyphen."""
+    finder = argparse.ArgumentParser(prog="hessianlab", add_help=False, allow_abbrev=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv)[0].config
+    if path is None:
+        return [], []
     try:
-        value = action.type(text) if action.type else text
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-        raise InputError(f"config key {key!r}: invalid value {text!r}") from exc
-    if action.choices is not None and value not in action.choices:
-        raise InputError(f"config key {key!r}: {value!r} not one of {action.choices}")
-    return value
-
-
-def _apply_config_file(args, parser, argv):
-    """Re-parse argv with the config values as defaults, so explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    path = Path(args.config)
-    if not path.exists():
-        raise InputError(f"config file {path} not found")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # missing or unreadable, or not JSON
+        raise InputError(f"config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("config file must hold a JSON object")
-    # argparse exposes a parser's options only through its _actions list
-    subparsers = next(a for a in parser._actions if a.dest == "command")
-    subparser = subparsers.choices[args.command]
-    actions = {a.dest: a for a in subparser._actions}
-    defaults = {}
+    flags, switches = [], []
     for key, value in doc.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest not in actions:
-            raise InputError(f"config key {key!r} unknown for this subcommand")
-        defaults[dest] = _config_value(actions[dest], key, value)
-    subparser.set_defaults(**defaults)
-    return parser.parse_args(argv)
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            switches.append(key)
+            flags += [flag] if value else []
+        elif isinstance(value, (str, int, float)):
+            flags.append(f"{flag}={value}")
+        else:
+            raise InputError(f"config key {key!r} takes a string, a number or a switch")
+    return flags, switches
 
 
-_REQUIRED = {
-    "verify-cone": ("n", "m"),
-    "solve": ("n", "m", "N", "H"),
-    "normalized": ("n", "m", "N", "f"),
-    "envelope": ("n", "m", "N", "h"),
-    "mms": ("n", "m"),
-    "stability-sweep": ("n", "m", "N", "p", "a"),
-    "decay": ("n", "m", "N", "phi"),
-}
+def _parse_args(argv):
+    """One parse of argv with the config file's flags ahead of the explicit ones."""
+    switches = []
+    if argv[:1] and argv[0] in _SUBCOMMANDS:
+        flags, switches = _config_flags(argv[1:])
+        argv = argv[:1] + flags + argv[1:]
+    args = build_parser().parse_args(argv)
+    for key in switches:  # a switch's value is the only bool in the namespace
+        if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
+            raise InputError(f"config key {key!r} is not a switch of {args.command}")
+    return args
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        args = _apply_config_file(args, parser, argv)
-        for name in _REQUIRED[args.command]:
-            if getattr(args, name, None) is None:
-                raise InputError(f"missing required option --{name.replace('_','-')}")
+        args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         code = args.func(args, outdir)
         _echo_config(args, outdir)
         return code
+    except SystemExit as exc:  # argparse: 2 for a bad setting, 0 for --help
+        return int(exc.code or 0)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,7 @@ from .errors import InputError
 from .geometry import MetricField, ScalarField, TorusGrid, analytic_complex_hessian, make_field
 from .hessop import sk_table_of_state
 from .solver import SolverConfig, solve_exponential
+from .symfunc import table_margin
 
 __all__ = [
     "manufactured_terms",
@@ -60,8 +61,7 @@ def exact_sigma(grid, terms, m):
     g = analytic_complex_hessian(grid, terms) + np.eye(n)
     metric = MetricField.flat(grid)
     table = sk_table_of_state(g, metric, m)
-    norm = np.array([math.comb(n, k) for k in range(1, m + 1)])
-    margin = float(np.min(table[..., 1 : m + 1] / norm))
+    margin = float(np.min(table_margin(table, n, m)))
     return table[..., m] / math.comb(n, m), margin
 
 
@@ -95,6 +95,8 @@ def mms_study(n, m, N_list, amplitude=0.25, cfg=None, memory_cap=2 << 30):
     Returns (rows, orders) where orders[i] = log2(e_i / e_{i+1}) between
     consecutive grid refinements.
     """
+    if not N_list:
+        raise InputError("N list is empty")
     cfg = cfg or SolverConfig(t_steps=1)
     rows = []
     for N in N_list:

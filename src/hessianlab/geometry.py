@@ -140,16 +140,10 @@ def make_field(grid, terms):
 
 @dataclass
 class MetricField:
-    """Hermitian metric coefficient field; constant metrics stay compact.
-
-    ``generator`` records how a variable metric was synthesized (truncated
-    Fourier data) purely for reproducibility of experiment bundles.
-    """
+    """Hermitian metric coefficient field; constant metrics stay compact."""
 
     grid: TorusGrid
     form: np.ndarray  # (n, n) when constant, grid.shape + (n, n) otherwise
-    constant: bool
-    generator: dict | None = None
     # L^{-1} for form = L L^*, in the Hermitian layout; None for the identity
     factor: np.ndarray | None = field(init=False, repr=False, compare=False)
 
@@ -157,9 +151,7 @@ class MetricField:
     def flat(cls, grid, scale=1.0):
         if not (math.isfinite(scale) and scale > 0):
             raise InputError(f"metric scale {scale} must be finite and positive")
-        n = grid.n
-        return cls(grid, scale * np.eye(n, dtype=complex), True,
-                   {"kind": "flat", "scale": scale})
+        return cls(grid, scale * np.eye(grid.n, dtype=complex))
 
     @classmethod
     def constant_form(cls, grid, form):
@@ -167,7 +159,7 @@ class MetricField:
         if form.shape[0] != grid.n:
             raise InputError("metric dimension must equal grid complex dimension")
         cholesky_inverse(form)  # positive-definiteness gate
-        return cls(grid, form, True, {"kind": "constant"})
+        return cls(grid, form)
 
     @classmethod
     def conformal(cls, grid, base_form, terms):
@@ -175,12 +167,11 @@ class MetricField:
         base_form = check_hermitian(base_form, "metric")
         cholesky_inverse(base_form)
         phi = make_field(grid, terms)
-        forms = np.exp(phi.data)[..., None, None] * base_form
-        generator = {
-            "kind": "conformal",
-            "terms": [[list(kvec), c, s] for kvec, c, s in terms],
-        }
-        return cls(grid, forms, False, generator)
+        return cls(grid, np.exp(phi.data)[..., None, None] * base_form)
+
+    @property
+    def constant(self):
+        return self.form.ndim == 2
 
     def __post_init__(self):
         self.form = np.asarray(self.form, dtype=complex)

@@ -47,7 +47,7 @@ from .geometry import (
     layout_of_complex,
 )
 from .hermlin import check_hermitian, cholesky_inverse
-from .symfunc import elementary_symmetric_table
+from .symfunc import elementary_symmetric_table, table_margin
 
 __all__ = [
     "OperatorValue",
@@ -230,8 +230,7 @@ def _check_cone(b, table, m):
     bad = ~np.all(table[..., 1 : m + 1] > 0.0, axis=-1)
     if not np.any(bad):
         return
-    norm = np.array([math.comb(b.shape[0], k) for k in range(1, m + 1)])
-    margins = np.min(table[..., 1 : m + 1] / norm, axis=-1)
+    margins = table_margin(table, b.shape[0], m)
     worst = np.unravel_index(int(np.argmin(margins)), margins.shape)
     lam = np.linalg.eigvalsh(complex_of_layout(b[(slice(None),) * 2 + worst]))[::-1]
     raise ConeBreachError(f"cone breached at {np.count_nonzero(bad)} points",

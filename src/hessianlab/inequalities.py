@@ -84,6 +84,8 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     cfg = cfg or SolverConfig()
     if p <= 0 or a <= 0:
         raise InputError("exponents must be positive")
+    if not deltas:
+        raise InputError("delta list is empty")
     n = omega.grid.n
     legal = (a < 1.0 / (m + 1)) and (p > n / m)
     fdata = f.data

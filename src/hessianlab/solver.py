@@ -6,15 +6,19 @@ whenever Newton fails on it.  The normalized equation sigma_m(u) = c f is
 reached through the vanishing-zeroth-order family log sigma_m(v) = eps v +
 log f with c extracted as exp(eps sup v).
 
-Inner solves use restarted GMRES, right-preconditioned so the stopping rule
-is on the true residual.  The preconditioner is a constant-coefficient
-spectral (FFT) solve scaled pointwise by the operator diagonal (Concus &
-Golub, SIAM J. Numer. Anal. 10, 1973): it is exact at the flat continuity
-start and follows coefficients that vary by orders of magnitude across the
-torus, such as a conformal factor.
+Inner solves use GMRES restarted every 60 iterations and capped at 10 N^n,
+right-preconditioned so the stopping rule is on the true residual.  The
+preconditioner is a constant-coefficient spectral (FFT) solve scaled
+pointwise by the operator diagonal (Concus & Golub, SIAM J. Numer. Anal.
+10, 1973): it is exact at the flat continuity start and follows
+coefficients that vary by orders of magnitude across the torus, such as a
+conformal factor.
 Residual tolerances passed to the inner solve follow the usual inexact-
 Newton forcing rule (proportional to the outer residual, floored at
 ``krylov_tol``) so the quadratic tail is preserved.
+
+SolverConfig holds only what callers set; the line search (step halved down
+to 2^-20), the restart and the cap of 12 t-step halvings are constants.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .hessop import (
     sk_table_of_state,
     state_matrices,
 )
+from .symfunc import table_margin
 
 __all__ = [
     "SolverConfig",
@@ -49,25 +54,25 @@ __all__ = [
 ]
 
 
+_DAMPING = 0.5  # line-search step factor
+_MIN_STEP = 2.0**-20  # line-search floor
+_KRYLOV_RESTART = 60  # GMRES basis size
+_MAX_T_HALVINGS = 12  # continuity step halvings before giving up
+
+
 @dataclass
 class SolverConfig:
     newton_tol: float = 1e-9  # sup-norm residual target
     max_newton: int = 50
     krylov_tol: float = 1e-10  # relative, true residual
     t_steps: int = 4  # initial continuity step count, halved adaptively
-    damping_factor: float = 0.5
-    min_step: float = 2.0**-20
     cone_guard: bool = True
-    krylov_restart: int = 60
-    max_t_halvings: int = 12
 
     def __post_init__(self):
         if self.newton_tol <= 0 or self.krylov_tol <= 0:
             raise InputError("tolerances must be positive")
         if self.max_newton < 1 or self.t_steps < 1:
             raise InputError("iteration counts must be >= 1")
-        if not 0 < self.damping_factor < 1:
-            raise InputError("damping factor must lie in (0, 1)")
 
 
 @dataclass
@@ -252,26 +257,25 @@ def _spectral_preconditioner(lin):
     return psolve
 
 
-def krylov_solve(lin, rhs, tol, restart=60, maxiter=None):
+def krylov_solve(lin, rhs, tol):
     """Solve the linearized equation matrix-free to a true relative residual,
     preconditioned by _spectral_preconditioner.
 
     Raises LinearSolveError (with the best iterate attached) when the
-    iteration cap 10 N^n is exceeded; the Newton driver treats that as a
-    failed step and falls back to damping.
+    iteration cap 10 N^n is exceeded; the Newton driver then line-searches
+    along that iterate.
     """
     grid = lin.grid
     if rhs.grid != grid:
         raise InputError("rhs and linearization live on different grids")
-    if maxiter is None:
-        maxiter = 10 * grid.N**grid.n
+    maxiter = 10 * grid.N**grid.n
     psolve = _spectral_preconditioner(lin)
 
     def matvec(v):
         return apply_linearization_array(lin, v.reshape(grid.shape)).reshape(-1)
 
     x, iters, relres = gmres_raw(
-        matvec, rhs.data.reshape(-1).copy(), tol, restart, maxiter, psolve
+        matvec, rhs.data.reshape(-1).copy(), tol, _KRYLOV_RESTART, maxiter, psolve
     )
     out = ScalarField(grid, x.reshape(grid.shape))
     if relres > tol:
@@ -293,11 +297,11 @@ class _State:
     __slots__ = ("u", "b", "table", "sigma", "residual", "res_sup",
                  "in_cone", "sigma_positive", "margin")
 
-    def __init__(self, u, b, table, norm, m, q, harr, binom_m):
+    def __init__(self, u, b, table, n, m, q, harr, binom_m):
         self.u = u
         self.b = b  # B' in the Hermitian layout, kept for the linearization
         self.table = table
-        self.margin = float(np.min(table[..., 1 : m + 1] / norm))
+        self.margin = float(np.min(table_margin(table, n, m)))
         self.in_cone = self.margin > 0.0
         sigma = table[..., m] / binom_m
         self.sigma = sigma
@@ -317,14 +321,12 @@ class _Equation:
         self.metric = metric
         self.m = m
         self.q = q
-        n = metric.grid.n
-        self.norm = np.array([math.comb(n, k) for k in range(1, m + 1)], dtype=float)
-        self.binom_m = float(math.comb(n, m))
+        self.binom_m = float(math.comb(metric.grid.n, m))
 
     def evaluate(self, u, harr):
         b = state_matrices(u, self.metric)
         table = sk_table_of_state(b, self.metric, self.m)
-        return _State(u, b, table, self.norm, self.m, self.q, harr, self.binom_m)
+        return _State(u, b, table, self.metric.grid.n, self.m, self.q, harr, self.binom_m)
 
 
 def _newton(eq, u0, harr, cfg, t_label, trace):
@@ -353,20 +355,18 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
         tol_k = max(cfg.krylov_tol, min(3e-2, 0.3 * state.res_sup))
         rhs = ScalarField(grid, -state.residual)
         try:
-            delta, info = krylov_solve(lin, rhs, tol_k, restart=cfg.krylov_restart)
+            delta, info = krylov_solve(lin, rhs, tol_k)
         except LinearSolveError as exc:
-            if exc.best is None:
-                return state, iters, False, "linear solve failed"
             delta, info = exc.best, KrylovInfo(exc.iterations, exc.relres)
         step = 1.0
         accepted = None
-        while step >= cfg.min_step:
+        while step >= _MIN_STEP:
             cand = eq.evaluate(state.u + step * delta.data, harr)
             admissible = cand.in_cone if cfg.cone_guard else cand.sigma_positive
             if admissible and cand.res_sup <= (1.0 - 1e-4 * step) * state.res_sup:
                 accepted = cand
                 break
-            step *= cfg.damping_factor
+            step *= _DAMPING
         if accepted is None:
             return state, iters, False, "line search stalled at minimum step"
         state = accepted
@@ -396,7 +396,7 @@ def _continuity_solve(eq, harr, cfg, report):
             report.t_path.append((float(t_next), iters, state.res_sup))
         else:
             halvings += 1
-            if halvings > cfg.max_t_halvings:
+            if halvings > _MAX_T_HALVINGS:
                 report.failure = f"continuity stalled at t={t_next:.6f}: {failure}"
                 return u
             targets.insert(0, 0.5 * (t_cur + t_next))

@@ -21,6 +21,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -32,7 +33,7 @@ __all__ = [
     "reduced_symmetric",
     "in_cone",
     "cone_mask",
-    "cone_margin",
+    "table_margin",
     "sample_cone",
     "verify_cone_inequalities",
     "ConeReport",
@@ -104,11 +105,10 @@ def in_cone(lam, m):
         raise InputError(f"m={m} out of range 1..{n}")
     table = elementary_symmetric_table(lam, m)
     s = table[..., 1 : m + 1]
-    norm = np.array([math.comb(n, k) for k in range(1, m + 1)], dtype=float)
-    margin = np.min(s / norm, axis=-1)
-    ok = bool(np.all(s > 0.0)) if lam.ndim == 1 else np.all(s > 0.0, axis=-1)
+    margin = table_margin(table, n, m)
+    ok = np.all(s > 0.0, axis=-1)
     if lam.ndim == 1:
-        return ConeReport(in_cone=ok, s_values=s, margin=float(margin))
+        ok, margin = bool(ok), float(margin)
     return ConeReport(in_cone=ok, s_values=s, margin=margin)
 
 
@@ -118,13 +118,10 @@ def cone_mask(lam, m):
     return np.all(table[..., 1 : m + 1] > 0.0, axis=-1)
 
 
-def cone_margin(lam, m):
-    """min_k S_k / C(n,k) over k = 1..m, batched."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    table = elementary_symmetric_table(lam, m)
-    norm = np.array([math.comb(n, k) for k in range(1, m + 1)], dtype=float)
-    return np.min(table[..., 1 : m + 1] / norm, axis=-1)
+def table_margin(table, n, m):
+    """min_k S_k / C(n,k) over k = 1..m, per entry of an S_0..S_m table
+    (last axis) of n-vectors: the normalized Gamma_m margin."""
+    return reduce(np.minimum, (table[..., k] / math.comb(n, k) for k in range(1, m + 1)))
 
 
 def sample_cone(rng, n, m, count, low=-1.0, high=3.0, batch=8192):
@@ -394,6 +391,8 @@ def verify_cone_inequalities(n, m, samples, seed, tol=1e-10, workers=1):
         raise InputError(f"require 1 <= m < n, got n={n}, m={m}")
     if samples < 1:
         raise InputError("samples must be >= 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol={tol} must be finite and >= 0")
     workers = max(1, int(workers))
     shards = min(workers, samples)
     counts = [samples // shards + (1 if i < samples % shards else 0) for i in range(shards)]

@@ -48,12 +48,52 @@ class TestVerifyConeCommand:
         assert doc["_meta"]["samples"] == 2000
         assert (out / "resolved_config.json").exists()
 
-    def test_missing_flags_exit_2(self, tmp_path):
-        assert main(["verify-cone", "--out", str(tmp_path / "x")]) == 2
-
     def test_bad_range_exit_2(self, tmp_path):
         assert main(["verify-cone", "--n", "2", "--m", "2", "--samples", "10",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
+    def test_bad_tol_exit_2(self, tmp_path, tol):
+        # every slack < -nan is False, so a nan tol would pass everything
+        assert main(["verify-cone", "--n", "3", "--m", "2", "--samples", "100",
+                     f"--tol={tol}", "--threads", "1", "--out", str(tmp_path / "x")]) == 2
+
+
+class TestRequiredFlags:
+    @pytest.mark.parametrize("argv", [
+        ["verify-cone", "--n", "3"],
+        ["solve", "--n", "2", "--m", "1", "--N", "8"],
+        ["normalized", "--n", "2", "--m", "1", "--N", "8"],
+        ["envelope", "--n", "2", "--m", "1", "--N", "8"],
+        ["mms", "--n", "2"],
+        ["stability-sweep", "--n", "2", "--m", "1", "--N", "8", "--p", "4"],
+        ["decay", "--n", "2", "--m", "1", "--N", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_flags_exit_2(self, tmp_path, argv):
+        # each argv lacks the last of its command's required flags
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+
+
+class TestListFlags:
+    @pytest.mark.parametrize("argv", [
+        ["normalized", "--n", "2", "--m", "1", "--N", "8", "--f", "cos:0,0,0,0:2",
+         "--eps-schedule", "1,abc"],
+        ["normalized", "--n", "2", "--m", "1", "--N", "8", "--f", "cos:0,0,0,0:2",
+         "--eps-schedule", "1,nan"],
+        ["stability-sweep", "--n", "2", "--m", "1", "--N", "8", "--p", "4", "--a", "0.3",
+         "--eps-schedule", "1,0.3", "--deltas", "0.1,x"],
+        ["stability-sweep", "--n", "2", "--m", "1", "--N", "8", "--p", "4", "--a", "0.3",
+         "--eps-schedule", "1,0.3", "--deltas", ","],
+        ["mms", "--n", "2", "--m", "1", "--N-list", "8,x"],
+        ["mms", "--n", "2", "--m", "1", "--N-list", ","],
+        ["decay", "--n", "2", "--m", "1", "--N", "16", "--phi", "cos:1,0,0,0:1",
+         "--t-list", "0.1,y"],
+        ["decay", "--n", "2", "--m", "1", "--N", "16", "--phi", "cos:1,0,0,0:1",
+         "--t-list", "0.5,nan"],
+    ], ids=["eps-word", "eps-nan", "deltas-word", "deltas-empty", "N-list-word",
+            "N-list-empty", "t-list-word", "t-list-nan"])
+    def test_bad_or_empty_list_exit_2(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
 
 
 class TestSolveCommand:
@@ -150,6 +190,35 @@ class TestConfigFile:
         cfgfile.write_text(json.dumps({"frobnicate": 1}))
         assert main(["solve", "--config", str(cfgfile),
                      "--out", str(tmp_path / "x")]) == 2
+
+    NORMALIZED = ["normalized", "--n", "2", "--m", "1", "--N", "8",
+                  "--f", "cos:0,0,0,0:2", "--eps-schedule", "1,0.3", "--t-steps", "1"]
+
+    @pytest.mark.parametrize("doc", [
+        {"eps": "1,0.3,0.1"},
+        {"eps_schedule": [1, 0.3]},
+        {"n": True},
+        {"n": False},
+        {"no_cone_guard": None},
+        [1, 2],
+        None,
+    ], ids=["abbreviated-key", "list-value", "true-on-valued", "false-on-valued",
+            "null-value", "not-an-object", "missing-file"])
+    def test_config_fault_exit_2(self, tmp_path, doc):
+        # the argv runs without the file; the file alone makes it a fault
+        cfgfile = tmp_path / "cfg.json"
+        if doc is not None:
+            cfgfile.write_text(json.dumps(doc))
+        assert main(self.NORMALIZED + ["--config", str(cfgfile),
+                                       "--out", str(tmp_path / "x")]) == 2
+
+    def test_false_switch_runs(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"no_cone_guard": False}))
+        out = tmp_path / "x"
+        assert main(self.NORMALIZED + ["--config", str(cfgfile), "--out", str(out)]) == 0
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert resolved["no_cone_guard"] is False
 
 
 def _tree_files(root):

@@ -248,10 +248,10 @@ class TestFailureReporting:
     def test_unreachable_data_yields_failure_report(self):
         grid, omega = flat()
         H = make_field(grid, [((1, 0, 0, 0), 50.0, 0.0)])
-        cfg = SolverConfig(t_steps=1, max_newton=2, max_t_halvings=1)
+        cfg = SolverConfig(t_steps=1, max_newton=2)
         u, rep = solve_exponential(H, omega, 1, cfg)
         assert not rep.converged
-        assert rep.failure is not None
+        assert rep.failure.startswith("continuity stalled")
         assert np.all(np.isfinite(u.data))  # last iterate still returned
 
 
@@ -364,7 +364,3 @@ class TestSolverConfigValidation:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(InputError):
             SolverConfig(newton_tol=0.0)
-
-    def test_rejects_bad_damping(self):
-        with pytest.raises(InputError):
-            SolverConfig(damping_factor=1.5)

@@ -6,13 +6,14 @@ in {cos, sin}, the frequency vector comma-separated over the real axes
 n = 2:  "cos:1,0,0,0:0.5+sin:0,0,0,1:0.25".  A constant offset is a zero
 frequency cosine: "cos:0,0,0,0:1".
 
-Configuration may come from a JSON file (--config): its keys are spliced
-into argv as --key=value flags right after the subcommand, so one parse
-types and checks every setting and an explicit flag, coming later, wins.
-All outputs land under --out.  Wall-clock timings are printed
-but never written into output files, and the echoed configuration omits the
-output path itself, so identical (config, seed) pairs reproduce every output
-file bit-exactly.
+Configuration may come from a JSON file (--config) of string and number
+values: its keys are spliced into argv as --key=value flags right after the
+subcommand, so one parse types and checks every setting and an explicit
+flag, coming later, wins.  All outputs land under --out.  Wall-clock
+timings are printed but never written into output files, and the echoed
+resolved_config.json omits the subcommand and the output path, so it is
+itself a valid --config and identical (config, seed) pairs reproduce every
+output file bit-exactly.
 
 Exit codes: 0 success, 1 convergence failure, 2 input error.
 """
@@ -113,16 +114,15 @@ def _threads(args):
 
 
 def _solver_config(args):
-    given = {name: getattr(args, name)
-             for name in ("newton_tol", "krylov_tol", "max_newton", "t_steps")
-             if getattr(args, name) is not None}
-    return SolverConfig(cone_guard=not args.no_cone_guard, **given)
+    return SolverConfig(**{name: getattr(args, name)
+                           for name in ("newton_tol", "krylov_tol", "max_newton", "t_steps")
+                           if getattr(args, name) is not None})
 
 
 def _echo_config(args, outdir):
     resolved = {
         k: v for k, v in sorted(vars(args).items())
-        if k not in ("out", "config", "func") and v is not None
+        if k not in ("command", "out", "config", "func") and v is not None
     }
     path = outdir / "resolved_config.json"
     path.write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
@@ -157,9 +157,9 @@ def _write_trace(outdir, reports):
 
 
 def _cmd_verify_cone(args, outdir):
+    args.threads = _threads(args)  # the shard count shapes the report: echo it
     report = verify_cone_inequalities(
-        args.n, args.m, args.samples, args.seed, tol=args.tol,
-        workers=_threads(args),
+        args.n, args.m, args.samples, args.seed, tol=args.tol, workers=args.threads,
     )
     _write_json(outdir, "report.json", report.to_dict())
     ok = report.all_pass()
@@ -311,8 +311,6 @@ def build_parser():
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=_positive_int, default=None,
-                       help="worker pool size (default: HESSIANLAB_THREADS or cores)")
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags override it")
 
@@ -328,7 +326,6 @@ def build_parser():
         p.add_argument("--krylov-tol", dest="krylov_tol", type=float, default=None)
         p.add_argument("--max-newton", dest="max_newton", type=int, default=None)
         p.add_argument("--t-steps", dest="t_steps", type=int, default=None)
-        p.add_argument("--no-cone-guard", dest="no_cone_guard", action="store_true")
 
     p = command("verify-cone", help="randomized cone inequality suite")
     common(p)
@@ -336,6 +333,8 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="shard count (default: HESSIANLAB_THREADS or cores)")
     p.set_defaults(func=_cmd_verify_cone)
 
     p = command("solve", help="exponential-type equation log sigma = u + H")
@@ -385,44 +384,33 @@ def build_parser():
 
 
 def _config_flags(argv):
-    """The --config file named in argv as --key=value flags, and the keys
-    set to true or false, which must name switches: true is the bare flag,
-    false adds nothing.  An underscore in a key stands for a hyphen."""
+    """The --config file named in argv as --key=value flags; an underscore in
+    a key stands for a hyphen."""
     finder = argparse.ArgumentParser(prog="hessianlab", add_help=False, allow_abbrev=False)
     finder.add_argument("--config")
     path = finder.parse_known_args(argv)[0].config
     if path is None:
-        return [], []
+        return []
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:  # missing or unreadable, or not JSON
         raise InputError(f"config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("config file must hold a JSON object")
-    flags, switches = [], []
+    flags = []
     for key, value in doc.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            switches.append(key)
-            flags += [flag] if value else []
-        elif isinstance(value, (str, int, float)):
-            flags.append(f"{flag}={value}")
-        else:
-            raise InputError(f"config key {key!r} takes a string, a number or a switch")
-    return flags, switches
+        # bool is an int, but no flag takes true or false
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise InputError(f"config key {key!r} takes a string or a number")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _parse_args(argv):
     """One parse of argv with the config file's flags ahead of the explicit ones."""
-    switches = []
     if argv[:1] and argv[0] in _SUBCOMMANDS:
-        flags, switches = _config_flags(argv[1:])
-        argv = argv[:1] + flags + argv[1:]
-    args = build_parser().parse_args(argv)
-    for key in switches:  # a switch's value is the only bool in the namespace
-        if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
-            raise InputError(f"config key {key!r} is not a switch of {args.command}")
-    return args
+        argv = argv[:1] + _config_flags(argv[1:]) + argv[1:]
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):

@@ -82,8 +82,8 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     unconverged solves, whose ratios mean nothing.
     """
     cfg = cfg or SolverConfig()
-    if p <= 0 or a <= 0:
-        raise InputError("exponents must be positive")
+    if not (0 < p < math.inf and 0 < a < math.inf):
+        raise InputError("exponents must be finite and positive")
     if not deltas:
         raise InputError("delta list is empty")
     n = omega.grid.n

@@ -17,6 +17,11 @@ Residual tolerances passed to the inner solve follow the usual inexact-
 Newton forcing rule (proportional to the outer residual, floored at
 ``krylov_tol``) so the quadratic tail is preserved.
 
+Strict Gamma_m membership at every grid point is the only admissibility
+rule: Newton starts only from such an iterate and its line search rejects
+any candidate outside the cone, so each accepted iterate is strictly
+elliptic and has S_m > 0.
+
 SolverConfig holds only what callers set; the line search (step halved down
 to 2^-20), the restart and the cap of 12 t-step halvings are constants.
 """
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import ConeBreachError, InputError, LinearSolveError
+from .errors import InputError, LinearSolveError
 from .geometry import ScalarField
 from .hessop import (
     LinearizationField,
@@ -66,11 +71,10 @@ class SolverConfig:
     max_newton: int = 50
     krylov_tol: float = 1e-10  # relative, true residual
     t_steps: int = 4  # initial continuity step count, halved adaptively
-    cone_guard: bool = True
 
     def __post_init__(self):
-        if self.newton_tol <= 0 or self.krylov_tol <= 0:
-            raise InputError("tolerances must be positive")
+        if not (0 < self.newton_tol < math.inf and 0 < self.krylov_tol < math.inf):
+            raise InputError("tolerances must be finite and positive")
         if self.max_newton < 1 or self.t_steps < 1:
             raise InputError("iteration counts must be >= 1")
 
@@ -294,8 +298,7 @@ def krylov_solve(lin, rhs, tol):
 
 
 class _State:
-    __slots__ = ("u", "b", "table", "sigma", "residual", "res_sup",
-                 "in_cone", "sigma_positive", "margin")
+    __slots__ = ("u", "b", "table", "residual", "res_sup", "in_cone", "margin")
 
     def __init__(self, u, b, table, n, m, q, harr, binom_m):
         self.u = u
@@ -303,11 +306,8 @@ class _State:
         self.table = table
         self.margin = float(np.min(table_margin(table, n, m)))
         self.in_cone = self.margin > 0.0
-        sigma = table[..., m] / binom_m
-        self.sigma = sigma
-        self.sigma_positive = bool(np.all(sigma > 0.0))
-        if self.sigma_positive:
-            self.residual = np.log(sigma) - q * u - harr
+        if self.in_cone:  # S_m > 0 on Gamma_m
+            self.residual = np.log(table[..., m] / binom_m) - q * u - harr
             self.res_sup = float(np.max(np.abs(self.residual)))
         else:
             self.residual = None
@@ -336,22 +336,16 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
     """
     state = eq.evaluate(u0, harr)
     grid = eq.metric.grid
-    if not (state.in_cone if cfg.cone_guard else state.sigma_positive):
+    if not state.in_cone:
         return state, 0, False, "initial iterate outside the cone"
     trace.append(NewtonRecord(t_label, 0, state.res_sup, 0.0, state.margin))
     iters = 0
     while state.res_sup > cfg.newton_tol:
         if iters >= cfg.max_newton:
             return state, iters, False, "Newton iteration cap"
-        try:
-            # an in-cone table skips the cone check; outside, the check
-            # raises the breach error with its worst point
-            lin = linearization(
-                ScalarField(grid, state.u), eq.metric, eq.m, eq.q, b=state.b,
-                table=state.table if state.in_cone else None,
-            )
-        except ConeBreachError as exc:
-            return state, iters, False, f"cone breach in linearization: {exc}"
+        # every admitted state is in the cone, so its table skips the cone check
+        lin = linearization(ScalarField(grid, state.u), eq.metric, eq.m, eq.q,
+                            b=state.b, table=state.table)
         tol_k = max(cfg.krylov_tol, min(3e-2, 0.3 * state.res_sup))
         rhs = ScalarField(grid, -state.residual)
         try:
@@ -362,8 +356,7 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
         accepted = None
         while step >= _MIN_STEP:
             cand = eq.evaluate(state.u + step * delta.data, harr)
-            admissible = cand.in_cone if cfg.cone_guard else cand.sigma_positive
-            if admissible and cand.res_sup <= (1.0 - 1e-4 * step) * state.res_sup:
+            if cand.in_cone and cand.res_sup <= (1.0 - 1e-4 * step) * state.res_sup:
                 accepted = cand
                 break
             step *= _DAMPING
@@ -460,9 +453,8 @@ def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg):
 def solve_exponential(H, omega, m, cfg=None):
     """Solve log sigma_m(u) = u + H along the continuity path t H, t: 0 -> 1.
 
-    Returns the solution field and a SolveReport; on unrecoverable cone
-    breach or non-convergence the report carries the failure and the last
-    iterate is returned.
+    Returns the solution field and a SolveReport; on non-convergence the
+    report carries the failure and the last iterate is returned.
     """
     cfg = cfg or SolverConfig()
     if H.grid != omega.grid:

@@ -2,11 +2,13 @@
 
 import filecmp
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hessianlab.cli import main, parse_field_spec
+from hessianlab.cli import _SUBCOMMANDS, build_parser, main, parse_field_spec
 from hessianlab.errors import InputError
 from hessianlab.geometry import read_field
 
@@ -131,6 +133,14 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "x")] + flag)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--newton-tol", "nan"], ["--no-cone-guard"]],
+                             ids=["nan-tol", "removed-switch"])
+    def test_bad_solver_flag_exit_2(self, tmp_path, flag):
+        # Newton admits only iterates in Gamma_m, and no switch turns that off
+        code = main(["solve", "--n", "2", "--m", "2", "--N", "8",
+                     "--H", "cos:1,0,0,0:0.4", "--out", str(tmp_path / "x")] + flag)
+        assert code == 2
+
     def test_convergence_failure_exit_1(self, tmp_path):
         code = main(["solve", "--n", "2", "--m", "1", "--N", "8",
                      "--H", "cos:1,0,0,0:50", "--t-steps", "1",
@@ -199,11 +209,12 @@ class TestConfigFile:
         {"eps_schedule": [1, 0.3]},
         {"n": True},
         {"n": False},
-        {"no_cone_guard": None},
+        {"t_steps": None},
+        {"no_cone_guard": True},
         [1, 2],
         None,
     ], ids=["abbreviated-key", "list-value", "true-on-valued", "false-on-valued",
-            "null-value", "not-an-object", "missing-file"])
+            "null-value", "true-on-removed-switch", "not-an-object", "missing-file"])
     def test_config_fault_exit_2(self, tmp_path, doc):
         # the argv runs without the file; the file alone makes it a fault
         cfgfile = tmp_path / "cfg.json"
@@ -211,14 +222,6 @@ class TestConfigFile:
             cfgfile.write_text(json.dumps(doc))
         assert main(self.NORMALIZED + ["--config", str(cfgfile),
                                        "--out", str(tmp_path / "x")]) == 2
-
-    def test_false_switch_runs(self, tmp_path):
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"no_cone_guard": False}))
-        out = tmp_path / "x"
-        assert main(self.NORMALIZED + ["--config", str(cfgfile), "--out", str(out)]) == 0
-        resolved = json.loads((out / "resolved_config.json").read_text())
-        assert resolved["no_cone_guard"] is False
 
 
 def _tree_files(root):
@@ -265,6 +268,20 @@ class TestDeterminism:
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         for rel in _tree_files(out1):
+            assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+
+    def test_verify_cone_bundle_reruns_from_resolved_config(self, monkeypatch, tmp_path):
+        # the shard count shapes the report, so the bundle must record it
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        monkeypatch.setenv("HESSIANLAB_THREADS", "2")
+        assert main(["verify-cone", "--n", "3", "--m", "2", "--samples", "2000",
+                     "--seed", "5", "--out", str(out1)]) == 0
+        monkeypatch.setenv("HESSIANLAB_THREADS", "1")
+        assert main(["verify-cone", "--config", str(out1 / "resolved_config.json"),
+                     "--out", str(out2)]) == 0
+        files1 = _tree_files(out1)
+        assert files1 == _tree_files(out2)
+        for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
@@ -379,3 +396,15 @@ class TestOtherCommands:
         assert [rec["converged"] for rec in doc["records"]] == [False]
         lines = (out / "records.csv").read_text().splitlines()
         assert lines[0].endswith(",converged") and lines[1].endswith(",False")
+
+
+class TestDocumentedCommands:
+    def test_readme_commands_parse(self):
+        # parse only: a flag removed from the CLI but left in the docs fails here
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("hessianlab ")]
+        assert {argv[0] for argv in commands} == set(_SUBCOMMANDS)
+        for argv in commands:
+            build_parser().parse_args(argv)

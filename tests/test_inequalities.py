@@ -165,6 +165,18 @@ class TestStabilitySweep:
             stability_sweep(f, psi, [0.1], p=4.0, a=0.3, omega=omega, m=1,
                             cfg=SolverConfig(t_steps=1), eps_schedule=(1.0, 0.3))
 
+    @pytest.mark.parametrize("p, a", [(float("nan"), 0.25), (float("inf"), 0.25),
+                                      (4.0, float("nan")), (4.0, float("inf"))],
+                             ids=["p-nan", "p-inf", "a-nan", "a-inf"])
+    def test_non_finite_exponents_rejected(self, p, a):
+        # a nan exponent makes rhs nan (bare NaN in summary.json), p = inf makes it 1
+        grid, omega = flat(2, 8)
+        zero = (0, 0, 0, 0)
+        f = make_field(grid, [(zero, 1.0, 0.0)])
+        psi = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)])
+        with pytest.raises(InputError):
+            stability_sweep(f, psi, [0.1], p=p, a=a, omega=omega, m=1)
+
     def test_csv_output(self, sweep, tmp_path):
         path = tmp_path / "records.csv"
         stability_records_csv(sweep, path)

@@ -364,3 +364,10 @@ class TestSolverConfigValidation:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(InputError):
             SolverConfig(newton_tol=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["newton_tol", "krylov_tol"])
+    def test_rejects_non_finite_tol(self, name, value):
+        # nan passes a `<= 0` test: a nan newton_tol ends Newton before any step
+        with pytest.raises(InputError):
+            SolverConfig(**{name: value})

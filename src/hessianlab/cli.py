@@ -276,7 +276,8 @@ def _cmd_stability_sweep(args, outdir):
     }
     _write_json(outdir, "summary.json", summary)
     for r in records:
-        print(f"delta={r.delta:g}: lhs={r.lhs:.4e} rhs={r.rhs:.4e} ratio={r.ratio:.4f}"
+        print(f"delta={r.delta:g}: lhs={r.lhs:.4e} rhs={r.rhs:.4e} ratio={r.ratio:.4f} "
+              f"newton_steps={r.newton_steps}"
               f"{'' if r.converged else ' (solve not converged)'}")
     return 0 if all(r.converged for r in records) else 1
 

@@ -66,6 +66,7 @@ class StabilityRecord:
     rhs: float  # ||f - g||_p^a
     ratio: float
     legal: bool  # a < 1/(m+1) and p > n/m
+    newton_steps: int  # summed over this delta's eps_path (the base's for delta 0)
     converged: bool  # the base solve and this delta's solve both converged
 
     def to_dict(self):
@@ -77,9 +78,12 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     """Perturb f along psi and record the stability ratios.
 
     Each delta solves the normalized equation for g = f (1 + delta psi); the
-    base solve for f is shared.  Illegal exponents are allowed for
-    exploratory runs and are just flagged on the records, and so are
-    unconverged solves, whose ratios mean nothing.
+    base solve for f is shared.  Every perturbed solve starts each schedule
+    eps from the base solution at that eps (``warm=base.iterates``), which
+    is O(delta) away from the one wanted, instead of walking cold from
+    u = 0; each record carries the Newton steps its solve took.  Illegal
+    exponents are allowed for exploratory runs and are just flagged on the
+    records, and so are unconverged solves, whose ratios mean nothing.
     """
     cfg = cfg or SolverConfig()
     if not (0 < p < math.inf and 0 < a < math.inf):
@@ -102,12 +106,14 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
             v, rep = u_base, base
         else:
             v, _, rep = solve_normalized(ScalarField(f.grid, gdata), omega, m,
-                                         eps_schedule, cfg)
+                                         eps_schedule, cfg, warm=base.iterates)
         lhs = float(np.max(np.abs(u_base.data - v.data)))
         rhs = lp_norm(ScalarField(f.grid, fdata - gdata), p) ** a
         ratio = lhs / rhs if rhs > 0 else 0.0
         records.append(StabilityRecord(delta=float(delta), p=p, a=a, lhs=lhs,
                                        rhs=rhs, ratio=ratio, legal=legal,
+                                       newton_steps=sum(it for _, r in rep.eps_path
+                                                        for _, it, _ in r.t_path),
                                        converged=base.converged and rep.converged))
     return records
 

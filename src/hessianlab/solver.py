@@ -130,6 +130,8 @@ class NormalizedReport:
     sup_u: float
     inf_u: float
     wallclock: float
+    # raw v_eps of each converged eps, a warm start for a nearby solve; never written out
+    iterates: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -400,7 +402,11 @@ def _solve(eq, harr, cfg, u0=None):
     """Solve log sigma = q u + H by continuity from u = 0, or by Newton from u0.
 
     Returns the final iterate and its timed SolveReport; nothing else builds one.
+    Non-finite data raises InputError: a NaN residual would pass every
+    ``res_sup > newton_tol`` test and report convergence.
     """
+    if not np.all(np.isfinite(harr)):
+        raise InputError("equation data must be finite")
     start = time.perf_counter()
     report = SolveReport(converged=False)
     if u0 is None:
@@ -417,27 +423,33 @@ def _solve(eq, harr, cfg, u0=None):
     return u, report
 
 
-def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg):
+def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg, warm=None):
     """Solve log sigma_m(u) = q_of(eps) u + harr_of(eps) down a decreasing schedule.
 
     Yields (eps, u_eps, report): continuity at the first eps, then Newton
-    warm-started from the last converged eps_prev.  A rejected warm start is
-    retried through sqrt(eps_prev eps), at most 3 len(schedule) times and only
-    while that is below 0.99 eps_prev; closer than that the walk has hit the
-    resolution wall (sigma below stencil noise) and more midpoints only burn
-    iterations.  The walk ends after the first failed report.
+    warm-started from the last converged eps_prev.  ``warm`` maps schedule
+    eps to start iterates, such as a nearby problem's solutions (Allgower &
+    Georg 1990); the first attempt at such an eps starts there instead.  A
+    rejected start after the first eps is retried through sqrt(eps_prev eps),
+    at most 3 len(schedule) times and only while that is below 0.99 eps_prev;
+    closer than that the walk has hit the resolution wall (sigma below
+    stencil noise) and more midpoints only burn iterations.  The midpoint and
+    the retry after it start from the walk's own iterates, never from ``warm``.
+    The walk ends after the first failed report.
     """
     schedule = [float(e) for e in schedule]
     if not schedule or any(e <= 0 for e in schedule) or any(
         b >= a for a, b in zip(schedule, schedule[1:])
     ):
         raise InputError("eps schedule must be non-empty, positive, strictly decreasing")
+    warm = {eps: warm[eps] for eps in schedule if eps in warm} if warm else {}
     pending = list(schedule)
     u = eps_prev = None
     insertions = 0
     while pending:
         eps = pending[0]
-        u_eps, report = _solve(_Equation(omega, m, q_of(eps)), harr_of(eps), cfg, u)
+        u_eps, report = _solve(_Equation(omega, m, q_of(eps)), harr_of(eps), cfg,
+                               warm.pop(eps, u))
         if not report.converged and u is not None and insertions < 3 * len(schedule):
             mid = math.sqrt(eps_prev * eps)
             if mid < 0.99 * eps_prev:
@@ -459,22 +471,24 @@ def solve_exponential(H, omega, m, cfg=None):
     cfg = cfg or SolverConfig()
     if H.grid != omega.grid:
         raise InputError("field and metric live on different grids")
-    if not np.all(np.isfinite(H.data)):
-        raise InputError("H must be finite")
     u, report = _solve(_Equation(omega, m, q=1.0), H.data, cfg)
     return ScalarField(omega.grid, u), report
 
 
-def solve_normalized(f, omega, m, eps_schedule, cfg=None):
+def solve_normalized(f, omega, m, eps_schedule, cfg=None, warm=None):
     """Solve sigma_m(u) = c f by the vanishing zeroth-order family.
 
     The auxiliary equations log sigma_m(v) = eps v + log f are walked down
     the schedule by _walk_schedule, which inserts geometric midpoints where
-    a warm start is rejected.  Each converged eps gives c := exp(eps sup v);
+    a warm start is rejected.  ``warm`` (eps -> v_eps, typically the
+    ``iterates`` of a solve for a nearby density) is handed to the walker,
+    so Newton starts each listed eps there instead of at continuity or the
+    previous eps.  Each converged eps gives c := exp(eps sup v);
     the last gives c and u := v - sup v, so sup u = 0 holds exactly.  The
     report records every solved eps (midpoints included), the c estimates,
-    their gaps, and the tolerance for sup |sigma_m(u) - c f| extrapolated
-    from the drift over the last two converged eps.
+    their gaps, the tolerance for sup |sigma_m(u) - c f| extrapolated
+    from the drift over the last two converged eps, and the raw v_eps of
+    each converged eps as ``iterates``.
     """
     cfg = cfg or SolverConfig()
     if f.grid != omega.grid:
@@ -489,13 +503,14 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None):
     logf = np.log(fdata)
     eps_path = []
     c_estimates = []
+    iterates = {}
     v = None
     for eps, v_eps, rep in _walk_schedule(
-        omega, m, eps_schedule, lambda eps: eps, lambda eps: logf, cfg
+        omega, m, eps_schedule, lambda eps: eps, lambda eps: logf, cfg, warm
     ):
         eps_path.append((eps, rep))
         if rep.converged:
-            v = v_eps
+            v = iterates[eps] = v_eps
             c_estimates.append(float(math.exp(eps * np.max(v))))
         elif v is None:
             v = v_eps  # best effort: hand back the stalled iterate
@@ -524,5 +539,6 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None):
         sup_u=float(np.max(u)),
         inf_u=float(np.min(u)),
         wallclock=time.perf_counter() - start,
+        iterates=iterates,
     )
     return ScalarField(omega.grid, u), c, report

@@ -178,3 +178,11 @@ class TestValidation:
         grid, omega = flat(2, 8)
         with pytest.raises(InputError):
             msh_envelope(ScalarField.zeros(grid), omega, 1, [1.0, 0.3, 0.3])
+
+    def test_rejects_nan_in_obstacle(self):
+        # a NaN residual passes `res_sup > newton_tol`: converged after 0 steps
+        grid, omega = flat(2, 8)
+        data = np.zeros(grid.shape)
+        data[3, 2, 1, 0] = np.nan
+        with pytest.raises(InputError):
+            msh_envelope(ScalarField(grid, data), omega, 1, [1.0, 0.3])

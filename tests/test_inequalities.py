@@ -122,9 +122,11 @@ def sweep():
     zero = (0, 0, 0, 0)
     f = make_field(grid, [(zero, 1.0, 0.0), ((1, 0, 0, 0), 0.3, 0.0)])
     psi = make_field(grid, [((0, 0, 1, 0), 1.0, 0.0)])
+    # t_steps=2 as in criterion 8: a warm start skips the base's continuity
+    # path (at t_steps=1 delta 0.1 takes 12 Newton steps warm and cold alike)
     return stability_sweep(
         f, psi, [0.0, 1e-1, 1e-2], p=4.0, a=1.0 / 3, omega=omega, m=1,
-        cfg=SolverConfig(t_steps=1), eps_schedule=(1.0, 0.3, 0.1, 0.03),
+        cfg=SolverConfig(t_steps=2), eps_schedule=(1.0, 0.3, 0.1, 0.03),
     )
 
 
@@ -144,6 +146,20 @@ class TestStabilitySweep:
 
     def test_legal_flag(self, sweep):
         assert all(r.legal for r in sweep)
+
+    def test_warm_started_deltas_take_fewer_newton_steps(self, sweep):
+        # measured: 15 steps for the base (delta 0), 12 and 8 warm
+        assert all(r.newton_steps < sweep[0].newton_steps for r in sweep[1:])
+
+    def test_nan_delta_rejected(self):
+        # a NaN g passed the positivity check and "converged" with lhs = 0
+        grid, omega = flat(2, 8)
+        zero = (0, 0, 0, 0)
+        f = make_field(grid, [(zero, 1.0, 0.0)])
+        psi = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)])
+        with pytest.raises(InputError):
+            stability_sweep(f, psi, [float("nan")], p=4.0, a=0.3, omega=omega, m=1,
+                            cfg=SolverConfig(t_steps=1), eps_schedule=(1.0, 0.3))
 
     def test_illegal_exponent_recorded_not_rejected(self):
         grid, omega = flat(2, 8)
@@ -181,7 +197,7 @@ class TestStabilitySweep:
         path = tmp_path / "records.csv"
         stability_records_csv(sweep, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "delta,p,a,lhs,rhs,ratio,legal,converged"
+        assert lines[0] == "delta,p,a,lhs,rhs,ratio,legal,newton_steps,converged"
         assert len(lines) == len(sweep) + 1
 
 

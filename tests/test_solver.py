@@ -231,6 +231,13 @@ class TestSolveExponential:
         with pytest.raises(InputError):
             solve_exponential(ScalarField.zeros(TorusGrid(2, 16)), omega, 1)
 
+    def test_rejects_nan_in_H(self):
+        grid, omega = flat()
+        data = np.zeros(grid.shape)
+        data[0, 1, 2, 3] = np.nan
+        with pytest.raises(InputError):
+            solve_exponential(ScalarField(grid, data), omega, 1, FAST)
+
 
 class TestVariableMetricSolve:
     def test_conformal_metric_end_to_end(self):
@@ -358,6 +365,92 @@ class TestSolveNormalized:
         f = ScalarField(grid, np.ones(grid.shape))
         with pytest.raises(InputError):
             solve_normalized(f, omega, 1, [])
+
+    def test_rejects_nan_in_f(self):
+        # a NaN residual passes `res_sup > newton_tol`: converged after 0 steps
+        grid, omega = flat()
+        data = np.ones(grid.shape)
+        data[1, 2, 3, 4] = np.nan
+        with pytest.raises(InputError):
+            solve_normalized(ScalarField(grid, data), omega, 1, [1.0, 0.3], FAST)
+
+
+def _newton_steps(rep):
+    return sum(it for _, r in rep.eps_path for _, it, _ in r.t_path)
+
+
+class TestWarmStartedNormalized:
+    """A perturbed density solved from the base solution at each eps.
+
+    On this n=2 N=8 problem the warm and cold solutions differ by at most
+    2.7e-10 (newton_tol level), and the warm solve takes 12/8/8 Newton steps
+    for delta 0.1/0.01/0.001 against 15 cold, at m = 1 and m = 2.
+    """
+
+    SCHED = (1.0, 0.3, 0.1, 0.03)
+    CFG = SolverConfig(t_steps=2)
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["m1", "m2"])
+    def base(self, request):
+        grid, omega = flat()
+        zero = (0, 0, 0, 0)
+        f = make_field(grid, [(zero, 1.0, 0.0), ((1, 0, 0, 0), 0.3, 0.0)])
+        psi = make_field(grid, [((1, 0, 0, 1), 1.0, 0.0)])
+        m = request.param
+        _, _, rep = solve_normalized(f, omega, m, self.SCHED, self.CFG)
+        assert rep.converged
+        return f, psi, omega, m, rep
+
+    @pytest.mark.parametrize("delta", [0.1, 0.01, 0.001])
+    def test_matches_cold_solve_in_fewer_steps(self, base, delta):
+        f, psi, omega, m, base_rep = base
+        g = ScalarField(f.grid, f.data * (1.0 + delta * psi.data))
+        u_cold, c_cold, cold = solve_normalized(g, omega, m, self.SCHED, self.CFG)
+        u_warm, c_warm, warm = solve_normalized(g, omega, m, self.SCHED, self.CFG,
+                                                warm=base_rep.iterates)
+        assert cold.converged and warm.converged
+        assert [e for e, _ in warm.eps_path] == [e for e, _ in cold.eps_path]
+        assert warm.tol_c == pytest.approx(cold.tol_c, rel=1e-8)
+        assert c_warm == pytest.approx(c_cold, rel=1e-8)
+        assert np.max(np.abs(u_warm.data - u_cold.data)) <= 1e-9
+        assert _newton_steps(warm) < _newton_steps(cold)
+        # every eps starts by Newton from the base iterate, no continuity path
+        assert all([t for t, _, _ in r.t_path] == [1.0] for _, r in warm.eps_path)
+
+    def test_iterates_are_the_raw_converged_solutions(self, base):
+        f, psi, omega, m, rep = base
+        assert list(rep.iterates) == [e for e, _ in rep.eps_path]
+        eps, v = self.SCHED[-1], rep.iterates[self.SCHED[-1]]
+        assert rep.c_estimates[-1] == math.exp(eps * np.max(v))
+
+    def test_midpoint_and_retry_start_from_the_walk(self, base, monkeypatch):
+        # after a rejected warm start the midpoint starts from the last
+        # converged eps and the retry from the midpoint, as without warm, even
+        # when warm holds an iterate keyed by that very midpoint
+        f, psi, omega, m, rep = base
+        mid = math.sqrt(0.3 * 0.1)
+        warm = dict(rep.iterates)
+        warm[mid] = np.full(f.grid.shape, np.nan)
+        calls = []
+        real_solve = solver._solve
+
+        def solve_failing_once(eq, harr, cfg, u0=None):
+            u, out = real_solve(eq, harr, cfg, u0)
+            calls.append((eq.q, u0, u))
+            if len(calls) == 3:  # the warm start at eps 0.1
+                out.converged = False
+            return u, out
+
+        monkeypatch.setattr(solver, "_solve", solve_failing_once)
+        _, _, out = solve_normalized(f, omega, m, (1.0, 0.3, 0.1), self.CFG, warm=warm)
+        assert out.converged
+        assert [q for q, _, _ in calls] == [1.0, 0.3, 0.1, mid, 0.1]
+        assert [e for e, _ in out.eps_path] == [1.0, 0.3, mid, 0.1]
+        assert calls[0][1] is rep.iterates[1.0]
+        assert calls[1][1] is rep.iterates[0.3]
+        assert calls[2][1] is rep.iterates[0.1]
+        assert calls[3][1] is calls[1][2]
+        assert calls[4][1] is calls[3][2]
 
 
 class TestSolverConfigValidation:

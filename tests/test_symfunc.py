@@ -158,7 +158,10 @@ class TestInCone:
         with pytest.raises(InputError):
             in_cone(np.ones(3), 4)
 
-    @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=8),
+    # no subnormal entries: t * 5e-324 rounds to 0 and leaves the cone in
+    # floating point, not in exact arithmetic
+    @given(st.lists(st.floats(-5, 5, allow_nan=False, allow_subnormal=False),
+                    min_size=2, max_size=8),
            st.floats(0.01, 100.0))
     @settings(max_examples=150, deadline=None)
     def test_positive_homogeneity(self, entries, t):

@@ -66,7 +66,7 @@ class StabilityRecord:
     rhs: float  # ||f - g||_p^a
     ratio: float
     legal: bool  # a < 1/(m+1) and p > n/m
-    newton_steps: int  # summed over this delta's eps_path (the base's for delta 0)
+    newton_steps: int  # accepted steps on this delta's eps_path (the base's for delta 0)
     converged: bool  # the base solve and this delta's solve both converged
 
     def to_dict(self):
@@ -81,9 +81,10 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     base solve for f is shared.  Every perturbed solve starts each schedule
     eps from the base solution at that eps (``warm=base.iterates``), which
     is O(delta) away from the one wanted, instead of walking cold from
-    u = 0; each record carries the Newton steps its solve took.  Illegal
-    exponents are allowed for exploratory runs and are just flagged on the
-    records, and so are unconverged solves, whose ratios mean nothing.
+    u = 0; each record carries the Newton steps of its solve's accepted
+    path (``NormalizedReport.newton_steps``).  Illegal exponents are allowed
+    for exploratory runs and are just flagged on the records, and so are
+    unconverged solves, whose ratios mean nothing.
     """
     cfg = cfg or SolverConfig()
     if not (0 < p < math.inf and 0 < a < math.inf):
@@ -112,8 +113,7 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
         ratio = lhs / rhs if rhs > 0 else 0.0
         records.append(StabilityRecord(delta=float(delta), p=p, a=a, lhs=lhs,
                                        rhs=rhs, ratio=ratio, legal=legal,
-                                       newton_steps=sum(it for _, r in rep.eps_path
-                                                        for _, it, _ in r.t_path),
+                                       newton_steps=rep.newton_steps,
                                        converged=base.converged and rep.converged))
     return records
 

@@ -133,6 +133,14 @@ class NormalizedReport:
     # raw v_eps of each converged eps, a warm start for a nearby solve; never written out
     iterates: dict = field(default_factory=dict, repr=False)
 
+    @property
+    def newton_steps(self):
+        """Newton steps of the accepted path, summed over eps_path.
+
+        Rejected starts and failed continuity attempts are not counted.
+        """
+        return sum(it for _, r in self.eps_path for _, it, _ in r.t_path)
+
 
 @dataclass
 class KrylovInfo:
@@ -430,6 +438,7 @@ def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg, warm=None):
     warm-started from the last converged eps_prev.  ``warm`` maps schedule
     eps to start iterates, such as a nearby problem's solutions (Allgower &
     Georg 1990); the first attempt at such an eps starts there instead.  A
+    rejected warm start at the first eps is rerun by continuity.  A
     rejected start after the first eps is retried through sqrt(eps_prev eps),
     at most 3 len(schedule) times and only while that is below 0.99 eps_prev;
     closer than that the walk has hit the resolution wall (sigma below
@@ -448,8 +457,10 @@ def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg, warm=None):
     insertions = 0
     while pending:
         eps = pending[0]
-        u_eps, report = _solve(_Equation(omega, m, q_of(eps)), harr_of(eps), cfg,
-                               warm.pop(eps, u))
+        start = warm.pop(eps, u)
+        u_eps, report = _solve(_Equation(omega, m, q_of(eps)), harr_of(eps), cfg, start)
+        if not report.converged and u is None and start is not None:
+            continue  # a rejected warm start at the first eps: rerun it by continuity
         if not report.converged and u is not None and insertions < 3 * len(schedule):
             mid = math.sqrt(eps_prev * eps)
             if mid < 0.99 * eps_prev:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hessianlab.errors import InputError
+from hessianlab.experiments import default_density_terms, default_direction_terms
 from hessianlab.geometry import MetricField, ScalarField, TorusGrid, make_field
 from hessianlab.inequalities import (
     check_max_principle,
@@ -150,6 +151,16 @@ class TestStabilitySweep:
     def test_warm_started_deltas_take_fewer_newton_steps(self, sweep):
         # measured: 15 steps for the base (delta 0), 12 and 8 warm
         assert all(r.newton_steps < sweep[0].newton_steps for r in sweep[1:])
+
+    def test_rejected_first_warm_start_still_converges(self):
+        # at max_newton=5 the base start at eps 1.0 is rejected for delta
+        # 0.99; that eps is rerun by continuity and the walk converges, as cold
+        grid, omega = flat(2, 8)
+        f = make_field(grid, default_density_terms(2))
+        psi = make_field(grid, default_direction_terms(2))
+        records = stability_sweep(f, psi, [0.0, 0.99], p=4.0, a=0.3, omega=omega, m=1,
+                                  cfg=SolverConfig(max_newton=5))
+        assert all(r.converged for r in records)
 
     def test_nan_delta_rejected(self):
         # a NaN g passed the positivity check and "converged" with lhs = 0

@@ -375,10 +375,6 @@ class TestSolveNormalized:
             solve_normalized(ScalarField(grid, data), omega, 1, [1.0, 0.3], FAST)
 
 
-def _newton_steps(rep):
-    return sum(it for _, r in rep.eps_path for _, it, _ in r.t_path)
-
-
 class TestWarmStartedNormalized:
     """A perturbed density solved from the base solution at each eps.
 
@@ -413,7 +409,7 @@ class TestWarmStartedNormalized:
         assert warm.tol_c == pytest.approx(cold.tol_c, rel=1e-8)
         assert c_warm == pytest.approx(c_cold, rel=1e-8)
         assert np.max(np.abs(u_warm.data - u_cold.data)) <= 1e-9
-        assert _newton_steps(warm) < _newton_steps(cold)
+        assert warm.newton_steps < cold.newton_steps
         # every eps starts by Newton from the base iterate, no continuity path
         assert all([t for t, _, _ in r.t_path] == [1.0] for _, r in warm.eps_path)
 
@@ -451,6 +447,31 @@ class TestWarmStartedNormalized:
         assert calls[2][1] is rep.iterates[0.1]
         assert calls[3][1] is calls[1][2]
         assert calls[4][1] is calls[3][2]
+
+    def test_rejected_first_warm_start_reruns_by_continuity(self, base, monkeypatch):
+        # no midpoint exists before the first eps: the walk falls back to the
+        # continuity path it takes without warm, then goes on from there
+        f, psi, omega, m, rep = base
+        calls = []
+        real_solve = solver._solve
+
+        def solve_failing_once(eq, harr, cfg, u0=None):
+            u, out = real_solve(eq, harr, cfg, u0)
+            calls.append((eq.q, u0, u))
+            if len(calls) == 1:  # the warm start at eps 1.0
+                out.converged = False
+            return u, out
+
+        monkeypatch.setattr(solver, "_solve", solve_failing_once)
+        _, _, out = solve_normalized(f, omega, m, (1.0, 0.3), self.CFG,
+                                     warm=rep.iterates)
+        assert out.converged
+        assert [q for q, _, _ in calls] == [1.0, 1.0, 0.3]
+        assert [e for e, _ in out.eps_path] == [1.0, 0.3]
+        assert calls[0][1] is rep.iterates[1.0]
+        assert calls[1][1] is None
+        assert calls[2][1] is rep.iterates[0.3]
+        assert len(out.eps_path[0][1].t_path) == self.CFG.t_steps
 
 
 class TestSolverConfigValidation:

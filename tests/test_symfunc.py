@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hessianlab.errors import InputError
@@ -30,6 +30,12 @@ def brute_force_sk(lam, k):
     if k < 0 or k > n:
         return 0.0
     return sum(math.prod(lam[i] for i in idx) for idx in combinations(range(n), k))
+
+
+def products_stay_normal(lam, m):
+    """Whether every product of 2..m nonzero entries of lam is a normal float."""
+    mags = np.sort(np.abs(lam[lam != 0]))[:m]
+    return bool(np.all(np.cumsum(np.log2(mags))[1:] >= math.log2(np.finfo(float).tiny) + 1))
 
 
 finite_vecs = st.lists(
@@ -158,15 +164,17 @@ class TestInCone:
         with pytest.raises(InputError):
             in_cone(np.ones(3), 4)
 
-    # no subnormal entries: t * 5e-324 rounds to 0 and leaves the cone in
-    # floating point, not in exact arithmetic
-    @given(st.lists(st.floats(-5, 5, allow_nan=False, allow_subnormal=False),
-                    min_size=2, max_size=8),
+    @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=8),
            st.floats(0.01, 100.0))
     @settings(max_examples=150, deadline=None)
     def test_positive_homogeneity(self, entries, t):
+        # underflow breaks homogeneity in floating point only: skip the inputs
+        # where scaling flushes an entry to 0 (t = 0.5 on 5e-324) or where
+        # S_k has an underflowing product (0.5 * 5e-324 = 0, but not at t = 2)
         lam = np.asarray(entries)
         m = max(1, len(entries) // 2)
+        assume(all((t * x == 0) == (x == 0) for x in entries))
+        assume(products_stay_normal(lam, m) and products_stay_normal(t * lam, m))
         assert in_cone(lam, m).in_cone == in_cone(t * lam, m).in_cone
 
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=8),

@@ -13,7 +13,8 @@ flag, coming later, wins.  All outputs land under --out.  Wall-clock
 timings are printed but never written into output files, and the echoed
 resolved_config.json omits the subcommand and the output path, so it is
 itself a valid --config and identical (config, seed) pairs reproduce every
-output file bit-exactly.
+output file bit-exactly.  No setting names a thread count: verify-cone's
+report depends only on its arguments, whatever the machine's core count.
 
 Exit codes: 0 success, 1 convergence failure, 2 input error.
 """
@@ -24,7 +25,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -93,26 +93,6 @@ def _parse_list(text, kind):
     return values
 
 
-def _positive_int(text):
-    """argparse type of a worker count: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
-    return value
-
-
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("HESSIANLAB_THREADS")
-    if env:
-        try:
-            return _positive_int(env)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise InputError(f"HESSIANLAB_THREADS={env!r} is not an integer >= 1") from exc
-    return os.cpu_count() or 1
-
-
 def _solver_config(args):
     return SolverConfig(**{name: getattr(args, name)
                            for name in ("newton_tol", "krylov_tol", "max_newton", "t_steps")
@@ -157,10 +137,7 @@ def _write_trace(outdir, reports):
 
 
 def _cmd_verify_cone(args, outdir):
-    args.threads = _threads(args)  # the shard count shapes the report: echo it
-    report = verify_cone_inequalities(
-        args.n, args.m, args.samples, args.seed, tol=args.tol, workers=args.threads,
-    )
+    report = verify_cone_inequalities(args.n, args.m, args.samples, args.seed, tol=args.tol)
     _write_json(outdir, "report.json", report.to_dict())
     ok = report.all_pass()
     print(f"verify-cone n={args.n} m={args.m}: "
@@ -334,8 +311,6 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help="shard count (default: HESSIANLAB_THREADS or cores)")
     p.set_defaults(func=_cmd_verify_cone)
 
     p = command("solve", help="exponential-type equation log sigma = u + H")

@@ -78,9 +78,11 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     """Perturb f along psi and record the stability ratios.
 
     Each delta solves the normalized equation for g = f (1 + delta psi); the
-    base solve for f is shared.  Every perturbed solve starts each schedule
-    eps from the base solution at that eps (``warm=base.iterates``), which
-    is O(delta) away from the one wanted, instead of walking cold from
+    base solve for f is shared.  psi must live on f's grid and every g must
+    be finite and positive; all of them are checked before the base solve,
+    so bad input costs no Newton step.  Every perturbed solve starts each
+    schedule eps from the base solution at that eps (``warm=base.iterates``),
+    which is O(delta) away from the one wanted, instead of walking cold from
     u = 0; each record carries the Newton steps of its solve's accepted
     path (``NormalizedReport.newton_steps``).  Illegal exponents are allowed
     for exploratory runs and are just flagged on the records, and so are
@@ -93,16 +95,19 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
         raise InputError("delta list is empty")
     n = omega.grid.n
     legal = (a < 1.0 / (m + 1)) and (p > n / m)
+    if psi.grid != f.grid:
+        raise InputError("f and psi live on different grids")
     fdata = f.data
     if float(np.min(fdata)) <= 0:
         raise InputError("f must be strictly positive")
+    gs = [fdata * (1.0 + delta * psi.data) for delta in deltas]
+    for delta, gdata in zip(deltas, gs):
+        if not (np.all(np.isfinite(gdata)) and float(np.min(gdata)) > 0):
+            raise InputError(f"perturbed density not finite and positive at delta={delta}")
 
     u_base, _, base = solve_normalized(f, omega, m, eps_schedule, cfg)
     records = []
-    for delta in deltas:
-        gdata = fdata * (1.0 + delta * psi.data)
-        if float(np.min(gdata)) <= 0:
-            raise InputError(f"perturbed density nonpositive at delta={delta}")
+    for delta, gdata in zip(deltas, gs):
         if delta == 0:  # g = f: v is the base solution, the ratio 0
             v, rep = u_base, base
         else:

@@ -10,8 +10,10 @@ S_k evaluated with the entries listed in I removed; indices are 0-based.
 
 All evaluators accept arrays with an arbitrary batch shape in the leading
 axes and the vector entries in the last axis.  Everything here is a pure
-function; the randomized verification suite at the bottom shards cleanly
-across workers because its report merge is associative.
+function.  The randomized verification suite at the bottom draws its
+samples in fixed blocks of ``_BLOCK``, block i from child seed i of the run
+seed, and merges the block results in block order, so its report depends
+only on its arguments, not on how many threads run the blocks.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -145,6 +148,8 @@ def sample_cone(rng, n, m, count, low=-1.0, high=3.0, batch=8192):
 # Randomized verification of the pointwise cone inequalities.
 # --------------------------------------------------------------------------
 
+_BLOCK = 1 << 16  # samples per block: bounds a block's memory and fixes the report
+
 
 @dataclass
 class InequalityResult:
@@ -202,6 +207,19 @@ class ConeSuiteReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
+def _result(slack, rows, tol):
+    """Result of per-sample slacks: a sample passes when its slack is >= -tol,
+    and the witness is the row of the worst slack."""
+    worst = int(np.argmin(slack))
+    fails = int(np.count_nonzero(slack < -tol))
+    return InequalityResult(
+        passes=slack.shape[0] - fails,
+        fails=fails,
+        worst_slack=float(slack[worst]),
+        witness=[float(x) for x in rows[worst]],
+    )
+
+
 def _slack_result(lhs, rhs, lam, tol):
     """Result for lhs <= rhs checked with relative slack.
 
@@ -209,28 +227,7 @@ def _slack_result(lhs, rhs, lam, tol):
     magnitude so an absolute tolerance would be meaningless.
     """
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    slack = (rhs - lhs) / scale
-    worst = int(np.argmin(slack))
-    fails = int(np.count_nonzero(slack < -tol))
-    return InequalityResult(
-        passes=slack.shape[0] - fails,
-        fails=fails,
-        worst_slack=float(slack[worst]),
-        witness=[float(x) for x in lam[worst]],
-    )
-
-
-def _equality_result(diff, lam, tol):
-    """Result for an identity |diff| <= tol (relative scaling already applied)."""
-    slack = -np.abs(diff)
-    worst = int(np.argmin(slack))
-    fails = int(np.count_nonzero(slack < -tol))
-    return InequalityResult(
-        passes=slack.shape[0] - fails,
-        fails=fails,
-        worst_slack=float(slack[worst]),
-        witness=[float(x) for x in lam[worst]],
-    )
+    return _result((rhs - lhs) / scale, lam, tol)
 
 
 def _reduced_tables(lam, kmax):
@@ -243,7 +240,7 @@ def _reduced_tables(lam, kmax):
     return out
 
 
-def _shard_checks(n, m, count, seed, tol):
+def _block_checks(n, m, count, seed, tol):
     rng = np.random.default_rng(seed)
     lam = sample_cone(rng, n, m, count)
     mu = sample_cone(rng, n, m, count)
@@ -268,8 +265,6 @@ def _shard_checks(n, m, count, seed, tol):
     # (2) positivity of every reduced function S_{k;I} with k + |I| <= m.
     if m >= 2:
         best = np.full(count, np.inf)
-        from itertools import combinations
-
         for t in range(1, m):
             for subset in combinations(range(n), t):
                 rest = np.delete(lam, subset, axis=-1)
@@ -278,14 +273,7 @@ def _shard_checks(n, m, count, seed, tol):
                     val = tab[:, k]
                     scale = np.maximum(1.0, np.abs(val))
                     best = np.minimum(best, val / scale)
-        worst = int(np.argmin(best))
-        fails = int(np.count_nonzero(best < -tol))
-        results["restricted_positivity"] = InequalityResult(
-            passes=count - fails,
-            fails=fails,
-            worst_slack=float(best[worst]),
-            witness=[float(x) for x in lam[worst]],
-        )
+        results["restricted_positivity"] = _result(best, lam, tol)
     else:
         results["restricted_positivity"] = InequalityResult(passes=count)
 
@@ -304,10 +292,10 @@ def _shard_checks(n, m, count, seed, tol):
         cascade += prefix * elementary_symmetric_table(rest, m - 1 - j)[:, m - 1 - j]
         prefix = prefix * ls[:, j]
     cascade += prefix  # final term lam_1 ... lam_{m-1}
-    lhs = table_s[:, m - 1] if m >= 1 else np.ones(count)
+    lhs = table_s[:, m - 1]
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(cascade)))
     diff = np.maximum(diff, np.abs(lhs - cascade) / scale)
-    results["expansion_identity"] = _equality_result(diff, lam, tol)
+    results["expansion_identity"] = _result(-diff, lam, tol)
 
     # (4) S_{m-1}(lam) >= lam_1 ... lam_{m-1} on sorted entries.
     prod_top = np.prod(ls[:, : m - 1], axis=-1) if m >= 2 else np.ones(count)
@@ -320,20 +308,12 @@ def _shard_checks(n, m, count, seed, tol):
     if m >= 2:
         mag = np.sort(np.abs(lam), axis=-1)[:, ::-1]
         best = np.full(count, np.inf)
-        worst_val = None
         for k in range(1, m):
             lhs = np.prod(mag[:, :k], axis=-1)
             rhs = (n - k) ** k * table[:, k]
             scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
             best = np.minimum(best, (rhs - lhs) / scale)
-        worst = int(np.argmin(best))
-        fails = int(np.count_nonzero(best < -tol))
-        results["product_bound"] = InequalityResult(
-            passes=count - fails,
-            fails=fails,
-            worst_slack=float(best[worst]),
-            witness=[float(x) for x in lam[worst]],
-        )
+        results["product_bound"] = _result(best, lam, tol)
     else:
         results["product_bound"] = InequalityResult(passes=count)
 
@@ -352,14 +332,7 @@ def _shard_checks(n, m, count, seed, tol):
         rhs_j = bound * sm_sorted
         scale = np.maximum(1.0, np.maximum(np.abs(lhs_j), np.abs(rhs_j)))
         best = np.minimum(best, (lhs_j - rhs_j) / scale)
-    worst = int(np.argmin(best))
-    fails = int(np.count_nonzero(best < -tol))
-    results["gradient_lower_bound"] = InequalityResult(
-        passes=count - fails,
-        fails=fails,
-        worst_slack=float(best[worst]),
-        witness=[float(x) for x in ls[worst]],
-    )
+    results["gradient_lower_bound"] = _result(best, ls, tol)
     theta_hat = float(np.min(ratios))
 
     # (7) weighted Cauchy-Schwarz bound:
@@ -379,13 +352,14 @@ def _shard_checks(n, m, count, seed, tol):
     return results, theta_hat
 
 
-def verify_cone_inequalities(n, m, samples, seed, tol=1e-10, workers=1):
+def verify_cone_inequalities(n, m, samples, seed, tol=1e-10):
     """Sample Gamma_m and check every pointwise inequality of the cone algebra.
 
     Returns a :class:`ConeSuiteReport`; every inequality must hold with
-    relative slack >= -tol.  ``workers`` shards the sample budget; shard
-    results merge associatively so the report is independent of scheduling,
-    and at most ``os.cpu_count()`` threads run the shards.
+    relative slack >= -tol.  The samples come in blocks of at most
+    ``_BLOCK``, block i drawn from child seed i of ``SeedSequence(seed)``;
+    up to ``os.cpu_count()`` threads run the blocks and their results merge
+    in block order, so the report depends only on the arguments.
     """
     if not 1 <= m < n:
         raise InputError(f"require 1 <= m < n, got n={n}, m={m}")
@@ -393,19 +367,15 @@ def verify_cone_inequalities(n, m, samples, seed, tol=1e-10, workers=1):
         raise InputError("samples must be >= 1")
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol={tol} must be finite and >= 0")
-    workers = max(1, int(workers))
-    shards = min(workers, samples)
-    counts = [samples // shards + (1 if i < samples % shards else 0) for i in range(shards)]
-    child_seeds = np.random.SeedSequence(seed).spawn(shards)
+    blocks = -(-samples // _BLOCK)
+    child_seeds = np.random.SeedSequence(seed).spawn(blocks)
 
     def run(i):
-        return _shard_checks(n, m, counts[i], child_seeds[i], tol)
+        count = min(_BLOCK, samples - i * _BLOCK)
+        return _block_checks(n, m, count, child_seeds[i], tol)
 
-    if shards == 1:
-        partials = [run(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(shards, os.cpu_count() or 1)) as ex:
-            partials = list(ex.map(run, range(shards)))
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as ex:
+        partials = list(ex.map(run, range(blocks)))
 
     report = ConeSuiteReport(
         n=n,
@@ -416,7 +386,7 @@ def verify_cone_inequalities(n, m, samples, seed, tol=1e-10, workers=1):
         theta_hat=math.inf,
         theta_explicit=1.0 / ((n - m) ** m * math.comb(n, m)),
     )
-    for results, theta_hat in partials:  # merge in shard order: deterministic
+    for results, theta_hat in partials:  # merge in block order: deterministic
         report.theta_hat = min(report.theta_hat, theta_hat)
         for name, res in results.items():
             if name in report.results:

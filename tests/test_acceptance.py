@@ -232,7 +232,7 @@ def test_criterion_9_determinism(tmp_path):
          "--H", "cos:1,0,0,0:0.4+sin:0,1,0,0:0.3", "--t-steps", "1",
          "--seed", "3"],
         ["verify-cone", "--n", "3", "--m", "2", "--samples", "20000",
-         "--seed", "9", "--threads", "2"],
+         "--seed", "9"],
     ]
     ok = True
     for i, job in enumerate(jobs):

@@ -43,7 +43,7 @@ class TestVerifyConeCommand:
     def test_runs_and_writes_report(self, tmp_path):
         out = tmp_path / "run"
         code = main(["verify-cone", "--n", "3", "--m", "2", "--samples", "2000",
-                     "--seed", "7", "--out", str(out), "--threads", "1"])
+                     "--seed", "7", "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert "monotonicity" in doc
@@ -58,7 +58,20 @@ class TestVerifyConeCommand:
     def test_bad_tol_exit_2(self, tmp_path, tol):
         # every slack < -nan is False, so a nan tol would pass everything
         assert main(["verify-cone", "--n", "3", "--m", "2", "--samples", "100",
-                     f"--tol={tol}", "--threads", "1", "--out", str(tmp_path / "x")]) == 2
+                     f"--tol={tol}", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_thread_setting_exit_2(self, tmp_path, how):
+        # no setting names a thread count: old bundles holding one are refused
+        argv = ["verify-cone", "--n", "3", "--m", "2", "--samples", "10",
+                "--out", str(tmp_path / "x")]
+        if how == "flag":
+            argv += ["--threads", "2"]
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"threads": 2}))
+            argv += ["--config", str(cfgfile)]
+        assert main(argv) == 2
 
 
 class TestRequiredFlags:
@@ -190,7 +203,7 @@ class TestConfigFile:
         cfgfile.write_text(json.dumps({"seed": 5, "n": 2, "m": 1, "samples": 50}))
         out = tmp_path / "x"
         assert main(["verify-cone", "--config", str(cfgfile), "--seed", "0",
-                     "--threads", "1", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["seed"] == 0
         assert resolved["samples"] == 50
@@ -263,7 +276,7 @@ class TestDeterminism:
 
     def test_verify_cone_bit_identical(self, tmp_path):
         args = ["verify-cone", "--n", "3", "--m", "2", "--samples", "3000",
-                "--seed", "11", "--threads", "2"]
+                "--seed", "11"]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
@@ -271,69 +284,20 @@ class TestDeterminism:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
     def test_verify_cone_bundle_reruns_from_resolved_config(self, monkeypatch, tmp_path):
-        # the shard count shapes the report, so the bundle must record it
+        # the bundle reruns on a machine with another core count
+        import os
+
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        monkeypatch.setenv("HESSIANLAB_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert main(["verify-cone", "--n", "3", "--m", "2", "--samples", "2000",
                      "--seed", "5", "--out", str(out1)]) == 0
-        monkeypatch.setenv("HESSIANLAB_THREADS", "1")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert main(["verify-cone", "--config", str(out1 / "resolved_config.json"),
                      "--out", str(out2)]) == 0
         files1 = _tree_files(out1)
         assert files1 == _tree_files(out2)
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
-
-
-class TestThreadsResolution:
-    @pytest.mark.parametrize("how", ["flag", "env", "config"])
-    def test_worker_count_below_one_exit_2(self, monkeypatch, tmp_path, how):
-        import hessianlab.cli as cli
-
-        def no_workers(*args, **kwargs):
-            raise AssertionError("workers started")
-
-        monkeypatch.setattr(cli, "verify_cone_inequalities", no_workers)
-        argv = ["verify-cone", "--n", "3", "--m", "2", "--samples", "10",
-                "--out", str(tmp_path / "x")]
-        if how == "flag":
-            argv += ["--threads", "0"]
-        elif how == "env":
-            monkeypatch.setenv("HESSIANLAB_THREADS", "0")
-        else:
-            cfgfile = tmp_path / "cfg.json"
-            cfgfile.write_text(json.dumps({"threads": 0}))
-            argv += ["--config", str(cfgfile)]
-        assert main(argv) == 2
-
-    def test_env_var_overrides_default(self, monkeypatch):
-        from hessianlab.cli import _threads
-
-        class Args:
-            threads = None
-
-        monkeypatch.setenv("HESSIANLAB_THREADS", "3")
-        assert _threads(Args()) == 3
-
-    def test_non_integer_env_exit_2_before_workers(self, monkeypatch, tmp_path):
-        import hessianlab.cli as cli
-
-        def no_workers(*args, **kwargs):
-            raise AssertionError("workers started")
-
-        monkeypatch.setattr(cli, "verify_cone_inequalities", no_workers)
-        monkeypatch.setenv("HESSIANLAB_THREADS", "abc")
-        assert main(["verify-cone", "--n", "3", "--m", "2", "--samples", "10",
-                     "--out", str(tmp_path / "x")]) == 2
-
-    def test_flag_overrides_env(self, monkeypatch):
-        from hessianlab.cli import _threads
-
-        class Args:
-            threads = 2
-
-        monkeypatch.setenv("HESSIANLAB_THREADS", "7")
-        assert _threads(Args()) == 2
 
 
 class TestOtherCommands:

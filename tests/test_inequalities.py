@@ -131,6 +131,17 @@ def sweep():
     )
 
 
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if the sweep starts a normalized solve."""
+    import hessianlab.inequalities as inequalities
+
+    def solve(*args, **kwargs):
+        raise AssertionError("a normalized solve ran before the input check")
+
+    monkeypatch.setattr(inequalities, "solve_normalized", solve)
+
+
 class TestStabilitySweep:
     def test_zero_delta_zero_ratio(self, sweep):
         assert sweep[0].delta == 0.0
@@ -162,15 +173,23 @@ class TestStabilitySweep:
                                   cfg=SolverConfig(max_newton=5))
         assert all(r.converged for r in records)
 
-    def test_nan_delta_rejected(self):
-        # a NaN g passed the positivity check and "converged" with lhs = 0
+    def test_nan_delta_rejected(self, no_solve):
+        # a NaN g passes min(g) <= 0; it is rejected before the base solve
         grid, omega = flat(2, 8)
         zero = (0, 0, 0, 0)
         f = make_field(grid, [(zero, 1.0, 0.0)])
         psi = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)])
-        with pytest.raises(InputError):
-            stability_sweep(f, psi, [float("nan")], p=4.0, a=0.3, omega=omega, m=1,
+        with pytest.raises(InputError, match="delta=nan"):
+            stability_sweep(f, psi, [0.1, float("nan")], p=4.0, a=0.3, omega=omega, m=1,
                             cfg=SolverConfig(t_steps=1), eps_schedule=(1.0, 0.3))
+
+    def test_psi_on_another_grid_rejected(self, no_solve):
+        grid, omega = flat(2, 8)
+        zero = (0, 0, 0, 0)
+        f = make_field(grid, [(zero, 1.0, 0.0)])
+        psi = make_field(TorusGrid(2, 10), [((1, 0, 0, 0), 1.0, 0.0)])
+        with pytest.raises(InputError, match="different grids"):
+            stability_sweep(f, psi, [0.1], p=4.0, a=0.3, omega=omega, m=1)
 
     def test_illegal_exponent_recorded_not_rejected(self):
         grid, omega = flat(2, 8)
@@ -183,12 +202,12 @@ class TestStabilitySweep:
         )
         assert not records[0].legal
 
-    def test_perturbation_must_stay_positive(self):
+    def test_perturbation_must_stay_positive(self, no_solve):
         grid, omega = flat(2, 8)
         zero = (0, 0, 0, 0)
         f = make_field(grid, [(zero, 1.0, 0.0)])
         psi = make_field(grid, [((1, 0, 0, 0), 20.0, 0.0)])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="delta=0.1"):
             stability_sweep(f, psi, [0.1], p=4.0, a=0.3, omega=omega, m=1,
                             cfg=SolverConfig(t_steps=1), eps_schedule=(1.0, 0.3))
 

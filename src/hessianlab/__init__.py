@@ -1,9 +1,9 @@
 """hessianlab: a numerical laboratory for complex m-Hessian equations.
 
-Gamma-cone algebra, metric-relative Hermitian eigenproblems, periodic
-finite-difference complex Hessians, a continuity-method Newton solver for
-the exponential-type and normalized equations, penalized m-subharmonic
-envelopes, and randomized verification of the pointwise cone inequalities.
+Gamma-cone algebra, periodic finite-difference complex Hessians, a
+continuity-method Newton solver for the exponential-type and normalized
+equations, penalized m-subharmonic envelopes, and randomized verification
+of the pointwise cone inequalities.
 """
 
 from .envelope import EnvelopeReport, contact_set, msh_envelope
@@ -19,12 +19,6 @@ from .geometry import (
     make_field,
     read_field,
     write_field,
-)
-from .hermlin import (
-    Spectrum,
-    eigenvalues_hermitian,
-    generalized_eigenvalues,
-    is_m_positive,
 )
 from .hessop import (
     LinearizationField,

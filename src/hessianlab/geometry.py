@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .hermlin import check_hermitian, cholesky_inverse
 
 __all__ = [
     "TorusGrid",
@@ -40,6 +39,8 @@ __all__ = [
     "gradient_sup",
     "write_field",
     "read_field",
+    "check_hermitian",
+    "check_positive_definite",
 ]
 
 def _bytes_per_point(n):
@@ -138,6 +139,35 @@ def make_field(grid, terms):
     return ScalarField(grid, data)
 
 
+_MAX_N = 8
+
+
+def check_hermitian(a, name="matrix"):
+    """``a`` as a complex square matrix of size at most _MAX_N, symmetrized;
+    raises InputError unless it is finite and Hermitian to 1e-13 relative."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise InputError(f"{name} must be square and non-empty, got shape {a.shape}")
+    if a.shape[0] > _MAX_N:
+        raise InputError(f"{name} larger than supported n <= {_MAX_N}")
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} must be finite")
+    scale = max(1.0, float(np.max(np.abs(a))))
+    dev = float(np.max(np.abs(a - a.conj().T)))
+    if dev > 1e-13 * scale:
+        raise InputError(f"{name} is not Hermitian (deviation {dev:.3e})")
+    return 0.5 * (a + a.conj().T)
+
+
+def check_positive_definite(a, name="metric"):
+    """``a`` itself; raises InputError unless its least eigenvalue exceeds
+    1e-12 of its mean eigenvalue tr(a) / n."""
+    floor = 1e-12 * np.trace(a).real / a.shape[-1]
+    if not np.linalg.eigvalsh(a)[0] > floor:
+        raise InputError(f"{name} is not positive definite")
+    return a
+
+
 @dataclass
 class MetricField:
     """Hermitian metric coefficient field; constant metrics stay compact."""
@@ -158,14 +188,12 @@ class MetricField:
         form = check_hermitian(form, "metric")
         if form.shape[0] != grid.n:
             raise InputError("metric dimension must equal grid complex dimension")
-        cholesky_inverse(form)  # positive-definiteness gate
-        return cls(grid, form)
+        return cls(grid, check_positive_definite(form))
 
     @classmethod
     def conformal(cls, grid, base_form, terms):
         """omega = exp(phi) * base_form with phi a truncated Fourier series."""
-        base_form = check_hermitian(base_form, "metric")
-        cholesky_inverse(base_form)
+        base_form = check_positive_definite(check_hermitian(base_form, "metric"))
         phi = make_field(grid, terms)
         return cls(grid, np.exp(phi.data)[..., None, None] * base_form)
 
@@ -275,14 +303,10 @@ def layout_of_complex(a):
     return out
 
 
-def complex_hessian_array(data, grid):
-    """Complex Hessian field as a grid.shape + (n, n) complex array."""
-    return complex_of_layout(complex_hessian_layout(data, grid))
-
-
 def complex_hessian(u):
-    """Discrete u_{j kbar} at every grid point; Hermitian by construction."""
-    return complex_hessian_array(u.data, u.grid)
+    """Discrete u_{j kbar} at every grid point, a grid.shape + (n, n) complex
+    array; Hermitian by construction."""
+    return complex_of_layout(complex_hessian_layout(u.data, u.grid))
 
 
 def analytic_complex_hessian(grid, terms):
@@ -315,19 +339,15 @@ def analytic_complex_hessian(grid, terms):
     return hess
 
 
-def gradient_sup_array(data, grid):
-    N, h = grid.N, grid.h
-    p = np.pad(data, 1, mode="wrap")
-    total = np.zeros(grid.shape)
-    for axis in range(2 * grid.n):
+def gradient_sup(u):
+    """Max Euclidean norm of the central-difference gradient over the grid."""
+    N, h = u.grid.N, u.grid.h
+    p = np.pad(u.data, 1, mode="wrap")
+    total = np.zeros(u.grid.shape)
+    for axis in range(2 * u.grid.n):
         d = _difference(p, N, axis) / (2.0 * h)
         total += d * d
     return float(np.sqrt(np.max(total)))
-
-
-def gradient_sup(u):
-    """Max Euclidean norm of the central-difference gradient over the grid."""
-    return gradient_sup_array(u.data, u.grid)
 
 
 # --------------------------------------------------------------------------
@@ -358,9 +378,12 @@ def read_field(path, memory_cap=2 << 30):
         payload = fh.read()
     try:
         meta = json.loads(header.decode("ascii"))
-        n, N, kind = int(meta["n"]), int(meta["N"]), str(meta["kind"])
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise InputError(f"malformed field header in {path}") from exc
+    if not (isinstance(meta, dict) and "kind" in meta
+            and all(type(meta.get(key)) is int for key in ("n", "N"))):
+        raise InputError(f"field header in {path} needs integer n, N and a kind")
+    n, N, kind = meta["n"], meta["N"], str(meta["kind"])
     grid = TorusGrid(n, N, memory_cap=memory_cap)
     expected = grid.points * 8
     if len(payload) != expected:

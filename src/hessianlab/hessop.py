@@ -16,8 +16,10 @@ principal minors of B', so sigma and the cone mask need no eigensolve; nor
 does the linearization: dS_m = tr(T_{m-1}(B') dB') with the Newton tensor
 T_{m-1}(B') = sum_j (-1)^j S_{m-1-j} B'^j (Reilly, Michigan Math. J. 20,
 1973), so A = L^{-*} T_{m-1}(B') L^{-1} / S_m is a polynomial in B' built
-from the same S_k table.  An eigensolve runs only at the single worst point
-of a cone breach, to report that point's eigenvalues.
+from the same S_k table.  On the grid an eigensolve runs only at the single
+worst point of a cone breach, to report that point's eigenvalues;
+sigma_of_form, for one pair of forms, solves det(gamma - lambda omega) = 0
+directly.
 
 The linearized operator tr(A dd^c v) - q v is a real combination of second
 differences of v, so the Krylov matvec applies it from n^2 real stencil
@@ -42,11 +44,12 @@ from .errors import ConeBreachError, InputError
 from .geometry import (
     ScalarField,
     _stencils,
+    check_hermitian,
+    check_positive_definite,
     complex_hessian_layout,
     complex_of_layout,
     layout_of_complex,
 )
-from .hermlin import check_hermitian, cholesky_inverse
 from .symfunc import elementary_symmetric_table, table_margin
 
 __all__ = [
@@ -290,9 +293,10 @@ def sigma_of_form(gamma, omega_form, m):
     n = gamma.shape[-1]
     if not 1 <= m <= n:
         raise InputError(f"m={m} out of range 1..{n}")
-    li = cholesky_inverse(np.asarray(omega_form, dtype=complex), "omega")
-    mat = li @ gamma @ li.conj().swapaxes(-1, -2)
-    lam = np.linalg.eigvalsh(mat)
+    omega_form = check_hermitian(omega_form, "omega")
+    if omega_form.shape != gamma.shape:
+        raise InputError("gamma and omega must have matching shapes")
+    lam = scipy.linalg.eigvalsh(gamma, check_positive_definite(omega_form, "omega"))
     return float(elementary_symmetric_table(lam, m)[..., m] / math.comb(n, m))
 
 
@@ -356,7 +360,6 @@ def mixed_product(gammas, omega_form, m):
         raise InputError("forms must share a common dimension")
     if not 1 <= m <= n:
         raise InputError(f"m={m} out of range 1..{n}")
-    omega_form = check_hermitian(np.asarray(omega_form), "omega")
     mats.sort(key=lambda g: g.tobytes())
     if m == 1:
         return sigma_of_form(mats[0], omega_form, 1)

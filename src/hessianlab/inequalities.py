@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import InputError
-from .geometry import ScalarField, complex_hessian_array, gradient_sup_array
+from .geometry import ScalarField, complex_hessian, gradient_sup
 from .hessop import sk_table_of_state, state_matrices
 from .solver import SolverConfig, solve_normalized
 
@@ -179,7 +179,7 @@ def laplacian_gradient_ratio(u):
     Purely diagnostic: the Laplacian-versus-gradient constant of the second
     order estimate is unknown, so this is reported and never asserted.
     """
-    hess = complex_hessian_array(u.data, u.grid)
+    hess = complex_hessian(u)
     radius = float(np.max(np.abs(np.linalg.eigvalsh(hess))))
-    gsup = gradient_sup_array(u.data, u.grid)
+    gsup = gradient_sup(u)
     return radius / (1.0 + gsup**2)

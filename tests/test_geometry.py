@@ -272,6 +272,20 @@ class TestFieldFiles:
         with pytest.raises(InputError):
             read_field(path)
 
+    @pytest.mark.parametrize("header", [
+        b"[1]",
+        b"null",
+        b'"x"',
+        b'{"n": 2.7, "N": 8, "kind": "u"}',
+        b'{"n": 2, "N": 8.0, "kind": "u"}',
+    ])
+    def test_header_needs_object_with_integer_sizes(self, tmp_path, header):
+        # a payload that fits n=2 N=8, so only the header can be at fault
+        path = tmp_path / "bad3.field"
+        path.write_bytes(header + b"\n" + np.zeros(8**4).tobytes())
+        with pytest.raises(InputError):
+            read_field(path)
+
     def test_rejects_non_finite_payload(self, tmp_path):
         g = TorusGrid(2, 8)
         data = np.zeros(g.shape)

@@ -12,10 +12,8 @@ from hessianlab.geometry import (
     ScalarField,
     TorusGrid,
     complex_hessian,
-    complex_hessian_array,
     make_field,
 )
-from hessianlab.hermlin import cholesky_inverse, generalized_eigenvalues, generalized_eigh
 from hessianlab.hessop import (
     apply_linearization,
     linearization,
@@ -27,6 +25,7 @@ from hessianlab.hessop import (
     state_matrices,
 )
 from hessianlab.symfunc import cone_mask, elementary_symmetric_table
+from oracles import generalized_eigh
 
 
 def flat(n=2, N=16):
@@ -215,7 +214,7 @@ class TestNewtonTensorOracle:
         u = _cone_state(grid)
         assert sigma_m(u, omega, n).cone_mask.all()  # inside every Gamma_m
         g = complex_hessian(u) + omega.form
-        lam, frame = generalized_eigh(g, cholesky_inverse(omega.form))
+        lam, frame = generalized_eigh(g, omega.form)
         for m in range(1, n + 1):
             got = linearization(u, omega, m, 1.0).coefficient_matrices()
             want = _eigenframe_coefficients(lam, frame, m)
@@ -248,7 +247,7 @@ class TestNewtonTensorOracle:
         point = err.value.point
         g = (complex_hessian(u) + omega.form)[point]
         form = omega.form if omega.constant else omega.form[point]
-        want = generalized_eigenvalues(g, form).values
+        want, _ = generalized_eigh(g, form)
         np.testing.assert_allclose(err.value.lam, want, rtol=1e-14, atol=1e-14)
         assert want[-1] < 0.0
 
@@ -263,7 +262,7 @@ class TestHermitianLayout:
         omega = _metric(kind, grid)
         u = ScalarField(grid, 0.3 * np.random.default_rng(n).normal(size=grid.shape))
         g = complex_hessian(u) + omega.form
-        lam, _ = generalized_eigh(g, cholesky_inverse(omega.form))
+        lam, _ = generalized_eigh(g, omega.form)
         b = state_matrices(u.data, omega)
         for m in range(1, n + 1):
             want = elementary_symmetric_table(lam, m)
@@ -301,7 +300,7 @@ class TestApplyLinearization:
         omega = _metric(kind, grid)
         u = _cone_state(grid)
         v = ScalarField(grid, np.random.default_rng(n).normal(size=grid.shape))
-        hess = complex_hessian_array(v.data, grid)
+        hess = complex_hessian(v)
         q = 0.7
         for m in range(1, n + 1):
             lin = linearization(u, omega, m, q)
@@ -433,3 +432,17 @@ class TestMixedProduct:
     def test_wrong_count(self):
         with pytest.raises(InputError):
             mixed_product([np.eye(3)], np.eye(3), 2)
+
+    def test_rejects_non_hermitian_omega(self):
+        omega = np.eye(3)
+        omega[0, 1] = 0.5
+        with pytest.raises(InputError):
+            sigma_of_form(np.eye(3), omega, 2)
+        with pytest.raises(InputError):
+            mixed_product([np.eye(3)] * 2, omega, 2)
+
+    def test_rejects_omega_shape_mismatch(self):
+        with pytest.raises(InputError):
+            sigma_of_form(np.eye(3), np.eye(2), 2)
+        with pytest.raises(InputError):
+            mixed_product([np.eye(3)] * 2, np.eye(2), 2)

@@ -7,7 +7,7 @@ of the pointwise cone inequalities.
 """
 
 from .envelope import EnvelopeReport, contact_set, msh_envelope
-from .errors import ConeBreachError, InputError, LinearSolveError
+from .errors import ConeBreachError, InputError
 from .experiments import manufactured_problem, manufactured_terms, mms_study
 from .geometry import (
     MetricField,

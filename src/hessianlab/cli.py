@@ -270,7 +270,8 @@ def _cmd_decay(args, outdir):
         fh.write("t,fraction,t_fraction\n")
         for t, frac, tf in report.rows:
             fh.write(f"{t!r},{frac!r},{tf!r}\n")
-    _write_json(outdir, "summary.json", json.loads(report.to_json()))
+    _write_json(outdir, "summary.json", {"rows": report.rows, "bounded": report.bounded,
+                                         "bound_ratio": report.bound_ratio})
     print(f"decay: bounded={report.bounded} ratio={report.bound_ratio:.4f}")
     return 0 if report.bounded else 1
 

@@ -16,12 +16,3 @@ class ConeBreachError(RuntimeError):
         self.point = point
         self.lam = lam
 
-
-class LinearSolveError(RuntimeError):
-    """The Krylov solver hit its iteration cap before reaching tolerance."""
-
-    def __init__(self, message, best=None, relres=None, iterations=0):
-        super().__init__(message)
-        self.best = best
-        self.relres = relres
-        self.iterations = iterations

@@ -65,15 +65,18 @@ def exact_sigma(grid, terms, m):
     return table[..., m] / math.comb(n, m), margin
 
 
-def manufactured_problem(grid, m, amplitude, margin_floor=0.05):
+_MARGIN_FLOOR = 0.05  # least exact cone margin manufactured_problem accepts
+
+
+def manufactured_problem(grid, m, amplitude):
     """(u*, H, omega) with H := log sigma_m(u*) - u* from the exact Hessian."""
     terms = manufactured_terms(grid.n, amplitude)
     ustar = make_field(grid, terms)
     sigma, margin = exact_sigma(grid, terms, m)
-    if margin < margin_floor:
+    if margin < _MARGIN_FLOOR:
         raise InputError(
             f"amplitude {amplitude} leaves exact cone margin {margin:.3f} "
-            f"below the {margin_floor} guard"
+            f"below the {_MARGIN_FLOOR} guard"
         )
     H = ScalarField(grid, np.log(sigma) - ustar.data)
     return ustar, H, MetricField.flat(grid)

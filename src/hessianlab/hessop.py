@@ -19,7 +19,8 @@ T_{m-1}(B') = sum_j (-1)^j S_{m-1-j} B'^j (Reilly, Michigan Math. J. 20,
 from the same S_k table.  On the grid an eigensolve runs only at the single
 worst point of a cone breach, to report that point's eigenvalues;
 sigma_of_form, for one pair of forms, solves det(gamma - lambda omega) = 0
-directly.
+directly, and mixed_product polarizes it: the mixed form of m arguments is
+an alternating sum of sigma_m over the 2^m - 1 nonempty sums of them.
 
 The linearized operator tr(A dd^c v) - q v is a real combination of second
 differences of v, so the Krylov matvec applies it from n^2 real stencil
@@ -32,13 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import product as _iproduct
+from functools import reduce
+from itertools import combinations
 from operator import iadd
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import qmc
 
 from .errors import ConeBreachError, InputError
 from .geometry import (
@@ -300,60 +300,32 @@ def sigma_of_form(gamma, omega_form, m):
     return float(elementary_symmetric_table(lam, m)[..., m] / math.comb(n, m))
 
 
-@lru_cache(maxsize=None)
-def _polarization_scheme(k, degree):
-    """Nodes, monomial exponents, and LU factors for degree<=k+1 polarization.
-
-    Nodes are the first d points of the unscrambled Halton sequence in
-    [0,1]^k; any nonsingular node set works, and this one is fixed and
-    checked once here.
-    """
-    exponents = tuple(
-        alpha for alpha in _iproduct(range(degree + 1), repeat=k)
-        if sum(alpha) <= degree
-    )
-    d = len(exponents)
-    assert d == math.comb(2 * k + 1, k)
-    nodes = qmc.Halton(d=k, scramble=False).random(d)
-    vand = np.empty((d, d))
-    for j in range(d):
-        for i, alpha in enumerate(exponents):
-            vand[j, i] = float(np.prod(nodes[j] ** np.asarray(alpha, dtype=float)))
-    lu, piv = scipy.linalg.lu_factor(vand)
-    assert np.min(np.abs(np.diag(lu))) > 1e-12 * np.max(np.abs(vand)), \
-        "polarization Vandermonde is singular"
-    ones_index = exponents.index((1,) * k)
-    unit = np.zeros(d)
-    unit[ones_index] = 1.0
-    inv_row = scipy.linalg.lu_solve((lu, piv), unit, trans=1)
-    return exponents, nodes, (lu, piv), ones_index, float(np.sum(np.abs(inv_row)))
-
-
 def polarization_constant(m):
-    """Explicit constant of the polarized product bound.
+    """Explicit constant of the polarized product bound: (2^m - 1) / m!.
 
-    |gamma_1 ^ ... ^ gamma_m ^ omega^{n-m}/omega^n| is at most this constant
-    times sigma_m of the sum form: each node evaluation is dominated by the
-    sum form via cone monotonicity, and the coefficient extraction multiplies
-    by at most the 1-norm of the relevant row of the inverse Vandermonde.
+    For m-positive gamma_1..gamma_m, |gamma_1 ^ ... ^ gamma_m ^
+    omega^{n-m}/omega^n| is at most this constant times sigma_m of the sum
+    form.  mixed_product is (1/m!) sum_S (-1)^(m-|S|) sigma_m(gamma_S) over
+    the 2^m - 1 nonempty S, gamma_S the sum of the gamma_i with i in S.  Each
+    gamma_S lies in Gamma_m, and the full sum is gamma_S plus a form in
+    Gamma_m, so cone monotonicity (Garding, J. Math. Mech. 8, 1959) gives
+    0 < sigma_m(gamma_S) <= sigma_m(sum); the triangle inequality over the
+    2^m - 1 terms finishes the bound.
     """
-    if m == 1:
-        return 1.0
-    _, _, _, _, row_norm = _polarization_scheme(m - 1, m)
-    return row_norm / math.factorial(m)
+    return (2**m - 1) / math.factorial(m)
 
 
 def mixed_product(gammas, omega_form, m):
     """Normalized mixed wedge gamma_1 ^ ... ^ gamma_m ^ omega^{n-m} / omega^n.
 
-    Evaluates the degree-m polynomial x -> sigma_m(gamma_0 + x_1 gamma_1 +
-    ... + x_{m-1} gamma_{m-1}) at the fixed node set and extracts the mixed
-    coefficient through the Vandermonde system.  Arguments are put in a
-    canonical byte order first, so the value is bitwise symmetric under
-    permutations of the gammas.
+    The polarization identity of the degree-m form sigma_m: the sum over
+    nonempty S of (-1)^(m-|S|) sigma_m(sum of the gamma_i with i in S),
+    divided by m!, which is 2^m - 1 evaluations of sigma_of_form.  Arguments
+    are put in a canonical byte order first, so the value is bitwise
+    symmetric under permutations of the gammas.
     """
-    if len(gammas) != m:
-        raise InputError(f"expected {m} forms, got {len(gammas)}")
+    if m < 1 or len(gammas) != m:
+        raise InputError(f"expected m >= 1 forms, got m={m} and {len(gammas)} forms")
     mats = [check_hermitian(g, f"gamma_{i}") for i, g in enumerate(gammas)]
     n = mats[0].shape[-1]
     if any(g.shape != (n, n) for g in mats):
@@ -361,17 +333,8 @@ def mixed_product(gammas, omega_form, m):
     if not 1 <= m <= n:
         raise InputError(f"m={m} out of range 1..{n}")
     mats.sort(key=lambda g: g.tobytes())
-    if m == 1:
-        return sigma_of_form(mats[0], omega_form, 1)
-
-    k = m - 1
-    exponents, nodes, lu_piv, ones_index, _ = _polarization_scheme(k, m)
-    base, rest = mats[0], mats[1:]
-    values = np.empty(len(exponents))
-    for j in range(len(exponents)):
-        tau = base.copy()
-        for t in range(k):
-            tau = tau + nodes[j, t] * rest[t]
-        values[j] = sigma_of_form(tau, omega_form, m)
-    coeffs = scipy.linalg.lu_solve(lu_piv, values)
-    return float(coeffs[ones_index] / math.factorial(m))
+    total = 0.0
+    for k in range(1, m + 1):
+        for subset in combinations(mats, k):
+            total += (-1) ** (m - k) * sigma_of_form(sum(subset), omega_form, m)
+    return total / math.factorial(m)

@@ -8,7 +8,6 @@ sup norm is a plain max.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -136,13 +135,6 @@ class DecayReport:
     rows: list  # (t, fraction, t * fraction)
     bounded: bool
     bound_ratio: float
-
-    def to_json(self):
-        return json.dumps(
-            {"rows": self.rows, "bounded": self.bounded,
-             "bound_ratio": self.bound_ratio},
-            sort_keys=True,
-        )
 
 
 def sublevel_volume_decay(phi, t_list, omega, m, tol=1e-9):

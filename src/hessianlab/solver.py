@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import InputError, LinearSolveError
+from .errors import InputError
 from .geometry import ScalarField
 from .hessop import (
     LinearizationField,
@@ -275,9 +275,9 @@ def krylov_solve(lin, rhs, tol):
     """Solve the linearized equation matrix-free to a true relative residual,
     preconditioned by _spectral_preconditioner.
 
-    Raises LinearSolveError (with the best iterate attached) when the
-    iteration cap 10 N^n is exceeded; the Newton driver then line-searches
-    along that iterate.
+    Returns (iterate, KrylovInfo); at the iteration cap 10 N^n the iterate
+    is the best one reached, its relres above ``tol``, and the Newton driver
+    line-searches along it all the same.
     """
     grid = lin.grid
     if rhs.grid != grid:
@@ -291,15 +291,7 @@ def krylov_solve(lin, rhs, tol):
     x, iters, relres = gmres_raw(
         matvec, rhs.data.reshape(-1).copy(), tol, _KRYLOV_RESTART, maxiter, psolve
     )
-    out = ScalarField(grid, x.reshape(grid.shape))
-    if relres > tol:
-        raise LinearSolveError(
-            f"GMRES hit the {maxiter}-iteration cap at relres {relres:.3e}",
-            best=out,
-            relres=relres,
-            iterations=iters,
-        )
-    return out, KrylovInfo(iterations=iters, relres=relres)
+    return ScalarField(grid, x.reshape(grid.shape)), KrylovInfo(iters, relres)
 
 
 # --------------------------------------------------------------------------
@@ -340,28 +332,23 @@ class _Equation:
 
 
 def _newton(eq, u0, harr, cfg, t_label, trace):
-    """Damped Newton at fixed data; returns (state, iters, ok, failure).
-
-    ``failure`` is None exactly when ``ok``.
-    """
+    """Damped Newton at fixed data; returns (state, iters, failure), with
+    ``failure`` None exactly when it converged."""
     state = eq.evaluate(u0, harr)
     grid = eq.metric.grid
     if not state.in_cone:
-        return state, 0, False, "initial iterate outside the cone"
+        return state, 0, "initial iterate outside the cone"
     trace.append(NewtonRecord(t_label, 0, state.res_sup, 0.0, state.margin))
     iters = 0
     while state.res_sup > cfg.newton_tol:
         if iters >= cfg.max_newton:
-            return state, iters, False, "Newton iteration cap"
+            return state, iters, "Newton iteration cap"
         # every admitted state is in the cone, so its table skips the cone check
         lin = linearization(ScalarField(grid, state.u), eq.metric, eq.m, eq.q,
                             b=state.b, table=state.table)
         tol_k = max(cfg.krylov_tol, min(3e-2, 0.3 * state.res_sup))
         rhs = ScalarField(grid, -state.residual)
-        try:
-            delta, info = krylov_solve(lin, rhs, tol_k)
-        except LinearSolveError as exc:
-            delta, info = exc.best, KrylovInfo(exc.iterations, exc.relres)
+        delta, info = krylov_solve(lin, rhs, tol_k)
         step = 1.0
         accepted = None
         while step >= _MIN_STEP:
@@ -371,12 +358,12 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
                 break
             step *= _DAMPING
         if accepted is None:
-            return state, iters, False, "line search stalled at minimum step"
+            return state, iters, "line search stalled at minimum step"
         state = accepted
         iters += 1
         trace.append(NewtonRecord(t_label, iters, state.res_sup, step, state.margin,
                                   info.iterations, info.relres))
-    return state, iters, True, None
+    return state, iters, None
 
 
 def _continuity_solve(eq, harr, cfg, report):
@@ -391,8 +378,8 @@ def _continuity_solve(eq, harr, cfg, report):
     halvings = 0
     while targets:
         t_next = targets[0]
-        state, iters, ok, failure = _newton(eq, u, t_next * harr, cfg, t_next, report.trace)
-        if ok:
+        state, iters, failure = _newton(eq, u, t_next * harr, cfg, t_next, report.trace)
+        if failure is None:
             u = state.u
             report.cone_margin_min = min(report.cone_margin_min, state.margin)
             t_cur = targets.pop(0)
@@ -420,7 +407,7 @@ def _solve(eq, harr, cfg, u0=None):
     if u0 is None:
         u = _continuity_solve(eq, harr, cfg, report)
     else:
-        state, iters, _, report.failure = _newton(eq, u0, harr, cfg, 1.0, report.trace)
+        state, iters, report.failure = _newton(eq, u0, harr, cfg, 1.0, report.trace)
         u = state.u
         report.t_path.append((1.0, iters, state.res_sup))
         report.cone_margin_min = state.margin

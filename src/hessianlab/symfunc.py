@@ -127,8 +127,12 @@ def table_margin(table, n, m):
     return reduce(np.minimum, (table[..., k] / math.comb(n, k) for k in range(1, m + 1)))
 
 
-def sample_cone(rng, n, m, count, low=-1.0, high=3.0, batch=8192):
-    """Rejection-sample ``count`` vectors from Gamma_m within [low, high]^n.
+_SAMPLE_BOX = (-1.0, 3.0)  # bounds of every entry sample_cone draws
+_SAMPLE_BATCH = 8192  # candidates per rejection round
+
+
+def sample_cone(rng, n, m, count):
+    """Rejection-sample ``count`` vectors from Gamma_m within [-1, 3]^n.
 
     The box deliberately reaches negative entries: the cone bounds are only
     nontrivial when some lambda_i < 0.
@@ -136,7 +140,7 @@ def sample_cone(rng, n, m, count, low=-1.0, high=3.0, batch=8192):
     out = np.empty((count, n), dtype=float)
     got = 0
     while got < count:
-        cand = rng.uniform(low, high, size=(batch, n))
+        cand = rng.uniform(*_SAMPLE_BOX, size=(_SAMPLE_BATCH, n))
         keep = cand[cone_mask(cand, m)]
         take = keep[: count - got]
         out[got : got + take.shape[0]] = take

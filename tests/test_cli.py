@@ -2,12 +2,16 @@
 
 import filecmp
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hessianlab
 from hessianlab.cli import _SUBCOMMANDS, build_parser, main, parse_field_spec
 from hessianlab.errors import InputError
 from hessianlab.geometry import read_field
@@ -37,6 +41,16 @@ class TestFieldSpecGrammar:
     def test_malformed(self):
         with pytest.raises(InputError):
             parse_field_spec("cos:1,0,0,0", 2)
+
+    @pytest.mark.parametrize("spec", ["cos:1,0,0,0:abc", "sin:1,x,0,0:1", "cos:1.5,0,0,0:1"])
+    def test_bad_number(self, spec):
+        with pytest.raises(InputError, match="bad field term"):
+            parse_field_spec(spec, 2)
+
+    @pytest.mark.parametrize("spec", ["", "  ", "+", " ; + "])
+    def test_empty_spec(self, spec):
+        with pytest.raises(InputError, match="empty field spec"):
+            parse_field_spec(spec, 2)
 
 
 class TestVerifyConeCommand:
@@ -372,3 +386,17 @@ class TestDocumentedCommands:
         assert {argv[0] for argv in commands} == set(_SUBCOMMANDS)
         for argv in commands:
             build_parser().parse_args(argv)
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats alone took over half of the package's import time, which
+        # every CLI run, test process and benchmark worker pays
+        src = str(Path(hessianlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, hessianlab.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"

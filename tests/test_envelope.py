@@ -29,6 +29,11 @@ class TestContactSet:
         w = ScalarField(grid, h.data - 2e-8)
         assert not contact_set(w, h, 1e-8).any()
 
+    def test_grid_mismatch(self):
+        (grid, _), (other, _) = flat(2, 8), flat(2, 16)
+        with pytest.raises(InputError, match="different grids"):
+            contact_set(ScalarField.zeros(grid), ScalarField.zeros(other), 1e-8)
+
     def test_mixed_matches_pointwise(self):
         grid, _ = flat(2, 8)
         rng = np.random.default_rng(0)
@@ -144,11 +149,11 @@ class TestPartialReport:
         attempts = []
 
         def failing_newton(eq, u0, harr, cfg, t_label, trace):
-            state, iters, ok, failure = real_newton(eq, u0, harr, cfg, t_label, trace)
+            state, iters, failure = real_newton(eq, u0, harr, cfg, t_label, trace)
             if eq.q == 1.0:  # the first eps (q = 1/eps) runs continuity
-                return state, iters, ok, failure
+                return state, iters, failure
             attempts.append((state, iters))
-            return state, iters, False, "forced failure"
+            return state, iters, "forced failure"
 
         monkeypatch.setattr(solver, "_newton", failing_newton)
         grid, omega = flat(2, 8)
@@ -178,6 +183,12 @@ class TestValidation:
         grid, omega = flat(2, 8)
         with pytest.raises(InputError):
             msh_envelope(ScalarField.zeros(grid), omega, 1, [1.0, 0.3, 0.3])
+
+    def test_grid_mismatch(self):
+        grid, _ = flat(2, 8)
+        _, omega = flat(2, 16)
+        with pytest.raises(InputError, match="different grids"):
+            msh_envelope(ScalarField.zeros(grid), omega, 1, [1.0, 0.3])
 
     def test_rejects_nan_in_obstacle(self):
         # a NaN residual passes `res_sup > newton_tol`: converged after 0 steps

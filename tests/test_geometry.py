@@ -76,6 +76,16 @@ class TestMakeField:
         with pytest.raises(InputError):
             make_field(grid2(), [((1, 0), 1.0, 0.0)])
 
+    @pytest.mark.parametrize("coef", [np.inf, np.nan])
+    def test_rejects_non_finite_coefficient(self, coef):
+        with pytest.raises(InputError, match="finite"):
+            make_field(grid2(), [((1, 0, 0, 0), coef, 0.0)])
+
+    @pytest.mark.parametrize("shape", [(16, 16, 16), (8, 8, 8, 8), (16,) * 6])
+    def test_field_shape_must_match_grid(self, shape):
+        with pytest.raises(InputError, match="does not match"):
+            ScalarField(grid2(), np.zeros(shape))
+
 
 class TestComplexHessian:
     def test_constant_field_zero(self):
@@ -237,6 +247,19 @@ class TestMetricField:
     def test_constant_rejects_indefinite(self):
         with pytest.raises(InputError):
             MetricField.constant_form(grid2(), np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda g: MetricField.constant_form(g, np.eye(3)), "dimension"),
+        (lambda g: MetricField(g, np.ones(g.shape + (3, 3)) * np.eye(3)), "shape"),
+        (lambda g: MetricField(g, np.ones(g.shape)), "shape"),
+        (lambda g: MetricField(g, np.ones(g.shape + (2, 2)) * np.diag([1.0, -1.0])),
+         "positive definite"),
+        (lambda g: MetricField(g, np.ones(g.shape + (2, 2))), "positive definite"),
+    ], ids=["constant-3x3", "variable-3x3", "variable-scalar", "variable-indefinite",
+            "variable-singular"])
+    def test_rejects_bad_form(self, make, match):
+        with pytest.raises(InputError, match=match):
+            make(TorusGrid(2, 8))
 
     def test_conformal_positive_and_torsion(self):
         g = TorusGrid(2, 8)

@@ -87,6 +87,12 @@ class TestSigmaM:
         with pytest.raises(InputError):
             sigma_m(ScalarField.zeros(grid), omega, 3)
 
+    def test_grid_mismatch(self):
+        grid, _ = flat(2, 8)
+        _, omega = flat(2, 16)
+        with pytest.raises(InputError, match="different grids"):
+            sigma_m(ScalarField.zeros(grid), omega, 1)
+
     def test_sigma_defined_outside_cone(self):
         # raw polynomial value, negative where the cone is left
         grid, omega = flat()
@@ -272,6 +278,15 @@ class TestHermitianLayout:
                 assert np.all(np.max(np.abs(got - want), axis=tuple(range(2 * n)))
                               <= 1e-13 * scale), m
 
+    @pytest.mark.parametrize("complex_state", [False, True], ids=["layout", "complex"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rejects_degree_above_dimension(self, n, complex_state):
+        grid, omega = flat(n, 8)
+        b = state_matrices(np.zeros(grid.shape), omega)
+        state = complex_hessian(ScalarField.zeros(grid)) + omega.form if complex_state else b
+        with pytest.raises(InputError, match="exceeds dimension"):
+            sk_table_of_state(state, omega, n + 1)
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_constant_metric_is_scaled_flat(self, n):
         # omega = s I: B' = I + dd^c u / s, so sigma_m(u) is sigma_m(u / s)
@@ -410,7 +425,7 @@ class TestMixedProduct:
 
     def test_repeated_arguments_reproduce_sigma(self):
         rng = np.random.default_rng(9)
-        for m, n in [(2, 3), (3, 3), (2, 2)]:
+        for m, n in [(2, 3), (3, 3), (2, 2), (4, 5), (5, 6)]:
             g = random_cone_form(rng, n, m)
             got = mixed_product([g] * m, np.eye(n), m)
             want = sigma_of_form(g, np.eye(n), m)
@@ -418,7 +433,7 @@ class TestMixedProduct:
 
     def test_poly_lem_bound_explicit_constant(self):
         rng = np.random.default_rng(10)
-        for m, n in [(2, 3), (3, 4)]:
+        for m, n in [(2, 3), (3, 4), (4, 5)]:
             const = polarization_constant(m)
             for _ in range(100):
                 gs = [random_cone_form(rng, n, m) for _ in range(m)]
@@ -428,6 +443,27 @@ class TestMixedProduct:
                     total = total + g
                 rhs = const * sigma_of_form(total, np.eye(n), m)
                 assert lhs <= rhs + 1e-10 * max(1.0, rhs)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_one_sigma_per_nonempty_subset(self, m, monkeypatch):
+        import hessianlab.hessop as hessop
+
+        calls = []
+        real = hessop.sigma_of_form
+
+        def counted(gamma, omega_form, k):
+            calls.append(k)
+            return real(gamma, omega_form, k)
+
+        monkeypatch.setattr(hessop, "sigma_of_form", counted)
+        rng = np.random.default_rng(11)
+        mixed_product([random_cone_form(rng, 4, m) for _ in range(m)], np.eye(4), m)
+        assert calls == [m] * (2**m - 1)
+
+    def test_polarization_constant_values(self):
+        # (2^m - 1) / m!: the 1-norm of the identity's coefficient row
+        got = [polarization_constant(m) for m in range(1, 5)]
+        assert got == pytest.approx([1.0, 1.5, 7.0 / 6.0, 0.625], rel=1e-15)
 
     def test_wrong_count(self):
         with pytest.raises(InputError):
@@ -440,6 +476,21 @@ class TestMixedProduct:
             sigma_of_form(np.eye(3), omega, 2)
         with pytest.raises(InputError):
             mixed_product([np.eye(3)] * 2, omega, 2)
+
+    @pytest.mark.parametrize("gammas, m, match", [
+        ([], 0, "m >= 1"),
+        ([np.eye(2)] * 3, 3, "out of range"),
+        ([np.eye(3), np.eye(2)], 2, "common dimension"),
+        ([np.eye(2), np.eye(3)], 2, "common dimension"),
+    ], ids=["m0", "m-above-n", "dims-3-2", "dims-2-3"])
+    def test_rejects_bad_degree_or_dimensions(self, gammas, m, match):
+        with pytest.raises(InputError, match=match):
+            mixed_product(gammas, np.eye(3), m)
+
+    @pytest.mark.parametrize("m", [0, 4, -1])
+    def test_sigma_of_form_m_out_of_range(self, m):
+        with pytest.raises(InputError, match="out of range"):
+            sigma_of_form(np.eye(3), np.eye(3), m)
 
     def test_rejects_omega_shape_mismatch(self):
         with pytest.raises(InputError):

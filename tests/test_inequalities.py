@@ -101,6 +101,13 @@ class TestSublevelVolumeDecay:
         with pytest.raises(InputError):
             sublevel_volume_decay(phi, [1.0], omega, 1)
 
+    @pytest.mark.parametrize("t_list", [[0.0, 1.0], [-0.5], []],
+                             ids=["zero", "negative", "empty"])
+    def test_requires_positive_t(self, t_list):
+        grid, omega = flat(2, 8)
+        with pytest.raises(InputError, match="positive"):
+            sublevel_volume_decay(ScalarField.zeros(grid), t_list, omega, 1)
+
     def test_requires_subharmonic(self):
         grid, omega = flat(2, 16)
         phi = make_field(grid, [((1, 0, 0, 0), 12.0, 0.0)])
@@ -182,6 +189,18 @@ class TestStabilitySweep:
         with pytest.raises(InputError, match="delta=nan"):
             stability_sweep(f, psi, [0.1, float("nan")], p=4.0, a=0.3, omega=omega, m=1,
                             cfg=SolverConfig(t_steps=1), eps_schedule=(1.0, 0.3))
+
+    @pytest.mark.parametrize("terms", [
+        [((0, 0, 0, 0), 0.0, 0.0)],
+        [((0, 0, 0, 0), -1.0, 0.0)],
+        [((0, 0, 0, 0), 1.0, 0.0), ((1, 0, 0, 0), 2.0, 0.0)],
+    ], ids=["zero", "negative", "dips-negative"])
+    def test_nonpositive_f_rejected(self, no_solve, terms):
+        grid, omega = flat(2, 8)
+        f = make_field(grid, terms)
+        psi = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)])
+        with pytest.raises(InputError, match="f must be strictly positive"):
+            stability_sweep(f, psi, [0.1], p=4.0, a=0.3, omega=omega, m=1)
 
     def test_psi_on_another_grid_rejected(self, no_solve):
         grid, omega = flat(2, 8)

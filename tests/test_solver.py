@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hessianlab import solver
-from hessianlab.errors import InputError, LinearSolveError
+from hessianlab.errors import InputError
 from hessianlab.experiments import manufactured_problem, mms_study
 from hessianlab.geometry import MetricField, ScalarField, TorusGrid, make_field
 from hessianlab.hessop import (
@@ -15,8 +15,10 @@ from hessianlab.hessop import (
     apply_linearization,
     apply_linearization_array,
     linearization,
+    sigma_m,
 )
 from hessianlab.solver import (
+    KrylovInfo,
     SolverConfig,
     _spectral_preconditioner,
     krylov_solve,
@@ -69,6 +71,19 @@ class TestKrylovSolve:
         lin = linearization(ScalarField.zeros(grid), omega, 1, 1.0)
         with pytest.raises(InputError):
             krylov_solve(lin, ScalarField.zeros(TorusGrid(2, 16)), 1e-10)
+
+    def test_cap_returns_best_iterate(self):
+        # a zero tolerance is never met, so GMRES stops at the 10 N^n cap and
+        # hands back its iterate and true residual instead of raising
+        grid, omega = flat()
+        lin = linearization(ScalarField.zeros(grid), omega, 1, 1.0)
+        rhs = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0), ((0, 1, 1, 0), 0.0, 0.5)])
+        v, info = krylov_solve(lin, rhs, 0.0)
+        assert info.iterations == 10 * grid.N**grid.n
+        res = apply_linearization(lin, v).data - rhs.data
+        relres = float(np.linalg.norm(res) / np.linalg.norm(rhs.data))
+        assert 0.0 < info.relres < 1e-10
+        assert abs(relres - info.relres) < 1e-14
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_diagonal_preconditioner_is_operator_diagonal(self, n):
@@ -183,6 +198,13 @@ class TestSolveExponential:
         order = math.log(r3 / r2) / math.log(r2 / r1)
         assert order >= 1.5
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_manufactured_problem_margin_guard(self, m):
+        # amplitude 4 drives the exact eigenvalues out of Gamma_m
+        grid, _ = flat()
+        with pytest.raises(InputError, match="guard"):
+            manufactured_problem(grid, m, 4.0)
+
     def test_mesh_convergence_order(self):
         rows, orders = mms_study(2, 1, [8, 16], amplitude=0.25)
         assert all(r.converged for r in rows)
@@ -201,7 +223,7 @@ class TestSolveExponential:
 
     def test_trace_records_krylov_work(self, monkeypatch):
         # the last step's solve is reported as capped: its record carries the
-        # error's counts, every other step those of its own solve
+        # capped counts, every other step those of its own solve
         grid, omega = flat()
         H = make_field(grid, [((1, 0, 0, 0), 0.3, 0.0)])
         _, clean = solve_exponential(H, omega, 1, FAST)
@@ -213,8 +235,7 @@ class TestSolveExponential:
             calls.append(info)
             if len(calls) < steps:
                 return out, info
-            raise LinearSolveError("cap", best=out, relres=info.relres,
-                                   iterations=info.iterations + 1000)
+            return out, KrylovInfo(info.iterations + 1000, info.relres)
 
         monkeypatch.setattr(solver, "krylov_solve", capped_last)
         _, rep = solve_exponential(H, omega, 1, FAST)
@@ -320,7 +341,7 @@ class TestSolveNormalized:
             out = real_newton(eq, u0, harr, cfg, t_label, trace)
             if eq.q == 0.1 and not forced:  # the first warm start at eps 0.1
                 forced.append(eq.q)
-                return out[0], out[1], False, "forced failure"
+                return out[0], out[1], "forced failure"
             return out
 
         monkeypatch.setattr(solver, "_newton", newton_failing_once)
@@ -365,6 +386,12 @@ class TestSolveNormalized:
         f = ScalarField(grid, np.ones(grid.shape))
         with pytest.raises(InputError):
             solve_normalized(f, omega, 1, [])
+
+    def test_grid_mismatch(self):
+        grid, _ = flat()
+        _, omega = flat(2, 16)
+        with pytest.raises(InputError, match="different grids"):
+            solve_normalized(ScalarField(grid, np.ones(grid.shape)), omega, 1, [1.0, 0.3])
 
     def test_rejects_nan_in_f(self):
         # a NaN residual passes `res_sup > newton_tol`: converged after 0 steps
@@ -473,11 +500,44 @@ class TestWarmStartedNormalized:
         assert calls[2][1] is rep.iterates[0.3]
         assert len(out.eps_path[0][1].t_path) == self.CFG.t_steps
 
+    def test_warm_start_outside_cone_reruns_by_continuity(self, base, monkeypatch):
+        # Newton refuses a start outside Gamma_m; the first eps is then solved
+        # by continuity and the walk gives exactly the cold solve
+        f, psi, omega, m, rep = base
+        bad = make_field(f.grid, [((1, 0, 0, 0), 12.0, 0.0)]).data
+        assert not sigma_m(ScalarField(f.grid, bad), omega, m).cone_mask.all()
+        failures = []
+        real_newton = solver._newton
+
+        def newton(eq, u0, harr, cfg, t_label, trace):
+            out = real_newton(eq, u0, harr, cfg, t_label, trace)
+            failures.append(out[2])
+            return out
+
+        monkeypatch.setattr(solver, "_newton", newton)
+        u_warm, c_warm, warm = solve_normalized(f, omega, m, self.SCHED, self.CFG,
+                                                warm={1.0: bad})
+        assert failures[0] == "initial iterate outside the cone"
+        assert failures[1:] == [None] * (len(failures) - 1)
+        monkeypatch.undo()
+        u_cold, c_cold, cold = solve_normalized(f, omega, m, self.SCHED, self.CFG)
+        assert warm.converged
+        np.testing.assert_array_equal(u_warm.data, u_cold.data)
+        assert c_warm == c_cold
+        assert [(e, r.t_path) for e, r in warm.eps_path] == [
+            (e, r.t_path) for e, r in cold.eps_path]
+
 
 class TestSolverConfigValidation:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(InputError):
             SolverConfig(newton_tol=0.0)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["max_newton", "t_steps"])
+    def test_rejects_nonpositive_counts(self, name, value):
+        with pytest.raises(InputError, match="iteration counts"):
+            SolverConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["newton_tol", "krylov_tol"])

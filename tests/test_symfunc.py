@@ -263,6 +263,11 @@ class TestVerificationSuite:
         with pytest.raises(InputError):
             verify_cone_inequalities(3, 3, 100, seed=0)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_no_samples(self, samples):
+        with pytest.raises(InputError, match="samples"):
+            verify_cone_inequalities(3, 2, samples, seed=0)
+
     def test_theta_explicit_bound(self):
         rep = verify_cone_inequalities(4, 2, 5000, seed=11)
         assert rep.theta_hat >= rep.theta_explicit - 1e-12

@@ -9,19 +9,23 @@ frequency cosine: "cos:0,0,0,0:1".
 Configuration may come from a JSON file (--config) of string and number
 values: its keys are spliced into argv as --key=value flags right after the
 subcommand, so one parse types and checks every setting and an explicit
-flag, coming later, wins.  All outputs land under --out.  Wall-clock
-timings are printed but never written into output files, and the echoed
-resolved_config.json omits the subcommand and the output path, so it is
-itself a valid --config and identical (config, seed) pairs reproduce every
-output file bit-exactly.  No setting names a thread count: verify-cone's
-report depends only on its arguments, whatever the machine's core count.
+flag, coming later, wins.  All outputs land under --out, where _doc writes
+every field of a report's dataclass, through lists and tuples, but those
+named in _UNWRITTEN, so wall-clock timings are printed and never written.
+The echoed resolved_config.json omits the subcommand and the output path,
+so it is itself a valid --config and identical (config, seed) pairs
+reproduce every output file bit-exactly.  No setting names a thread count:
+verify-cone's report depends only on its arguments, whatever the machine's
+core count.
 
-Exit codes: 0 success, 1 convergence failure, 2 input error.
+Exit codes: 0 success, 1 convergence failure, 2 input error (an --out that
+cannot be made a directory among them).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -100,16 +104,28 @@ def _solver_config(args):
 
 
 def _echo_config(args, outdir):
-    resolved = {
-        k: v for k, v in sorted(vars(args).items())
+    _write_json(outdir, "resolved_config.json", {
+        k: v for k, v in vars(args).items()
         if k not in ("command", "out", "config", "func") and v is not None
-    }
-    path = outdir / "resolved_config.json"
-    path.write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _write_json(outdir, name, doc):
     (outdir / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+_UNWRITTEN = ("wallclock", "trace", "iterates")  # fields no output file carries
+
+
+def _doc(value):
+    """JSON-ready data of a report: a dataclass becomes the dict of its
+    fields but those named in _UNWRITTEN, lists and tuples become lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _doc(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.name not in _UNWRITTEN}
+    if isinstance(value, (list, tuple)):
+        return [_doc(v) for v in value]
+    return value
 
 
 def _grid_metric(args):
@@ -117,17 +133,6 @@ def _grid_metric(args):
     scale = 1.0 if args.metric_scale is None else args.metric_scale
     grid = TorusGrid(args.n, args.N, memory_cap=cap)
     return grid, MetricField.flat(grid, scale=scale)
-
-
-def _solve_report_doc(report):
-    return {
-        "converged": report.converged,
-        "t_path": [[t, it, res] for t, it, res in report.t_path],
-        "cone_margin_min": report.cone_margin_min,
-        "sup_u": report.sup_u,
-        "inf_u": report.inf_u,
-        "failure": report.failure,
-    }
 
 
 def _write_trace(outdir, reports):
@@ -151,10 +156,9 @@ def _cmd_solve(args, outdir):
     u, report = solve_exponential(H, omega, args.m, _solver_config(args))
     write_field(outdir / "u.field", u, kind="u")
     _write_trace(outdir, [report])
-    doc = _solve_report_doc(report)
     # diagnostic only: the second-order-vs-gradient constant is unknown
-    doc["laplacian_gradient_ratio"] = laplacian_gradient_ratio(u)
-    _write_json(outdir, "report.json", doc)
+    _write_json(outdir, "report.json",
+                _doc(report) | {"laplacian_gradient_ratio": laplacian_gradient_ratio(u)})
     print(f"solve: converged={report.converged} sup_u={report.sup_u:.6g} "
           f"inf_u={report.inf_u:.6g} wallclock={report.wallclock:.2f}s")
     return 0 if report.converged else 1
@@ -167,18 +171,7 @@ def _cmd_normalized(args, outdir):
         f, omega, args.m, _parse_list(args.eps_schedule, float), _solver_config(args)
     )
     write_field(outdir / "u.field", u, kind="u")
-    doc = {
-        "converged": report.converged,
-        "c": c,
-        "c_estimates": report.c_estimates,
-        "c_gaps": report.c_gaps,
-        "tol_c": report.tol_c,
-        "final_mismatch": report.final_mismatch,
-        "sup_u": report.sup_u,
-        "inf_u": report.inf_u,
-        "eps_path": [[eps, _solve_report_doc(rep)] for eps, rep in report.eps_path],
-    }
-    _write_json(outdir, "report.json", doc)
+    _write_json(outdir, "report.json", _doc(report) | {"c": c})
     _write_trace(outdir, [rep for _, rep in report.eps_path])
     print(f"normalized: converged={report.converged} c={c:.8g} "
           f"mismatch={report.final_mismatch:.3g} wallclock={report.wallclock:.2f}s")
@@ -192,16 +185,7 @@ def _cmd_envelope(args, outdir):
         h, omega, args.m, _parse_list(args.eps_schedule, float), _solver_config(args)
     )
     write_field(outdir / "w.field", w, kind="w")
-    doc = {
-        "converged": report.converged,
-        "monotone_violation_sup": report.monotone_violation_sup,
-        "contact_fraction": report.contact_fraction,
-        "complementarity_sup": report.complementarity_sup,
-        "complementarity_path": report.complementarity_path,
-        "obstacle_excess_sup": report.obstacle_excess_sup,
-        "eps_path": [[eps, _solve_report_doc(rep)] for eps, rep in report.eps_path],
-    }
-    _write_json(outdir, "report.json", doc)
+    _write_json(outdir, "report.json", _doc(report))
     _write_trace(outdir, [rep for _, rep in report.eps_path])
     print(f"envelope: converged={report.converged} "
           f"contact_fraction={report.contact_fraction:.4f} "
@@ -214,15 +198,7 @@ def _cmd_mms(args, outdir):
         args.n, args.m, _parse_list(args.N_list, int),
         amplitude=args.amplitude, cfg=_solver_config(args),
     )
-    doc = {
-        "rows": [
-            {"N": r.N, "sup_error": r.sup_error, "final_residual": r.final_residual,
-             "newton_iterations": r.newton_iterations, "converged": r.converged}
-            for r in rows
-        ],
-        "observed_orders": orders,
-    }
-    _write_json(outdir, "report.json", doc)
+    _write_json(outdir, "report.json", {"rows": _doc(rows), "observed_orders": orders})
     for r in rows:
         print(f"mms N={r.N}: sup_error={r.sup_error:.6e} "
               f"residual={r.final_residual:.2e} converged={r.converged}")
@@ -246,12 +222,11 @@ def _cmd_stability_sweep(args, outdir):
     )
     stability_records_csv(records, outdir / "records.csv")
     ratios = [r.ratio for r in records if r.ratio > 0]
-    summary = {
-        "records": [r.to_dict() for r in records],
+    _write_json(outdir, "summary.json", {
+        "records": _doc(records),
         "max_ratio": max(ratios) if ratios else 0.0,
         "min_ratio": min(ratios) if ratios else 0.0,
-    }
-    _write_json(outdir, "summary.json", summary)
+    })
     for r in records:
         print(f"delta={r.delta:g}: lhs={r.lhs:.4e} rhs={r.rhs:.4e} ratio={r.ratio:.4f} "
               f"newton_steps={r.newton_steps}"
@@ -270,8 +245,7 @@ def _cmd_decay(args, outdir):
         fh.write("t,fraction,t_fraction\n")
         for t, frac, tf in report.rows:
             fh.write(f"{t!r},{frac!r},{tf!r}\n")
-    _write_json(outdir, "summary.json", {"rows": report.rows, "bounded": report.bounded,
-                                         "bound_ratio": report.bound_ratio})
+    _write_json(outdir, "summary.json", _doc(report))
     print(f"decay: bounded={report.bounded} ratio={report.bound_ratio:.4f}")
     return 0 if report.bounded else 1
 
@@ -394,7 +368,10 @@ def main(argv=None):
     try:
         args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file in the way, or no permission
+            raise InputError(f"cannot create output directory {outdir}: {exc}") from exc
         code = args.func(args, outdir)
         _echo_config(args, outdir)
         return code

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -55,7 +56,7 @@ class TorusGrid:
 
     n: int
     N: int
-    memory_cap: int = 2 << 30
+    memory_cap: int = field(default=2 << 30, compare=False)  # a guard, not part of the grid
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -150,12 +151,7 @@ def check_hermitian(a, name="matrix"):
         raise InputError(f"{name} must be square and non-empty, got shape {a.shape}")
     if a.shape[0] > _MAX_N:
         raise InputError(f"{name} larger than supported n <= {_MAX_N}")
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{name} must be finite")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > 1e-13 * scale:
-        raise InputError(f"{name} is not Hermitian (deviation {dev:.3e})")
+    _check_hermitian_forms(a, name)
     return 0.5 * (a + a.conj().T)
 
 
@@ -185,10 +181,7 @@ class MetricField:
 
     @classmethod
     def constant_form(cls, grid, form):
-        form = check_hermitian(form, "metric")
-        if form.shape[0] != grid.n:
-            raise InputError("metric dimension must equal grid complex dimension")
-        return cls(grid, check_positive_definite(form))
+        return cls(grid, check_positive_definite(check_hermitian(form, "metric")))
 
     @classmethod
     def conformal(cls, grid, base_form, terms):
@@ -203,10 +196,31 @@ class MetricField:
 
     def __post_init__(self):
         self.form = np.asarray(self.form, dtype=complex)
-        if not self.constant and self.form.shape != self.grid.shape + (self.grid.n,) * 2:
-            raise InputError("variable metric shape mismatch")
-        identity = self.constant and np.array_equal(self.form, np.eye(self.grid.n))
+        n = self.grid.n
+        shape = (n, n) if self.constant else self.grid.shape + (n, n)
+        if self.form.shape != shape:
+            raise InputError(f"metric shape {self.form.shape} does not fit complex "
+                             f"dimension {n}: want {shape}")
+        _check_hermitian_forms(self.form)
+        identity = self.constant and np.array_equal(self.form, np.eye(n))
         self.factor = None if identity else _cholesky_inverse_layout(self.form)
+
+
+def _check_hermitian_forms(form, name="metric"):
+    """Raise InputError unless every matrix on the last two axes is finite
+    and Hermitian to 1e-13 of max(1, its largest entry); each entry on or
+    below the diagonal is compared with its mirror's conjugate."""
+    if not np.all(np.isfinite(form)):
+        raise InputError(f"{name} must be finite")
+    n = form.shape[-1]
+    # entry by entry: a max over the two small trailing axes is several times slower
+    scale = reduce(np.maximum, (np.abs(form[..., i, j]) for i in range(n) for j in range(n)),
+                   1.0)
+    for i in range(n):
+        for j in range(i + 1):
+            dev = np.abs(form[..., i, j] - form[..., j, i].conj())
+            if np.any(dev > 1e-13 * scale):
+                raise InputError(f"{name} is not Hermitian (deviation {np.max(dev):.3e})")
 
 
 def _cholesky_inverse_layout(form):

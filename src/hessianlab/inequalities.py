@@ -68,9 +68,6 @@ class StabilityRecord:
     newton_steps: int  # accepted steps on this delta's eps_path (the base's for delta 0)
     converged: bool  # the base solve and this delta's solve both converged
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
                     eps_schedule=(1.0, 0.3, 0.1, 0.03)):
@@ -127,7 +124,7 @@ def stability_records_csv(records, path):
         writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(StabilityRecord)])
         writer.writeheader()
         for rec in records:
-            writer.writerow(rec.to_dict())
+            writer.writerow(asdict(rec))
 
 
 @dataclass

@@ -152,7 +152,7 @@ def sample_cone(rng, n, m, count):
 # Randomized verification of the pointwise cone inequalities.
 # --------------------------------------------------------------------------
 
-_BLOCK = 1 << 16  # samples per block: bounds a block's memory and fixes the report
+_BLOCK = 1 << 14  # samples per block: bounds a block's memory and fixes the report
 
 
 @dataclass

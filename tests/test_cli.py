@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism, config files."""
 
+import dataclasses
 import filecmp
 import json
 import os
@@ -12,9 +13,13 @@ import numpy as np
 import pytest
 
 import hessianlab
-from hessianlab.cli import _SUBCOMMANDS, build_parser, main, parse_field_spec
+from hessianlab.cli import _SUBCOMMANDS, _UNWRITTEN, build_parser, main, parse_field_spec
+from hessianlab.envelope import EnvelopeReport
 from hessianlab.errors import InputError
+from hessianlab.experiments import MmsRow
 from hessianlab.geometry import read_field
+from hessianlab.inequalities import DecayReport, StabilityRecord
+from hessianlab.solver import NormalizedReport, SolveReport
 
 
 class TestFieldSpecGrammar:
@@ -173,6 +178,18 @@ class TestSolveCommand:
                      "--H", "cos:1,0,0,0:50", "--t-steps", "1",
                      "--max-newton", "2", "--out", str(tmp_path / "x")])
         assert code == 1
+
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_unusable_out_exit_2(self, tmp_path, where):
+        # an --out that cannot be a directory is an input fault, not a
+        # convergence failure
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker if where == "file" else blocker / "x"
+        code = main(["decay", "--n", "2", "--m", "1", "--N", "8",
+                     "--phi", "cos:1,0,0,0:1", "--out", str(out)])
+        assert code == 2
+        assert blocker.read_text() == ""
 
     def test_unknown_flag_exit_2(self, tmp_path):
         assert main(["solve", "--frobnicate", "1"]) == 2
@@ -374,6 +391,74 @@ class TestOtherCommands:
         assert [rec["converged"] for rec in doc["records"]] == [False]
         lines = (out / "records.csv").read_text().splitlines()
         assert lines[0].endswith(",converged") and lines[1].endswith(",False")
+
+
+def _written(cls, *extras):
+    """The keys of a written ``cls`` report: its fields but _UNWRITTEN, plus extras."""
+    return {f.name for f in dataclasses.fields(cls)} - set(_UNWRITTEN) | set(extras)
+
+
+def _all_keys(doc):
+    if isinstance(doc, dict):
+        return set(doc).union(*map(_all_keys, doc.values()))
+    if isinstance(doc, list):
+        return set().union(*map(_all_keys, doc))
+    return set()
+
+
+class TestOutRule:
+    """Every report under --out holds its dataclass's fields but _UNWRITTEN."""
+
+    FLAGS = ["--n", "2", "--m", "1", "--N", "8", "--t-steps", "1"]
+
+    def run(self, tmp_path, argv, name):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = json.loads((out / name).read_text())
+        assert "wallclock" not in _all_keys(doc)
+        return doc
+
+    def assert_eps_path(self, eps_path):
+        assert eps_path
+        for eps, rep in eps_path:
+            assert isinstance(eps, float)
+            assert set(rep) == _written(SolveReport)
+
+    def test_solve(self, tmp_path):
+        doc = self.run(tmp_path, ["solve", *self.FLAGS, "--H", "cos:1,0,0,0:0.5"],
+                       "report.json")
+        assert set(doc) == _written(SolveReport, "laplacian_gradient_ratio")
+
+    def test_normalized(self, tmp_path):
+        doc = self.run(tmp_path, ["normalized", *self.FLAGS, "--f", "cos:0,0,0,0:2",
+                                  "--eps-schedule", "1,0.3"], "report.json")
+        assert set(doc) == _written(NormalizedReport, "c")
+        self.assert_eps_path(doc["eps_path"])
+
+    def test_envelope(self, tmp_path):
+        doc = self.run(tmp_path, ["envelope", *self.FLAGS, "--h", "cos:1,0,0,0:2",
+                                  "--eps-schedule", "1,0.3"], "report.json")
+        assert set(doc) == _written(EnvelopeReport)
+        self.assert_eps_path(doc["eps_path"])
+
+    def test_mms(self, tmp_path):
+        doc = self.run(tmp_path, ["mms", "--n", "2", "--m", "1", "--N-list", "8",
+                                  "--t-steps", "1"], "report.json")
+        assert set(doc) == {"rows", "observed_orders"}
+        assert [set(row) for row in doc["rows"]] == [_written(MmsRow)]
+
+    def test_stability_sweep(self, tmp_path):
+        doc = self.run(tmp_path, ["stability-sweep", *self.FLAGS, "--deltas", "0.1,0",
+                                  "--p", "4", "--a", "0.3", "--eps-schedule", "1,0.3"],
+                       "summary.json")
+        assert set(doc) == {"records", "max_ratio", "min_ratio"}
+        assert [set(rec) for rec in doc["records"]] == [_written(StabilityRecord)] * 2
+
+    def test_decay(self, tmp_path):
+        doc = self.run(tmp_path, ["decay", "--n", "2", "--m", "1", "--N", "8",
+                                  "--phi", "cos:1,0,0,0:1", "--t-list", "0.5,1"],
+                       "summary.json")
+        assert set(doc) == _written(DecayReport)
 
 
 class TestDocumentedCommands:

@@ -172,6 +172,35 @@ class TestPartialReport:
         assert failed.inf_u == float(np.min(state.u))
         assert failed.sup_u != rep.eps_path[0][1].sup_u
 
+    def test_failed_first_eps_returns_its_iterate(self, monkeypatch):
+        # continuity at eps = 1 never converges: the report holds that one
+        # failed eps and no complementarity, and its iterate comes back
+        import hessianlab.solver as solver
+
+        qs = []
+
+        def failing_newton(eq, u0, harr, cfg, t_label, trace):
+            qs.append(eq.q)
+            return eq.evaluate(u0, harr), 0, "forced failure"
+
+        monkeypatch.setattr(solver, "_newton", failing_newton)
+        grid, omega = flat(2, 8)
+        h = make_field(grid, [((1, 0, 0, 0), 2.0, 0.0)])
+        w, rep = msh_envelope(h, omega, 1, [1.0, 0.3], SolverConfig(t_steps=1))
+        assert set(qs) == {1.0}  # eps = 0.3 is never tried
+        (eps, failed), = rep.eps_path
+        assert eps == 1.0 and not rep.converged
+        assert failed.failure.endswith("forced failure")
+        assert failed.t_path == []
+        assert rep.complementarity_path == []
+        assert rep.complementarity_sup == np.inf
+        assert rep.monotone_violation_sup == 0.0 and rep.obstacle_excess_sup == 0.0
+        # continuity accepted no step, so the iterate is its start u = 0
+        assert w.grid == grid
+        np.testing.assert_array_equal(w.data, 0.0)
+        # contact tolerance max(100 newton_tol, eps_last^2) = 0.09 around w = 0
+        assert rep.contact_fraction == float(np.mean(h.data <= 0.09))
+
 
 class TestValidation:
     def test_schedule_must_start_at_one(self):

@@ -18,6 +18,7 @@ from hessianlab.geometry import (
     read_field,
     write_field,
 )
+from hessianlab.hessop import sigma_m
 
 
 def grid2(N=16):
@@ -45,6 +46,16 @@ class TestTorusGrid:
         with pytest.raises(InputError):
             TorusGrid(3, 12)  # ~3e6 points exceeds the default cap
         TorusGrid(3, 10)  # intended desk-scale maximum
+
+    def test_memory_cap_is_not_part_of_the_grid(self, tmp_path):
+        # a field read under a raised cap lives on the default grid
+        big = TorusGrid(2, 8, memory_cap=4 << 30)
+        assert big == TorusGrid(2, 8)
+        assert hash(big) == hash(TorusGrid(2, 8))
+        path = tmp_path / "u.field"
+        write_field(path, ScalarField.zeros(TorusGrid(2, 8)))
+        u, _ = read_field(path, memory_cap=4 << 30)
+        sigma_m(u, MetricField.flat(TorusGrid(2, 8)), 1)
 
 
 class TestMakeField:
@@ -232,6 +243,13 @@ class TestGradientSup:
         assert gradient_sup(u2) == pytest.approx(2 * gradient_sup(u1))
 
 
+def _one_point_skewed(g):
+    """A field of identity forms but one, whose upper entry is not mirrored."""
+    form = np.ones(g.shape + (2, 2)) * np.eye(2)
+    form[1, 2, 3, 4, 0, 1] = 0.5
+    return form
+
+
 class TestMetricField:
     def test_flat(self):
         om = MetricField.flat(grid2(), scale=2.0)
@@ -255,8 +273,14 @@ class TestMetricField:
         (lambda g: MetricField(g, np.ones(g.shape + (2, 2)) * np.diag([1.0, -1.0])),
          "positive definite"),
         (lambda g: MetricField(g, np.ones(g.shape + (2, 2))), "positive definite"),
+        (lambda g: MetricField(g, np.eye(3)), "shape"),
+        (lambda g: MetricField(g, [[1.0, 0.5], [0.0, 1.0]]), "Hermitian"),
+        (lambda g: MetricField(g, [[1.0, 0.0], [0.0, 1.0 + 1e-9j]]), "Hermitian"),
+        (lambda g: MetricField(g, [[1.0, np.nan], [0.0, 1.0]]), "finite"),
+        (lambda g: MetricField(g, _one_point_skewed(g)), "Hermitian"),
     ], ids=["constant-3x3", "variable-3x3", "variable-scalar", "variable-indefinite",
-            "variable-singular"])
+            "variable-singular", "constructor-3x3", "constant-upper-only",
+            "complex-diagonal", "nan-upper", "variable-one-point"])
     def test_rejects_bad_form(self, make, match):
         with pytest.raises(InputError, match=match):
             make(TorusGrid(2, 8))

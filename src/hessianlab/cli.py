@@ -9,14 +9,16 @@ frequency cosine: "cos:0,0,0,0:1".
 Configuration may come from a JSON file (--config) of string and number
 values: its keys are spliced into argv as --key=value flags right after the
 subcommand, so one parse types and checks every setting and an explicit
-flag, coming later, wins.  All outputs land under --out, where _doc writes
-every field of a report's dataclass, through lists and tuples, but those
-named in _UNWRITTEN, so wall-clock timings are printed and never written.
-The echoed resolved_config.json omits the subcommand and the output path,
-so it is itself a valid --config and identical (config, seed) pairs
-reproduce every output file bit-exactly.  No setting names a thread count:
-verify-cone's report depends only on its arguments, whatever the machine's
-core count.
+flag, coming later, wins.  All outputs land under --out, and this module
+alone knows their formats: _doc writes every field of a report's
+dataclass, through dicts, lists and tuples, but those named in _UNWRITTEN,
+so wall-clock timings are printed and never written; newton_trace.jsonl is
+one _doc line per Newton record.  A non-finite float is written as null,
+so every file is strict JSON (RFC 8259).  The echoed resolved_config.json
+omits the subcommand and the output path, so it is itself a valid --config
+and identical (config, seed) pairs reproduce every output file bit-exactly.
+No setting names a thread count: verify-cone's report depends only on its
+arguments, whatever the machine's core count.
 
 Exit codes: 0 success, 1 convergence failure, 2 input error (an --out that
 cannot be made a directory among them).
@@ -111,7 +113,8 @@ def _echo_config(args, outdir):
 
 
 def _write_json(outdir, name, doc):
-    (outdir / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_doc(doc), indent=2, sort_keys=True, allow_nan=False)
+    (outdir / name).write_text(text + "\n")
 
 
 _UNWRITTEN = ("wallclock", "trace", "iterates")  # fields no output file carries
@@ -119,12 +122,17 @@ _UNWRITTEN = ("wallclock", "trace", "iterates")  # fields no output file carries
 
 def _doc(value):
     """JSON-ready data of a report: a dataclass becomes the dict of its
-    fields but those named in _UNWRITTEN, lists and tuples become lists."""
+    fields but those named in _UNWRITTEN, dicts keep their keys, lists and
+    tuples become lists, and a non-finite float becomes None (null)."""
     if dataclasses.is_dataclass(value):
         return {f.name: _doc(getattr(value, f.name))
                 for f in dataclasses.fields(value) if f.name not in _UNWRITTEN}
+    if isinstance(value, dict):
+        return {k: _doc(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_doc(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
@@ -136,14 +144,16 @@ def _grid_metric(args):
 
 
 def _write_trace(outdir, reports):
-    """newton_trace.jsonl: the Newton records of the reports, in order."""
-    trace = "".join(rep.trace_jsonl() for rep in reports)
-    (outdir / "newton_trace.jsonl").write_text(trace)
+    """newton_trace.jsonl: the Newton records of the reports, in order, one
+    line each."""
+    (outdir / "newton_trace.jsonl").write_text("".join(
+        json.dumps(_doc(rec), sort_keys=True, allow_nan=False) + "\n"
+        for rep in reports for rec in rep.trace))
 
 
 def _cmd_verify_cone(args, outdir):
     report = verify_cone_inequalities(args.n, args.m, args.samples, args.seed, tol=args.tol)
-    _write_json(outdir, "report.json", report.to_dict())
+    _write_json(outdir, "report.json", report)
     ok = report.all_pass()
     print(f"verify-cone n={args.n} m={args.m}: "
           f"{'all pass' if ok else 'VIOLATIONS'}, theta_hat={report.theta_hat:.6g}")
@@ -185,7 +195,7 @@ def _cmd_envelope(args, outdir):
         h, omega, args.m, _parse_list(args.eps_schedule, float), _solver_config(args)
     )
     write_field(outdir / "w.field", w, kind="w")
-    _write_json(outdir, "report.json", _doc(report))
+    _write_json(outdir, "report.json", report)
     _write_trace(outdir, [rep for _, rep in report.eps_path])
     print(f"envelope: converged={report.converged} "
           f"contact_fraction={report.contact_fraction:.4f} "
@@ -198,7 +208,7 @@ def _cmd_mms(args, outdir):
         args.n, args.m, _parse_list(args.N_list, int),
         amplitude=args.amplitude, cfg=_solver_config(args),
     )
-    _write_json(outdir, "report.json", {"rows": _doc(rows), "observed_orders": orders})
+    _write_json(outdir, "report.json", {"rows": rows, "observed_orders": orders})
     for r in rows:
         print(f"mms N={r.N}: sup_error={r.sup_error:.6e} "
               f"residual={r.final_residual:.2e} converged={r.converged}")
@@ -223,7 +233,7 @@ def _cmd_stability_sweep(args, outdir):
     stability_records_csv(records, outdir / "records.csv")
     ratios = [r.ratio for r in records if r.ratio > 0]
     _write_json(outdir, "summary.json", {
-        "records": _doc(records),
+        "records": records,
         "max_ratio": max(ratios) if ratios else 0.0,
         "min_ratio": min(ratios) if ratios else 0.0,
     })
@@ -245,7 +255,7 @@ def _cmd_decay(args, outdir):
         fh.write("t,fraction,t_fraction\n")
         for t, frac, tf in report.rows:
             fh.write(f"{t!r},{frac!r},{tf!r}\n")
-    _write_json(outdir, "summary.json", _doc(report))
+    _write_json(outdir, "summary.json", report)
     print(f"decay: bounded={report.bounded} ratio={report.bound_ratio:.4f}")
     return 0 if report.bounded else 1
 

@@ -92,7 +92,7 @@ class MmsRow:
     wallclock: float
 
 
-def mms_study(n, m, N_list, amplitude=0.25, cfg=None, memory_cap=2 << 30):
+def mms_study(n, m, N_list, amplitude=0.25, cfg=None):
     """Manufactured-solution errors across grids, plus observed orders.
 
     Returns (rows, orders) where orders[i] = log2(e_i / e_{i+1}) between
@@ -103,7 +103,7 @@ def mms_study(n, m, N_list, amplitude=0.25, cfg=None, memory_cap=2 << 30):
     cfg = cfg or SolverConfig(t_steps=1)
     rows = []
     for N in N_list:
-        grid = TorusGrid(n, N, memory_cap=memory_cap)
+        grid = TorusGrid(n, N)
         ustar, H, omega = manufactured_problem(grid, m, amplitude)
         u, report = solve_exponential(H, omega, m, cfg)
         err = float(np.max(np.abs(u.data - ustar.data)))

@@ -18,9 +18,10 @@ T_{m-1}(B') = sum_j (-1)^j S_{m-1-j} B'^j (Reilly, Michigan Math. J. 20,
 1973), so A = L^{-*} T_{m-1}(B') L^{-1} / S_m is a polynomial in B' built
 from the same S_k table.  On the grid an eigensolve runs only at the single
 worst point of a cone breach, to report that point's eigenvalues;
-sigma_of_form, for one pair of forms, solves det(gamma - lambda omega) = 0
-directly, and mixed_product polarizes it: the mixed form of m arguments is
-an alternating sum of sigma_m over the 2^m - 1 nonempty sums of them.
+sigma_of_form, for one pair of forms, reduces det(gamma - lambda omega) = 0
+by the Cholesky factor of omega to one Hermitian eigenproblem, and
+mixed_product polarizes it: the mixed form of m arguments is an
+alternating sum of sigma_m over the 2^m - 1 nonempty sums of them.
 
 The linearized operator tr(A dd^c v) - q v is a real combination of second
 differences of v, so the Krylov matvec applies it from n^2 real stencil
@@ -38,7 +39,6 @@ from itertools import combinations
 from operator import iadd
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConeBreachError, InputError
 from .geometry import (
@@ -296,7 +296,8 @@ def sigma_of_form(gamma, omega_form, m):
     omega_form = check_hermitian(omega_form, "omega")
     if omega_form.shape != gamma.shape:
         raise InputError("gamma and omega must have matching shapes")
-    lam = scipy.linalg.eigvalsh(gamma, check_positive_definite(omega_form, "omega"))
+    li = np.linalg.inv(np.linalg.cholesky(check_positive_definite(omega_form, "omega")))
+    lam = np.linalg.eigvalsh(li @ gamma @ li.conj().T)
     return float(elementary_symmetric_table(lam, m)[..., m] / math.comb(n, m))
 
 

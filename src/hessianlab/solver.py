@@ -28,13 +28,11 @@ to 2^-20), the restart and the cap of 12 t-step halvings are constants.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError
 from .geometry import ScalarField
@@ -82,26 +80,12 @@ class SolverConfig:
 @dataclass
 class NewtonRecord:
     t: float
-    iteration: int
+    iter: int
     residual_sup: float
     step_scale: float
     cone_margin: float
     krylov_iters: int = 0  # GMRES iterations behind this step
     krylov_relres: float | None = None  # their true relative residual
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "t": self.t,
-                "iter": self.iteration,
-                "residual_sup": self.residual_sup,
-                "step_scale": self.step_scale,
-                "cone_margin": self.cone_margin,
-                "krylov_iters": self.krylov_iters,
-                "krylov_relres": self.krylov_relres,
-            },
-            sort_keys=True,
-        )
 
 
 @dataclass
@@ -114,9 +98,6 @@ class SolveReport:
     wallclock: float = 0.0
     trace: list = field(default_factory=list)
     failure: str | None = None
-
-    def trace_jsonl(self):
-        return "\n".join(rec.to_json() for rec in self.trace) + ("\n" if self.trace else "")
 
 
 @dataclass
@@ -204,7 +185,9 @@ def gmres_raw(matvec, b, tol, restart, maxiter, psolve):
             if hnext == 0.0 or abs(g[k]) / bnorm <= 0.9 * tol or total >= maxiter:
                 break
             basis[j + 1] = w / hnext
-        y = scipy.linalg.solve_triangular(hess[:k, :k], g[:k], lower=False)
+        y = np.zeros(k)  # the rotations left hess upper triangular: back substitution
+        for i in reversed(range(k)):
+            y[i] = (g[i] - hess[i, i + 1:k] @ y[i + 1:]) / hess[i, i]
         x = x + psolve(np.tensordot(y, basis[:k], axes=(0, 0)))
 
 

@@ -18,7 +18,6 @@ only on its arguments, not on how many threads run the blocks.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -185,30 +184,6 @@ class ConeSuiteReport:
 
     def all_pass(self):
         return all(r.fails == 0 for r in self.results.values())
-
-    def to_dict(self):
-        doc = {
-            name: {
-                "pass": r.passes,
-                "fail": r.fails,
-                "worst_slack": r.worst_slack,
-                "witness": r.witness,
-            }
-            for name, r in sorted(self.results.items())
-        }
-        doc["_meta"] = {
-            "n": self.n,
-            "m": self.m,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "theta_hat": self.theta_hat,
-            "theta_explicit": self.theta_explicit,
-        }
-        return doc
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
 def _result(slack, rows, tol):

@@ -1,6 +1,5 @@
 """Newton/continuity solver: trivial cases, manufactured solutions, contracts."""
 
-import json
 import math
 
 import numpy as np
@@ -214,12 +213,10 @@ class TestSolveExponential:
         grid, omega = flat()
         H = make_field(grid, [((1, 0, 0, 0), 0.3, 0.0)])
         _, rep = solve_exponential(H, omega, 1, FAST)
-        lines = rep.trace_jsonl().strip().splitlines()
-        assert lines
-        for line in lines:
-            rec = json.loads(line)
-            assert set(rec) == {"t", "iter", "residual_sup", "step_scale", "cone_margin",
-                                "krylov_iters", "krylov_relres"}
+        assert rep.trace
+        for rec in rep.trace:
+            assert set(vars(rec)) == {"t", "iter", "residual_sup", "step_scale",
+                                      "cone_margin", "krylov_iters", "krylov_relres"}
 
     def test_trace_records_krylov_work(self, monkeypatch):
         # the last step's solve is reported as capped: its record carries the
@@ -239,12 +236,12 @@ class TestSolveExponential:
 
         monkeypatch.setattr(solver, "krylov_solve", capped_last)
         _, rep = solve_exponential(H, omega, 1, FAST)
-        first, *rest = [json.loads(line) for line in rep.trace_jsonl().splitlines()]
-        assert (first["krylov_iters"], first["krylov_relres"]) == (0, None)
+        first, *rest = rep.trace
+        assert (first.krylov_iters, first.krylov_relres) == (0, None)
         assert len(rest) == steps == len(calls)
         want = [(c.iterations, c.relres) for c in calls]
         want[-1] = (calls[-1].iterations + 1000, calls[-1].relres)
-        assert [(r["krylov_iters"], r["krylov_relres"]) for r in rest] == want
+        assert [(r.krylov_iters, r.krylov_relres) for r in rest] == want
         assert all(i >= 1 for i, _ in want)
 
     def test_grid_mismatch(self):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hessianlab.cli import _doc
 from hessianlab.errors import InputError
 from hessianlab.symfunc import (
     ConeReport,
@@ -232,12 +233,11 @@ class TestVerificationSuite:
 
     def test_json_shape(self):
         rep = verify_cone_inequalities(3, 2, 500, seed=1)
-        doc = json.loads(rep.to_json())
-        for name, entry in doc.items():
-            if name == "_meta":
-                continue
-            assert set(entry) == {"pass", "fail", "worst_slack", "witness"}
-            assert entry["pass"] + entry["fail"] == 500
+        doc = _doc(rep)
+        assert doc["results"]
+        for entry in doc["results"].values():
+            assert set(entry) == {"passes", "fails", "worst_slack", "witness"}
+            assert entry["passes"] + entry["fails"] == 500
 
     def test_report_independent_of_cpu_count(self, monkeypatch):
         import os
@@ -249,14 +249,15 @@ class TestVerificationSuite:
         one = verify_cone_inequalities(3, 2, samples, seed=4)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         three = verify_cone_inequalities(3, 2, samples, seed=4)
-        assert one.to_json() == three.to_json()
+        assert one == three
         assert all(r.passes + r.fails == samples for r in one.results.values())
 
     def test_single_block_report_pinned(self):
         # a run of at most one block (samples <= _BLOCK) writes these bytes
-        doc = verify_cone_inequalities(3, 2, 3000, seed=9).to_json()
+        doc = json.dumps(_doc(verify_cone_inequalities(3, 2, 3000, seed=9)),
+                         indent=2, sort_keys=True)
         assert hashlib.sha256(doc.encode()).hexdigest() == (
-            "d4b9c6ba9ae677262863b38d4c3f108d6c2817fa1e014783e0a4bfc4e3203fb7"
+            "856adfaededd07e97fc59d36a4759d325451344eca14f18e574610d5bb31615f"
         )
 
     def test_rejects_bad_range(self):

@@ -7,7 +7,7 @@ of the pointwise cone inequalities.
 """
 
 from .envelope import EnvelopeReport, contact_set, msh_envelope
-from .errors import ConeBreachError, InputError
+from .errors import InputError
 from .experiments import manufactured_problem, manufactured_terms, mms_study
 from .geometry import (
     MetricField,
@@ -23,7 +23,6 @@ from .geometry import (
 from .hessop import (
     LinearizationField,
     OperatorValue,
-    apply_linearization,
     linearization,
     mixed_product,
     polarization_constant,
@@ -50,11 +49,7 @@ from .solver import (
     solve_normalized,
 )
 from .symfunc import (
-    ConeReport,
     ConeSuiteReport,
-    elementary_symmetric,
-    in_cone,
-    reduced_symmetric,
     sample_cone,
     verify_cone_inequalities,
 )

@@ -27,6 +27,7 @@ cannot be made a directory among them).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import json
@@ -45,8 +46,8 @@ from .experiments import (
 )
 from .geometry import MetricField, ScalarField, TorusGrid, make_field, write_field
 from .inequalities import (
+    StabilityRecord,
     laplacian_gradient_ratio,
-    stability_records_csv,
     stability_sweep,
     sublevel_volume_decay,
 )
@@ -230,7 +231,11 @@ def _cmd_stability_sweep(args, outdir):
         omega, args.m, _solver_config(args),
         eps_schedule=tuple(_parse_list(args.eps_schedule, float)),
     )
-    stability_records_csv(records, outdir / "records.csv")
+    with open(outdir / "records.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=[f.name for f in
+                                                dataclasses.fields(StabilityRecord)])
+        writer.writeheader()
+        writer.writerows(dataclasses.asdict(r) for r in records)
     ratios = [r.ratio for r in records if r.ratio > 0]
     _write_json(outdir, "summary.json", {
         "records": records,

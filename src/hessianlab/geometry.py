@@ -180,10 +180,6 @@ class MetricField:
         return cls(grid, scale * np.eye(grid.n, dtype=complex))
 
     @classmethod
-    def constant_form(cls, grid, form):
-        return cls(grid, check_positive_definite(check_hermitian(form, "metric")))
-
-    @classmethod
     def conformal(cls, grid, base_form, terms):
         """omega = exp(phi) * base_form with phi a truncated Fourier series."""
         base_form = check_positive_definite(check_hermitian(base_form, "metric"))

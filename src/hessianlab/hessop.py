@@ -16,8 +16,9 @@ principal minors of B', so sigma and the cone mask need no eigensolve; nor
 does the linearization: dS_m = tr(T_{m-1}(B') dB') with the Newton tensor
 T_{m-1}(B') = sum_j (-1)^j S_{m-1-j} B'^j (Reilly, Michigan Math. J. 20,
 1973), so A = L^{-*} T_{m-1}(B') L^{-1} / S_m is a polynomial in B' built
-from the same S_k table.  On the grid an eigensolve runs only at the single
-worst point of a cone breach, to report that point's eigenvalues;
+from the same S_k table.  The grid path solves no eigenproblem at all: the
+caller hands linearization the B' and S_k table it already evaluated and
+found strictly inside Gamma_m (solver._newton admits no other state).  Only
 sigma_of_form, for one pair of forms, reduces det(gamma - lambda omega) = 0
 by the Cholesky factor of omega to one Hermitian eigenproblem, and
 mixed_product polarizes it: the mixed form of m arguments is an
@@ -40,24 +41,22 @@ from operator import iadd
 
 import numpy as np
 
-from .errors import ConeBreachError, InputError
+from .errors import InputError
 from .geometry import (
     ScalarField,
     _stencils,
     check_hermitian,
     check_positive_definite,
     complex_hessian_layout,
-    complex_of_layout,
     layout_of_complex,
 )
-from .symfunc import elementary_symmetric_table, table_margin
+from .symfunc import elementary_symmetric_table
 
 __all__ = [
     "OperatorValue",
     "LinearizationField",
     "sigma_m",
     "linearization",
-    "apply_linearization",
     "mixed_product",
     "sigma_of_form",
     "polarization_constant",
@@ -96,12 +95,6 @@ class LinearizationField:
     grid: object
     weights: np.ndarray  # (n, n) + grid.shape, real
     q: float
-
-    def coefficient_matrices(self):
-        """The field A rebuilt from the weights, for tests and diagnostics."""
-        a = (8.0 * self.grid.h * self.grid.h) * self.weights
-        a[range(self.grid.n), range(self.grid.n)] *= 0.5
-        return complex_of_layout(a)
 
 
 def _entries(x, kind="hermitian"):
@@ -227,34 +220,11 @@ def _newton_tensor(b, table, m):
     return t
 
 
-def _check_cone(b, table, m):
-    """Raise ConeBreachError, with the worst point and its eigenvalues, unless
-    the table is strictly inside Gamma_m at every point."""
-    bad = ~np.all(table[..., 1 : m + 1] > 0.0, axis=-1)
-    if not np.any(bad):
-        return
-    margins = table_margin(table, b.shape[0], m)
-    worst = np.unravel_index(int(np.argmin(margins)), margins.shape)
-    lam = np.linalg.eigvalsh(complex_of_layout(b[(slice(None),) * 2 + worst]))[::-1]
-    raise ConeBreachError(f"cone breached at {np.count_nonzero(bad)} points",
-                          point=worst, lam=lam)
-
-
-def linearization(u, omega, m, q, b=None, table=None):
-    """Stencil weights of the linearized operator, without an eigensolve.
-
-    ``b`` may pass in state_matrices(u.data, omega) when the caller already
-    holds it, and ``table`` its S_0..S_m table when the caller has already
-    found that table strictly inside Gamma_m.  Without ``table`` the cone is
-    checked here, and the breach error carries the worst offender and its
-    eigenvalues so failed Newton steps can report it.
-    """
-    grid = u.grid
-    if b is None:
-        b = state_matrices(u.data, omega)
-    if table is None:
-        table = _minor_sums(b, m)
-        _check_cone(b, table, m)
+def linearization(b, table, omega, m, q):
+    """Stencil weights of the linearized operator at the state B' = ``b``
+    (state_matrices) with its S_0..S_m ``table`` (sk_table_of_state), which
+    the caller has found strictly inside Gamma_m; no eigensolve."""
+    grid = omega.grid
     a = _congruence(omega.factor, _newton_tensor(b, table, m), adjoint=True)
     # weights: A_jj / (4 h^2) on the diagonal, A / (8 h^2) off it
     a *= 0.125 / (grid.h * grid.h * table[..., m])
@@ -274,13 +244,6 @@ def apply_linearization_array(lin, v_data):
             out += w[k, j] * d_re
             out -= w[j, k] * d_im
     return out
-
-
-def apply_linearization(lin, v):
-    """tr(A dd^c v) - q v with A the coefficient field of ``lin``."""
-    if v.grid != lin.grid:
-        raise InputError("linearization and field live on different grids")
-    return ScalarField(lin.grid, apply_linearization_array(lin, v.data))
 
 
 def sigma_of_form(gamma, omega_form, m):

@@ -7,23 +7,21 @@ sup norm is a plain max.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .geometry import ScalarField, complex_hessian, gradient_sup
 from .hessop import sk_table_of_state, state_matrices
-from .solver import SolverConfig, solve_normalized
+from .solver import SolverConfig, check_density, solve_normalized
 
 __all__ = [
     "MaxPrincipleReport",
     "check_max_principle",
     "StabilityRecord",
     "stability_sweep",
-    "stability_records_csv",
     "DecayReport",
     "sublevel_volume_decay",
     "laplacian_gradient_ratio",
@@ -74,13 +72,14 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     """Perturb f along psi and record the stability ratios.
 
     Each delta solves the normalized equation for g = f (1 + delta psi); the
-    base solve for f is shared.  psi must live on f's grid and every g must
-    be finite and positive; all of them are checked before the base solve,
-    so bad input costs no Newton step.  Every perturbed solve starts each
-    schedule eps from the base solution at that eps (``warm=base.iterates``),
-    which is O(delta) away from the one wanted, instead of walking cold from
-    u = 0; each record carries the Newton steps of its solve's accepted
-    path (``NormalizedReport.newton_steps``).  Illegal exponents are allowed
+    base solve for f is shared.  psi must live on f's grid, and f and every
+    g must pass solve_normalized's positivity rule (check_density); all of
+    them are checked before the base solve, so bad input costs no Newton
+    step.  Every perturbed solve starts each schedule eps from the base
+    solution at that eps (``warm=base.iterates``), which is O(delta) away
+    from the one wanted, instead of walking cold from u = 0; each record
+    carries the Newton steps of its solve's accepted path
+    (``NormalizedReport.newton_steps``).  Illegal exponents are allowed
     for exploratory runs and are just flagged on the records, and so are
     unconverged solves, whose ratios mean nothing.
     """
@@ -94,12 +93,10 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     if psi.grid != f.grid:
         raise InputError("f and psi live on different grids")
     fdata = f.data
-    if float(np.min(fdata)) <= 0:
-        raise InputError("f must be strictly positive")
+    check_density(fdata)
     gs = [fdata * (1.0 + delta * psi.data) for delta in deltas]
     for delta, gdata in zip(deltas, gs):
-        if not (np.all(np.isfinite(gdata)) and float(np.min(gdata)) > 0):
-            raise InputError(f"perturbed density not finite and positive at delta={delta}")
+        check_density(gdata, f"the perturbed density at delta={delta}")
 
     u_base, _, base = solve_normalized(f, omega, m, eps_schedule, cfg)
     records = []
@@ -117,14 +114,6 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
                                        newton_steps=rep.newton_steps,
                                        converged=base.converged and rep.converged))
     return records
-
-
-def stability_records_csv(records, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(StabilityRecord)])
-        writer.writeheader()
-        for rec in records:
-            writer.writerow(asdict(rec))
 
 
 @dataclass

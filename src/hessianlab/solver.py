@@ -54,6 +54,7 @@ __all__ = [
     "krylov_solve",
     "solve_exponential",
     "solve_normalized",
+    "check_density",
 ]
 
 
@@ -326,9 +327,8 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
     while state.res_sup > cfg.newton_tol:
         if iters >= cfg.max_newton:
             return state, iters, "Newton iteration cap"
-        # every admitted state is in the cone, so its table skips the cone check
-        lin = linearization(ScalarField(grid, state.u), eq.metric, eq.m, eq.q,
-                            b=state.b, table=state.table)
+        # every admitted state is strictly inside the cone, as linearization needs
+        lin = linearization(state.b, state.table, eq.metric, eq.m, eq.q)
         tol_k = max(cfg.krylov_tol, min(3e-2, 0.3 * state.res_sup))
         rhs = ScalarField(grid, -state.residual)
         delta, info = krylov_solve(lin, rhs, tol_k)
@@ -456,6 +456,15 @@ def solve_exponential(H, omega, m, cfg=None):
     return ScalarField(omega.grid, u), report
 
 
+def check_density(data, name="f"):
+    """Raise InputError unless the density values ``data`` are finite with
+    min >= 1e-6 max > 0: the positivity rule of every normalized solve, so
+    that a caller can check its densities before it starts one."""
+    fmax = float(np.max(data))
+    if not (np.all(np.isfinite(data)) and fmax > 0 and float(np.min(data)) >= 1e-6 * fmax):
+        raise InputError(f"{name} must be strictly positive and finite (min >= 1e-6 max)")
+
+
 def solve_normalized(f, omega, m, eps_schedule, cfg=None, warm=None):
     """Solve sigma_m(u) = c f by the vanishing zeroth-order family.
 
@@ -475,10 +484,8 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None, warm=None):
     if f.grid != omega.grid:
         raise InputError("field and metric live on different grids")
     fdata = f.data
+    check_density(fdata)
     fmax = float(np.max(fdata))
-    fmin = float(np.min(fdata))
-    if fmax <= 0 or fmin < 1e-6 * fmax:
-        raise InputError("f must be strictly positive (min f >= 1e-6 max f)")
 
     start = time.perf_counter()
     logf = np.log(fdata)

@@ -5,7 +5,7 @@ The cone of interest is
     Gamma_m = { lam in R^n : S_1(lam) > 0, ..., S_m(lam) > 0 },
 
 the natural ellipticity domain of the m-Hessian operator.  Conventions:
-S_0 = 1 and S_k = 0 for k < 0 or k > n.  The reduced function S_{k;I} is
+S_0 = 1 and S_k = 0 for k > n.  The reduced function S_{k;I} is
 S_k evaluated with the entries listed in I removed; indices are 0-based.
 
 All evaluators accept arrays with an arbitrary batch shape in the leading
@@ -30,15 +30,11 @@ import numpy as np
 from .errors import InputError
 
 __all__ = [
-    "elementary_symmetric",
     "elementary_symmetric_table",
-    "reduced_symmetric",
-    "in_cone",
     "cone_mask",
     "table_margin",
     "sample_cone",
     "verify_cone_inequalities",
-    "ConeReport",
     "InequalityResult",
     "ConeSuiteReport",
 ]
@@ -61,57 +57,6 @@ def elementary_symmetric_table(lam, kmax):
         for k in range(min(i + 1, kcap), 0, -1):
             out[..., k] += x * out[..., k - 1]
     return out
-
-
-def elementary_symmetric(lam, k):
-    """S_k(lam).  Returns 1 for k = 0 and 0 for k > n or k < 0."""
-    lam = np.asarray(lam, dtype=float)
-    if not np.all(np.isfinite(lam)):
-        raise InputError("entries must be finite")
-    n = lam.shape[-1]
-    scalar = lam.ndim == 1
-    if k < 0 or k > n:
-        val = np.zeros(lam.shape[:-1])
-    elif k == 0:
-        val = np.ones(lam.shape[:-1])
-    else:
-        val = elementary_symmetric_table(lam, k)[..., k]
-    return float(val) if scalar else val
-
-
-def reduced_symmetric(lam, k, excluded):
-    """S_{k;excluded}(lam): delete the listed entries, then take S_k."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    idx = sorted(set(int(i) for i in excluded))
-    if len(idx) != len(list(excluded)):
-        raise InputError("excluded indices must be distinct")
-    if idx and (idx[0] < 0 or idx[-1] >= n):
-        raise InputError(f"excluded index out of range for n={n}")
-    rest = np.delete(lam, idx, axis=-1)
-    return elementary_symmetric(rest, k)
-
-
-@dataclass
-class ConeReport:
-    in_cone: bool
-    s_values: np.ndarray  # S_1 .. S_m
-    margin: float  # min_k S_k(lam) / S_k(1,...,1)
-
-
-def in_cone(lam, m):
-    """Strict Gamma_m membership test with the normalized margin."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if not 1 <= m <= n:
-        raise InputError(f"m={m} out of range 1..{n}")
-    table = elementary_symmetric_table(lam, m)
-    s = table[..., 1 : m + 1]
-    margin = table_margin(table, n, m)
-    ok = np.all(s > 0.0, axis=-1)
-    if lam.ndim == 1:
-        ok, margin = bool(ok), float(margin)
-    return ConeReport(in_cone=ok, s_values=s, margin=margin)
 
 
 def cone_mask(lam, m):

@@ -380,6 +380,19 @@ class TestOtherCommands:
         assert doc["max_ratio"] > 0
         assert all(rec["converged"] for rec in doc["records"])
 
+    def test_csv_output(self, tmp_path):
+        # records.csv: a header of the StabilityRecord fields, then one row
+        # per delta with the values summary.json holds
+        out = tmp_path / "sweep"
+        assert main(["stability-sweep", "--n", "2", "--m", "1", "--N", "8",
+                     "--deltas", "0.1,0", "--p", "4", "--a", "0.3",
+                     "--eps-schedule", "1,0.3", "--out", str(out), "--t-steps", "1"]) == 0
+        lines = (out / "records.csv").read_text().splitlines()
+        assert lines[0] == "delta,p,a,lhs,rhs,ratio,legal,newton_steps,converged"
+        records = json.loads((out / "summary.json").read_text())["records"]
+        assert lines[1:] == [",".join(str(rec[k]) for k in lines[0].split(","))
+                             for rec in records]
+
     def test_stability_sweep_unconverged_exits_1(self, tmp_path):
         # one Newton step per solve stalls the continuity path, so the
         # ratio is meaningless: flagged in both outputs, and exit 1

@@ -1,4 +1,4 @@
-"""Experiment recipes: the fixed terms the drivers and scripts build on."""
+"""Experiment recipes: the fixed terms the drivers and the CLI build on."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ class TestDefaultTerms:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_direction_fits_the_grid(self, n):
-        # scripts/run_stability.py perturbs the density along this field
+        # stability-sweep perturbs the default density along this field
         psi = make_field(TorusGrid(n, 8), default_direction_terms(n))
         assert np.all(np.isfinite(psi.data)) and psi.sup() > 0.0
 

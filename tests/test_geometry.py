@@ -264,10 +264,10 @@ class TestMetricField:
 
     def test_constant_rejects_indefinite(self):
         with pytest.raises(InputError):
-            MetricField.constant_form(grid2(), np.diag([1.0, -1.0]))
+            MetricField(grid2(), np.diag([1.0, -1.0]))
 
     @pytest.mark.parametrize("make, match", [
-        (lambda g: MetricField.constant_form(g, np.eye(3)), "dimension"),
+        (lambda g: MetricField(g, np.eye(3)), "dimension"),
         (lambda g: MetricField(g, np.ones(g.shape + (3, 3)) * np.eye(3)), "shape"),
         (lambda g: MetricField(g, np.ones(g.shape)), "shape"),
         (lambda g: MetricField(g, np.ones(g.shape + (2, 2)) * np.diag([1.0, -1.0])),

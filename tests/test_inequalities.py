@@ -10,7 +10,6 @@ from hessianlab.inequalities import (
     check_max_principle,
     laplacian_gradient_ratio,
     lp_norm,
-    stability_records_csv,
     stability_sweep,
     sublevel_volume_decay,
 )
@@ -202,6 +201,16 @@ class TestStabilitySweep:
         with pytest.raises(InputError, match="f must be strictly positive"):
             stability_sweep(f, psi, [0.1], p=4.0, a=0.3, omega=omega, m=1)
 
+    def test_density_rule_checked_before_any_solve(self, no_solve):
+        # g = 1 - (1 - 1e-8) cos x_1 is positive, but min g / max g = 5e-9 is
+        # below the 1e-6 that solve_normalized demands: the sweep applies that
+        # rule itself, so g is rejected before the base solve starts
+        grid, omega = flat(2, 8)
+        f = make_field(grid, [((0, 0, 0, 0), 1.0, 0.0)])
+        psi = make_field(grid, [((1, 0, 0, 0), -1.0, 0.0)])
+        with pytest.raises(InputError, match="delta=0.99999999 must be strictly positive"):
+            stability_sweep(f, psi, [0.1, 1 - 1e-8], p=4.0, a=0.3, omega=omega, m=2)
+
     def test_psi_on_another_grid_rejected(self, no_solve):
         grid, omega = flat(2, 8)
         zero = (0, 0, 0, 0)
@@ -241,13 +250,6 @@ class TestStabilitySweep:
         psi = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)])
         with pytest.raises(InputError):
             stability_sweep(f, psi, [0.1], p=p, a=a, omega=omega, m=1)
-
-    def test_csv_output(self, sweep, tmp_path):
-        path = tmp_path / "records.csv"
-        stability_records_csv(sweep, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "delta,p,a,lhs,rhs,ratio,legal,newton_steps,converged"
-        assert len(lines) == len(sweep) + 1
 
 
 class TestMonotoneComparisonOfDensities:

@@ -179,11 +179,8 @@ class TestMetricChecks:
         np.diag([1.0, 1e-13]),
     ], ids=["non-hermitian", "oversize", "indefinite", "below-floor"])
     def test_metric_constructors_reject(self, form):
-        grid = TorusGrid(2, 8)
         with pytest.raises(InputError):
-            MetricField.constant_form(grid, form)
-        with pytest.raises(InputError):
-            MetricField.conformal(grid, form, [])
+            MetricField.conformal(TorusGrid(2, 8), form, [])
 
 
 def test_every_export_resolves():

@@ -14,13 +14,11 @@ from hypothesis import strategies as st
 from hessianlab.cli import _doc
 from hessianlab.errors import InputError
 from hessianlab.symfunc import (
-    ConeReport,
+    _reduced_tables,
     cone_mask,
-    elementary_symmetric,
     elementary_symmetric_table,
-    in_cone,
-    reduced_symmetric,
     sample_cone,
+    table_margin,
     verify_cone_inequalities,
 )
 
@@ -57,32 +55,37 @@ finite_vecs = st.lists(
 )
 
 
+def sk(lam, k):
+    """S_k of each vector from the table the solver and the suite use."""
+    return elementary_symmetric_table(lam, k)[..., k]
+
+
 class TestElementarySymmetric:
     def test_all_ones(self):
-        assert elementary_symmetric(np.ones(3), 2) == 3.0  # C(3,2)
+        assert sk(np.ones(3), 2) == 3.0  # C(3,2)
 
     def test_k_above_n_is_zero(self):
-        assert elementary_symmetric(np.array([1.0, 2.0, 3.0]), 4) == 0.0
-
-    def test_negative_k_is_zero(self):
-        assert elementary_symmetric(np.array([1.0, 2.0, 3.0]), -1) == 0.0
+        np.testing.assert_array_equal(elementary_symmetric_table([1.0, 2.0, 3.0], 4),
+                                      [1.0, 6.0, 11.0, 6.0, 0.0])
 
     def test_k_zero_is_one(self):
-        assert elementary_symmetric(np.array([-5.0, 7.0]), 0) == 1.0
+        np.testing.assert_array_equal(elementary_symmetric_table([-5.0, 7.0], 0), [1.0])
 
     def test_oracle_example(self):
         # subset-sum oracle: 1*2 + 1*3 + 2*3 = 11
-        assert elementary_symmetric(np.array([1.0, 2.0, 3.0]), 2) == 11.0
+        assert sk([1.0, 2.0, 3.0], 2) == 11.0
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(InputError):
-            elementary_symmetric(np.array([1.0, np.nan]), 1)
+        # a NaN entry fails every S_k > 0 test, so the mask and the solver's
+        # margin rule (min table_margin > 0) both put it outside the cone
+        lam = np.array([1.0, np.nan])
+        assert not cone_mask(lam, 1)
+        assert not table_margin(elementary_symmetric_table(lam, 1), 2, 1) > 0.0
 
     @given(finite_vecs, st.integers(min_value=0, max_value=11))
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force(self, entries, k):
-        lam = np.asarray(entries)
-        got = elementary_symmetric(lam, k)
+        got = sk(entries, k)
         want = brute_force_sk(entries, k)
         scale = max(1.0, abs(got), abs(want))
         assert abs(got - want) <= 1e-12 * scale
@@ -91,12 +94,11 @@ class TestElementarySymmetric:
            st.integers(min_value=0, max_value=12))
     @settings(max_examples=200, deadline=None)
     def test_integer_inputs_exact(self, entries, k):
-        lam = np.asarray(entries, dtype=float)
-        assert elementary_symmetric(lam, k) == brute_force_sk(entries, k)
+        assert sk(np.asarray(entries, dtype=float), k) == brute_force_sk(entries, k)
 
     def test_batched(self):
         lam = np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
-        np.testing.assert_allclose(elementary_symmetric(lam, 2), [11.0, 3.0])
+        np.testing.assert_allclose(sk(lam, 2), [11.0, 3.0])
 
     def test_large_n_stable(self):
         lam = np.linspace(0.5, 2.0, 64)
@@ -109,33 +111,29 @@ class TestElementarySymmetric:
 
 
 class TestReducedSymmetric:
+    """_reduced_tables: row i is the table of lam with entry i deleted."""
+
     def test_delete_and_sum(self):
-        assert reduced_symmetric(np.array([1.0, 2.0, 3.0]), 1, {0}) == 5.0
+        assert _reduced_tables(np.array([1.0, 2.0, 3.0]), 1)[0, 1] == 5.0
 
     def test_s0_convention(self):
-        assert reduced_symmetric(np.array([1.0, 2.0, 3.0]), 0, {1}) == 1.0
+        np.testing.assert_array_equal(_reduced_tables(np.array([1.0, 2.0, 3.0]), 0),
+                                      np.ones((3, 1)))
 
     def test_two_entry_example(self):
-        assert reduced_symmetric(np.array([4.0, 1.0, -1.0]), 2, {2}) == 4.0
-
-    def test_out_of_range_index(self):
-        with pytest.raises(InputError):
-            reduced_symmetric(np.array([1.0, 2.0]), 1, {5})
-
-    def test_duplicate_indices(self):
-        with pytest.raises(InputError):
-            reduced_symmetric(np.array([1.0, 2.0, 3.0]), 1, [0, 0])
+        assert _reduced_tables(np.array([4.0, 1.0, -1.0]), 2)[2, 2] == 4.0
 
     @given(finite_vecs, st.integers(min_value=0, max_value=5))
     @settings(max_examples=100, deadline=None)
     def test_matches_deletion_oracle(self, entries, k):
         if len(entries) < 2:
             return
-        lam = np.asarray(entries)
-        got = reduced_symmetric(lam, k, {0})
-        want = brute_force_sk(entries[1:], k)
-        scale = max(1.0, abs(got), abs(want))
-        assert abs(got - want) <= 1e-12 * scale
+        red = _reduced_tables(np.asarray(entries), k)
+        for i in range(len(entries)):
+            got = red[i, k]
+            want = brute_force_sk(entries[:i] + entries[i + 1:], k)
+            scale = max(1.0, abs(got), abs(want))
+            assert abs(got - want) <= 1e-12 * scale
 
     def test_expansion_identity_exact(self):
         # S_k = S_{k;i} + lam_i S_{k-1;i} to 1e-12 relative
@@ -143,38 +141,47 @@ class TestReducedSymmetric:
         for _ in range(50):
             n = int(rng.integers(2, 8))
             lam = rng.normal(size=n) * 3
+            table = elementary_symmetric_table(lam, n)
+            red = _reduced_tables(lam, n)
             for k in range(1, n + 1):
-                sk = elementary_symmetric(lam, k)
                 for i in range(n):
-                    rhs = reduced_symmetric(lam, k, {i}) + lam[i] * reduced_symmetric(
-                        lam, k - 1, {i}
-                    )
-                    assert abs(sk - rhs) <= 1e-12 * max(1.0, abs(sk), abs(rhs))
+                    rhs = red[i, k] + lam[i] * red[i, k - 1]
+                    assert abs(table[k] - rhs) <= 1e-12 * max(1.0, abs(table[k]), abs(rhs))
+
+
+def margin(lam, m):
+    """The normalized Gamma_m margin of each vector, as the solver takes it."""
+    lam = np.asarray(lam, dtype=float)
+    return table_margin(elementary_symmetric_table(lam, m), lam.shape[-1], m)
 
 
 class TestInCone:
+    """cone_mask and table_margin: membership and the normalized margin."""
+
     def test_example_inside(self):
-        rep = in_cone(np.array([3.0, 2.0, -1.0]), 2)
-        assert rep.in_cone
-        np.testing.assert_allclose(rep.s_values, [4.0, 1.0])
+        lam = np.array([3.0, 2.0, -1.0])
+        assert cone_mask(lam, 2)
+        np.testing.assert_allclose(elementary_symmetric_table(lam, 2)[1:], [4.0, 1.0])
+        assert margin(lam, 2) == pytest.approx(1.0 / 3.0)  # min(4/3, 1/3)
 
     def test_example_outside(self):
-        rep = in_cone(np.array([3.0, 1.0, -1.0]), 2)
-        assert not rep.in_cone
-        assert rep.s_values[1] == -1.0
+        lam = np.array([3.0, 1.0, -1.0])
+        assert not cone_mask(lam, 2)
+        assert elementary_symmetric_table(lam, 2)[2] == -1.0
+        assert margin(lam, 2) < 0.0
 
     def test_all_ones_any_m(self):
         for n in range(1, 7):
             for m in range(1, n + 1):
-                assert in_cone(np.ones(n), m).in_cone
+                assert cone_mask(np.ones(n), m)
 
     def test_margin_normalization(self):
-        rep = in_cone(np.ones(4), 2)
-        assert rep.margin == pytest.approx(1.0)
+        assert margin(np.ones(4), 2) == pytest.approx(1.0)
 
     def test_m_out_of_range(self):
-        with pytest.raises(InputError):
-            in_cone(np.ones(3), 4)
+        # S_m = 0 for m > n, so no vector lies in such a Gamma_m; the entry
+        # points (sigma_m, verify_cone_inequalities) reject that m outright
+        assert not cone_mask(np.ones(3), 4)
 
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=8),
            st.floats(0.01, 100.0))
@@ -191,7 +198,10 @@ class TestInCone:
         # on the cone boundary (an exact S_k of 0) rounding decides the sign,
         # as in the pinned example, where S_2 is 0 exactly and 2.8e-14 scaled
         assume(all(s != 0 for v in (lam, t * lam) for s in exact_sk(v, m)))
-        assert in_cone(lam, m).in_cone == in_cone(t * lam, m).in_cone
+        assert cone_mask(lam, m) == cone_mask(t * lam, m)
+        # the solver's rule, margin > 0, is the same membership test
+        assert (margin(lam, m) > 0) == cone_mask(lam, m)
+        assert (margin(t * lam, m) > 0) == cone_mask(t * lam, m)
 
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=8),
            st.randoms())
@@ -199,9 +209,9 @@ class TestInCone:
     def test_permutation_invariance(self, entries, rand):
         lam = list(entries)
         m = max(1, len(entries) // 2)
-        before = in_cone(np.asarray(lam), m).in_cone
+        before = cone_mask(np.asarray(lam), m)
         rand.shuffle(lam)
-        assert in_cone(np.asarray(lam), m).in_cone == before
+        assert cone_mask(np.asarray(lam), m) == before
 
     def test_sorted_cone_has_m_positive_entries(self):
         rng = np.random.default_rng(3)
@@ -275,8 +285,11 @@ class TestVerificationSuite:
 
 
 def test_cone_mask_matches_in_cone():
+    # the batched mask against exact membership row by row, and against the
+    # solver's in_cone rule (min table_margin > 0) on the same batch
     rng = np.random.default_rng(5)
     lam = rng.uniform(-1, 3, size=(500, 4))
     mask = cone_mask(lam, 2)
     for row, flag in zip(lam, mask):
-        assert in_cone(row, 2).in_cone == bool(flag)
+        assert all(s > 0 for s in exact_sk(row, 2)) == bool(flag)
+    np.testing.assert_array_equal(margin(lam, 2) > 0.0, mask)

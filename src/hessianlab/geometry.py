@@ -198,6 +198,8 @@ class MetricField:
             raise InputError(f"metric shape {self.form.shape} does not fit complex "
                              f"dimension {n}: want {shape}")
         _check_hermitian_forms(self.form)
+        if self.constant:
+            check_positive_definite(self.form)
         identity = self.constant and np.array_equal(self.form, np.eye(n))
         self.factor = None if identity else _cholesky_inverse_layout(self.form)
 

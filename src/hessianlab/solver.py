@@ -2,9 +2,13 @@
 
 The exponential-type equation (q = 1) starts from the exact solution u = 0
 at t = 0 and walks log sigma_m(u_t) = u_t + t H to t = 1, halving a t-step
-whenever Newton fails on it.  The normalized equation sigma_m(u) = c f is
-reached through the vanishing-zeroth-order family log sigma_m(v) = eps v +
-log f with c extracted as exp(eps sup v).
+whenever Newton fails on it.  Only the endpoint is reported, so each point
+t < 1 is solved to a sup residual of max(newton_tol, 0.1), enough to start
+the next point inside Newton's basin (inexact path following, Deuflhard,
+Newton Methods for Nonlinear Problems, 2011, ch. 5); t = 1 is solved to
+newton_tol.  The normalized equation sigma_m(u) = c f is reached through
+the vanishing-zeroth-order family log sigma_m(v) = eps v + log f with c
+extracted as exp(eps sup v).
 
 Inner solves use GMRES restarted every 60 iterations and capped at 10 N^n,
 right-preconditioned so the stopping rule is on the true residual.  The
@@ -13,9 +17,13 @@ pointwise by the operator diagonal (Concus & Golub, SIAM J. Numer. Anal.
 10, 1973): it is exact at the flat continuity start and follows
 coefficients that vary by orders of magnitude across the torus, such as a
 conformal factor.
-Residual tolerances passed to the inner solve follow the usual inexact-
-Newton forcing rule (proportional to the outer residual, floored at
-``krylov_tol``) so the quadratic tail is preserved.
+The relative residual asked of the inner solve follows the inexact-Newton
+forcing rule min(3e-2, 0.3 |F|) (|F| the outer sup residual), which keeps
+the quadratic tail, but never asks for less than 0.5 newton_tol / |F|,
+which leaves a linearized residual of about newton_tol / 2 (Kelley,
+Iterative Methods for Linear and Nonlinear Equations, 1995, ch. 6;
+Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  ``krylov_tol`` floors
+the result.
 
 Strict Gamma_m membership at every grid point is the only admissibility
 rule: Newton starts only from such an iterate and its line search rejects
@@ -23,14 +31,15 @@ any candidate outside the cone, so each accepted iterate is strictly
 elliptic and has S_m > 0.
 
 SolverConfig holds only what callers set; the line search (step halved down
-to 2^-20), the restart and the cap of 12 t-step halvings are constants.
+to 2^-20), the restart, the cap of 12 t-step halvings and the path
+tolerance 0.1 are constants.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,13 +71,16 @@ _DAMPING = 0.5  # line-search step factor
 _MIN_STEP = 2.0**-20  # line-search floor
 _KRYLOV_RESTART = 60  # GMRES basis size
 _MAX_T_HALVINGS = 12  # continuity step halvings before giving up
+_PATH_TOL = 0.1  # residual target at the continuity points t < 1
 
 
 @dataclass
 class SolverConfig:
     newton_tol: float = 1e-9  # sup-norm residual target
     max_newton: int = 50
-    krylov_tol: float = 1e-10  # relative, true residual
+    # relative true-residual floor of the inner solve; it binds only above
+    # about sqrt(0.15 newton_tol), where the forcing rule reaches its minimum
+    krylov_tol: float = 1e-10
     t_steps: int = 4  # initial continuity step count, halved adaptively
 
     def __post_init__(self):
@@ -329,7 +341,8 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
             return state, iters, "Newton iteration cap"
         # every admitted state is strictly inside the cone, as linearization needs
         lin = linearization(state.b, state.table, eq.metric, eq.m, eq.q)
-        tol_k = max(cfg.krylov_tol, min(3e-2, 0.3 * state.res_sup))
+        forcing = max(0.3 * state.res_sup, 0.5 * cfg.newton_tol / state.res_sup)
+        tol_k = max(cfg.krylov_tol, min(3e-2, forcing))
         rhs = ScalarField(grid, -state.residual)
         delta, info = krylov_solve(lin, rhs, tol_k)
         step = 1.0
@@ -350,18 +363,21 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
 
 
 def _continuity_solve(eq, harr, cfg, report):
-    """Walk log sigma = q u + t H from u = 0 at t = 0 to t = 1.
+    """Walk log sigma = q u + t H from u = 0 at t = 0 to t = 1, solving each
+    t < 1 only to max(newton_tol, _PATH_TOL) and t = 1 to newton_tol.
 
     Records the path, the trace, the cone margin and any failure in
     ``report`` and returns the last accepted iterate.
     """
     u = np.zeros(eq.metric.grid.shape)
+    loose = replace(cfg, newton_tol=max(cfg.newton_tol, _PATH_TOL))
     t_cur = 0.0
     targets = list(np.linspace(0.0, 1.0, cfg.t_steps + 1)[1:])
     halvings = 0
     while targets:
         t_next = targets[0]
-        state, iters, failure = _newton(eq, u, t_next * harr, cfg, t_next, report.trace)
+        cfg_t = cfg if t_next == 1.0 else loose
+        state, iters, failure = _newton(eq, u, t_next * harr, cfg_t, t_next, report.trace)
         if failure is None:
             u = state.u
             report.cone_margin_min = min(report.cone_margin_min, state.margin)

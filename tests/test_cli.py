@@ -500,15 +500,27 @@ def _strict_json(text):
 class TestNonFiniteOutput:
     """A failed run writes a non-finite float as null, in every output file."""
 
-    @pytest.mark.parametrize("argv, nulls", [
+    @pytest.mark.parametrize("argv, nulls, newton_fails", [
+        # every continuity point fails, so no cone margin is recorded: a
+        # loose t < 1 point would otherwise be accepted after a halving
         (["solve", "--N", "8", "--m", "2", "--H", "cos:1,0,0,0:3",
-          "--max-newton", "1", "--t-steps", "1"], ["cone_margin_min"]),
+          "--max-newton", "1", "--t-steps", "1"], ["cone_margin_min"], True),
         (["normalized", "--N", "8", "--m", "2", "--f", "cos:0,0,0,0:1+cos:1,0,0,0:0.9",
-          "--max-newton", "1", "--t-steps", "1"], ["c", "final_mismatch"]),
+          "--max-newton", "1", "--t-steps", "1"], ["c", "final_mismatch"], False),
         (["envelope", "--N", "16", "--m", "1", "--h", "cos:1,0,0,0:8.5",
-          "--max-newton", "2"], ["complementarity_sup"]),
+          "--max-newton", "2"], ["complementarity_sup"], False),
     ], ids=["solve", "normalized", "envelope"])
-    def test_written_as_null(self, tmp_path, argv, nulls):
+    def test_written_as_null(self, tmp_path, monkeypatch, argv, nulls, newton_fails):
+        if newton_fails:
+            import hessianlab.solver as solver
+
+            real_newton = solver._newton
+
+            def failing_newton(eq, u0, harr, cfg, t_label, trace):
+                state, iters, _ = real_newton(eq, u0, harr, cfg, t_label, trace)
+                return state, iters, "forced failure"
+
+            monkeypatch.setattr(solver, "_newton", failing_newton)
         out = tmp_path / argv[0]
         assert main(argv + ["--n", "2", "--out", str(out)]) == 1
         doc = _strict_json((out / "report.json").read_text())

@@ -125,6 +125,22 @@ class TestNonSubharmonicObstacle:
         assert np.min(w.data - best) >= -0.05
 
 
+class TestLooseContinuityPath:
+    def test_only_the_endpoint_is_solved_to_newton_tol(self):
+        # the eps = 1 solve on N = 8 takes 7 Newton steps along its path
+        # (1, 1, 1, 4); solving every t < 1 to newton_tol takes 15 (3, 4, 4, 4)
+        grid, omega = flat(2, 8)
+        h = make_field(grid, [((1, 0, 0, 0), 8.5, 0.0)])
+        cfg = SolverConfig()
+        _, rep = msh_envelope(h, omega, 1, [1.0], cfg)
+        (eps, solve), = rep.eps_path
+        assert eps == 1.0 and solve.converged
+        *inner, (t_end, _, res_end) = solve.t_path
+        assert inner and all(t < 1.0 and res <= 0.1 for t, _, res in inner)
+        assert t_end == 1.0 and res_end <= cfg.newton_tol
+        assert sum(it for _, it, _ in solve.t_path) <= 7
+
+
 class TestPartialReport:
     def test_hard_obstacle_partial(self):
         # strongly non-subharmonic: sigma off the contact set drops below

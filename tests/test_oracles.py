@@ -182,6 +182,12 @@ class TestMetricChecks:
         with pytest.raises(InputError):
             MetricField.conformal(TorusGrid(2, 8), form, [])
 
+    def test_constant_metric_has_the_same_floor(self):
+        # positive pivots alone would admit this form; the relative floor does not
+        with pytest.raises(InputError):
+            MetricField(TorusGrid(2, 8), np.diag([1.0, 1e-13]))
+        MetricField(TorusGrid(2, 8), np.diag([1.0, 1e-11]))
+
 
 def test_every_export_resolves():
     for info in pkgutil.iter_modules(hessianlab.__path__):

@@ -102,7 +102,7 @@ def _parse_list(text, kind):
 
 def _solver_config(args):
     return SolverConfig(**{name: getattr(args, name)
-                           for name in ("newton_tol", "krylov_tol", "max_newton", "t_steps")
+                           for name in ("newton_tol", "max_newton", "t_steps")
                            if getattr(args, name) is not None})
 
 
@@ -118,7 +118,7 @@ def _write_json(outdir, name, doc):
     (outdir / name).write_text(text + "\n")
 
 
-_UNWRITTEN = ("wallclock", "trace", "iterates")  # fields no output file carries
+_UNWRITTEN = ("wallclock", "trace")  # fields no output file carries
 
 
 def _doc(value):
@@ -291,7 +291,6 @@ def build_parser():
 
     def solver_flags(p):
         p.add_argument("--newton-tol", dest="newton_tol", type=float, default=None)
-        p.add_argument("--krylov-tol", dest="krylov_tol", type=float, default=None)
         p.add_argument("--max-newton", dest="max_newton", type=int, default=None)
         p.add_argument("--t-steps", dest="t_steps", type=int, default=None)
 

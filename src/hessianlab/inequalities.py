@@ -63,7 +63,7 @@ class StabilityRecord:
     rhs: float  # ||f - g||_p^a
     ratio: float
     legal: bool  # a < 1/(m+1) and p > n/m
-    newton_steps: int  # accepted steps on this delta's eps_path (the base's for delta 0)
+    newton_steps: int  # accepted steps of this delta's solve (the base's for delta 0)
     converged: bool  # the base solve and this delta's solve both converged
 
 
@@ -75,10 +75,11 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     base solve for f is shared.  psi must live on f's grid, and f and every
     g must pass solve_normalized's positivity rule (check_density); all of
     them are checked before the base solve, so bad input costs no Newton
-    step.  Every perturbed solve starts each schedule eps from the base
-    solution at that eps (``warm=base.iterates``), which is O(delta) away
-    from the one wanted, instead of walking cold from u = 0; each record
-    carries the Newton steps of its solve's accepted path
+    step.  A ratio reads only the solution at the last schedule eps, so
+    each perturbed density is solved there alone, by Newton from the
+    base's raw v = u + log(c) / eps, which is O(delta) away (Allgower &
+    Georg 1990); if that solve fails, the full schedule is walked cold.
+    Each record carries the Newton steps of its solve's accepted path
     (``NormalizedReport.newton_steps``).  Illegal exponents are allowed
     for exploratory runs and are just flagged on the records, and so are
     unconverged solves, whose ratios mean nothing.
@@ -98,14 +99,18 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     for delta, gdata in zip(deltas, gs):
         check_density(gdata, f"the perturbed density at delta={delta}")
 
-    u_base, _, base = solve_normalized(f, omega, m, eps_schedule, cfg)
+    u_base, c_base, base = solve_normalized(f, omega, m, eps_schedule, cfg)
+    eps_last = eps_schedule[-1]
+    v_base = u_base.data + math.log(c_base) / eps_last
     records = []
     for delta, gdata in zip(deltas, gs):
         if delta == 0:  # g = f: v is the base solution, the ratio 0
             v, rep = u_base, base
         else:
-            v, _, rep = solve_normalized(ScalarField(f.grid, gdata), omega, m,
-                                         eps_schedule, cfg, warm=base.iterates)
+            g = ScalarField(f.grid, gdata)
+            v, _, rep = solve_normalized(g, omega, m, (eps_last,), cfg, v0=v_base)
+            if not rep.converged:
+                v, _, rep = solve_normalized(g, omega, m, eps_schedule, cfg)
         lhs = float(np.max(np.abs(u_base.data - v.data)))
         rhs = lp_norm(ScalarField(f.grid, fdata - gdata), p) ** a
         ratio = lhs / rhs if rhs > 0 else 0.0

@@ -22,8 +22,8 @@ forcing rule min(3e-2, 0.3 |F|) (|F| the outer sup residual), which keeps
 the quadratic tail, but never asks for less than 0.5 newton_tol / |F|,
 which leaves a linearized residual of about newton_tol / 2 (Kelley,
 Iterative Methods for Linear and Nonlinear Equations, 1995, ch. 6;
-Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  ``krylov_tol`` floors
-the result.
+Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  That request is never
+below sqrt(0.15 newton_tol), so no separate Krylov tolerance is needed.
 
 Strict Gamma_m membership at every grid point is the only admissibility
 rule: Newton starts only from such an iterate and its line search rejects
@@ -78,14 +78,11 @@ _PATH_TOL = 0.1  # residual target at the continuity points t < 1
 class SolverConfig:
     newton_tol: float = 1e-9  # sup-norm residual target
     max_newton: int = 50
-    # relative true-residual floor of the inner solve; it binds only above
-    # about sqrt(0.15 newton_tol), where the forcing rule reaches its minimum
-    krylov_tol: float = 1e-10
     t_steps: int = 4  # initial continuity step count, halved adaptively
 
     def __post_init__(self):
-        if not (0 < self.newton_tol < math.inf and 0 < self.krylov_tol < math.inf):
-            raise InputError("tolerances must be finite and positive")
+        if not 0 < self.newton_tol < math.inf:
+            raise InputError("newton_tol must be finite and positive")
         if self.max_newton < 1 or self.t_steps < 1:
             raise InputError("iteration counts must be >= 1")
 
@@ -124,8 +121,6 @@ class NormalizedReport:
     sup_u: float
     inf_u: float
     wallclock: float
-    # raw v_eps of each converged eps, a warm start for a nearby solve; never written out
-    iterates: dict = field(default_factory=dict, repr=False)
 
     @property
     def newton_steps(self):
@@ -342,7 +337,7 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
         # every admitted state is strictly inside the cone, as linearization needs
         lin = linearization(state.b, state.table, eq.metric, eq.m, eq.q)
         forcing = max(0.3 * state.res_sup, 0.5 * cfg.newton_tol / state.res_sup)
-        tol_k = max(cfg.krylov_tol, min(3e-2, forcing))
+        tol_k = min(3e-2, forcing)
         rhs = ScalarField(grid, -state.residual)
         delta, info = krylov_solve(lin, rhs, tol_k)
         step = 1.0
@@ -417,37 +412,29 @@ def _solve(eq, harr, cfg, u0=None):
     return u, report
 
 
-def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg, warm=None):
+def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg, u0=None):
     """Solve log sigma_m(u) = q_of(eps) u + harr_of(eps) down a decreasing schedule.
 
-    Yields (eps, u_eps, report): continuity at the first eps, then Newton
-    warm-started from the last converged eps_prev.  ``warm`` maps schedule
-    eps to start iterates, such as a nearby problem's solutions (Allgower &
-    Georg 1990); the first attempt at such an eps starts there instead.  A
-    rejected warm start at the first eps is rerun by continuity.  A
-    rejected start after the first eps is retried through sqrt(eps_prev eps),
-    at most 3 len(schedule) times and only while that is below 0.99 eps_prev;
-    closer than that the walk has hit the resolution wall (sigma below
-    stencil noise) and more midpoints only burn iterations.  The midpoint and
-    the retry after it start from the walk's own iterates, never from ``warm``.
-    The walk ends after the first failed report.
+    Yields (eps, u_eps, report): the first eps by Newton from ``u0``, or by
+    continuity when ``u0`` is None, then each later eps by Newton from the
+    last converged eps_prev.  A rejected start after the first eps is
+    retried through sqrt(eps_prev eps), at most 3 len(schedule) times and
+    only while that is below 0.99 eps_prev; closer than that the walk has
+    hit the resolution wall (sigma below stencil noise) and more midpoints
+    only burn iterations.  The walk ends after the first failed report.
     """
     schedule = [float(e) for e in schedule]
     if not schedule or any(e <= 0 for e in schedule) or any(
         b >= a for a, b in zip(schedule, schedule[1:])
     ):
         raise InputError("eps schedule must be non-empty, positive, strictly decreasing")
-    warm = {eps: warm[eps] for eps in schedule if eps in warm} if warm else {}
     pending = list(schedule)
-    u = eps_prev = None
+    u, eps_prev = u0, None
     insertions = 0
     while pending:
         eps = pending[0]
-        start = warm.pop(eps, u)
-        u_eps, report = _solve(_Equation(omega, m, q_of(eps)), harr_of(eps), cfg, start)
-        if not report.converged and u is None and start is not None:
-            continue  # a rejected warm start at the first eps: rerun it by continuity
-        if not report.converged and u is not None and insertions < 3 * len(schedule):
+        u_eps, report = _solve(_Equation(omega, m, q_of(eps)), harr_of(eps), cfg, u)
+        if not report.converged and eps_prev is not None and insertions < 3 * len(schedule):
             mid = math.sqrt(eps_prev * eps)
             if mid < 0.99 * eps_prev:
                 insertions += 1
@@ -481,20 +468,19 @@ def check_density(data, name="f"):
         raise InputError(f"{name} must be strictly positive and finite (min >= 1e-6 max)")
 
 
-def solve_normalized(f, omega, m, eps_schedule, cfg=None, warm=None):
+def solve_normalized(f, omega, m, eps_schedule, cfg=None, v0=None):
     """Solve sigma_m(u) = c f by the vanishing zeroth-order family.
 
     The auxiliary equations log sigma_m(v) = eps v + log f are walked down
     the schedule by _walk_schedule, which inserts geometric midpoints where
-    a warm start is rejected.  ``warm`` (eps -> v_eps, typically the
-    ``iterates`` of a solve for a nearby density) is handed to the walker,
-    so Newton starts each listed eps there instead of at continuity or the
-    previous eps.  Each converged eps gives c := exp(eps sup v);
+    a start is rejected.  The first eps is solved by continuity, or by
+    Newton from ``v0`` when one is given (such as a nearby density's raw
+    v = u + log(c) / eps); a rejected ``v0`` gives a failed report, with
+    no continuity rerun.  Each converged eps gives c := exp(eps sup v);
     the last gives c and u := v - sup v, so sup u = 0 holds exactly.  The
     report records every solved eps (midpoints included), the c estimates,
-    their gaps, the tolerance for sup |sigma_m(u) - c f| extrapolated
-    from the drift over the last two converged eps, and the raw v_eps of
-    each converged eps as ``iterates``.
+    their gaps and the tolerance for sup |sigma_m(u) - c f| extrapolated
+    from the drift over the last two converged eps.
     """
     cfg = cfg or SolverConfig()
     if f.grid != omega.grid:
@@ -507,14 +493,13 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None, warm=None):
     logf = np.log(fdata)
     eps_path = []
     c_estimates = []
-    iterates = {}
     v = None
     for eps, v_eps, rep in _walk_schedule(
-        omega, m, eps_schedule, lambda eps: eps, lambda eps: logf, cfg, warm
+        omega, m, eps_schedule, lambda eps: eps, lambda eps: logf, cfg, v0
     ):
         eps_path.append((eps, rep))
         if rep.converged:
-            v = iterates[eps] = v_eps
+            v = v_eps
             c_estimates.append(float(math.exp(eps * np.max(v))))
         elif v is None:
             v = v_eps  # best effort: hand back the stalled iterate
@@ -543,6 +528,5 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None, warm=None):
         sup_u=float(np.max(u)),
         inf_u=float(np.min(u)),
         wallclock=time.perf_counter() - start,
-        iterates=iterates,
     )
     return ScalarField(omega.grid, u), c, report

@@ -166,10 +166,12 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "x")] + flag)
         assert code == 2
 
-    @pytest.mark.parametrize("flag", [["--newton-tol", "nan"], ["--no-cone-guard"]],
-                             ids=["nan-tol", "removed-switch"])
+    @pytest.mark.parametrize("flag", [["--newton-tol", "nan"], ["--no-cone-guard"],
+                                      ["--krylov-tol", "1e-10"]],
+                             ids=["nan-tol", "removed-switch", "removed-krylov-tol"])
     def test_bad_solver_flag_exit_2(self, tmp_path, flag):
-        # Newton admits only iterates in Gamma_m, and no switch turns that off
+        # Newton admits only iterates in Gamma_m, and no switch turns that off;
+        # the GMRES tolerance follows newton_tol, and no flag sets it
         code = main(["solve", "--n", "2", "--m", "2", "--N", "8",
                      "--H", "cos:1,0,0,0:0.4", "--out", str(tmp_path / "x")] + flag)
         assert code == 2
@@ -256,10 +258,12 @@ class TestConfigFile:
         {"n": False},
         {"t_steps": None},
         {"no_cone_guard": True},
+        {"krylov_tol": 1e-10},
         [1, 2],
         None,
     ], ids=["abbreviated-key", "list-value", "true-on-valued", "false-on-valued",
-            "null-value", "true-on-removed-switch", "not-an-object", "missing-file"])
+            "null-value", "true-on-removed-switch", "removed-krylov-tol", "not-an-object",
+            "missing-file"])
     def test_config_fault_exit_2(self, tmp_path, doc):
         # the argv runs without the file; the file alone makes it a fault
         cfgfile = tmp_path / "cfg.json"

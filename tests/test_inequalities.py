@@ -129,8 +129,7 @@ def sweep():
     zero = (0, 0, 0, 0)
     f = make_field(grid, [(zero, 1.0, 0.0), ((1, 0, 0, 0), 0.3, 0.0)])
     psi = make_field(grid, [((0, 0, 1, 0), 1.0, 0.0)])
-    # t_steps=2 as in criterion 8: a warm start skips the base's continuity
-    # path (at t_steps=1 delta 0.1 takes 12 Newton steps warm and cold alike)
+    # t_steps=2 as in criterion 8
     return stability_sweep(
         f, psi, [0.0, 1e-1, 1e-2], p=4.0, a=1.0 / 3, omega=omega, m=1,
         cfg=SolverConfig(t_steps=2), eps_schedule=(1.0, 0.3, 0.1, 0.03),
@@ -166,17 +165,35 @@ class TestStabilitySweep:
         assert all(r.legal for r in sweep)
 
     def test_warm_started_deltas_take_fewer_newton_steps(self, sweep):
-        # measured: 15 steps for the base (delta 0), 12 and 8 warm
+        # measured: 13 steps for the base (delta 0), 3 and 2 from its raw v
         assert all(r.newton_steps < sweep[0].newton_steps for r in sweep[1:])
 
-    def test_rejected_first_warm_start_still_converges(self):
-        # at max_newton=5 the base start at eps 1.0 is rejected for delta
-        # 0.99; that eps is rerun by continuity and the walk converges, as cold
+    def test_rejected_first_warm_start_still_converges(self, monkeypatch):
+        # at max_newton=5 the one-eps solve of delta 0.99 from the base's raw
+        # v hits the Newton cap; the sweep then walks the schedule cold
+        import hessianlab.inequalities as inequalities
+
+        calls = []
+        inner = inequalities.solve_normalized
+
+        def solve(g, omega, m, eps_schedule, cfg, v0=None):
+            out = inner(g, omega, m, eps_schedule, cfg, v0=v0)
+            failures = [r.failure for _, r in out[2].eps_path]
+            calls.append((tuple(eps_schedule), v0 is not None, failures))
+            return out
+
+        monkeypatch.setattr(inequalities, "solve_normalized", solve)
         grid, omega = flat(2, 8)
         f = make_field(grid, default_density_terms(2))
         psi = make_field(grid, default_direction_terms(2))
+        sched = (1.0, 0.3, 0.1, 0.03)
         records = stability_sweep(f, psi, [0.0, 0.99], p=4.0, a=0.3, omega=omega, m=1,
-                                  cfg=SolverConfig(max_newton=5))
+                                  cfg=SolverConfig(max_newton=5), eps_schedule=sched)
+        assert calls == [
+            (sched, False, [None] * 4),  # the base walk
+            (sched[-1:], True, ["Newton iteration cap"]),  # the one-eps start
+            (sched, False, [None] * 4),  # the cold walk
+        ]
         assert all(r.converged for r in records)
 
     def test_nan_delta_rejected(self, no_solve):

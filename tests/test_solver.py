@@ -180,7 +180,7 @@ class TestSolveExponential:
     def test_quadratic_tail(self):
         grid, omega = flat(2, 8)
         _, H, _ = manufactured_problem(grid, 2, 0.8)
-        cfg = SolverConfig(t_steps=1, newton_tol=1e-13, krylov_tol=1e-14)
+        cfg = SolverConfig(t_steps=1, newton_tol=1e-13)
         u, rep = solve_exponential(H, omega, 2, cfg)
         assert rep.converged
         res = [r.residual_sup for r in rep.trace]
@@ -419,11 +419,11 @@ class TestSolveNormalized:
 
 
 class TestWarmStartedNormalized:
-    """A perturbed density solved from the base solution at each eps.
+    """A perturbed density solved at the last eps alone, from the base's raw v.
 
-    On this n=2 N=8 problem the warm and cold solutions differ by at most
-    4.5e-10 (newton_tol level), and the warm solve takes 12/8/8 Newton steps
-    for delta 0.1/0.01/0.001 against 13 cold, at m = 1 and m = 2.
+    On this n=2 N=8 problem the started and cold solutions differ by at most
+    4.5e-10 (newton_tol level), and the started solve takes 3/2/2 Newton
+    steps for delta 0.1/0.01/0.001 against 13 cold, at m = 1 and m = 2.
     """
 
     SCHED = (1.0, 0.3, 0.1, 0.03)
@@ -436,90 +436,84 @@ class TestWarmStartedNormalized:
         f = make_field(grid, [(zero, 1.0, 0.0), ((1, 0, 0, 0), 0.3, 0.0)])
         psi = make_field(grid, [((1, 0, 0, 1), 1.0, 0.0)])
         m = request.param
-        _, _, rep = solve_normalized(f, omega, m, self.SCHED, self.CFG)
+        u, c, rep = solve_normalized(f, omega, m, self.SCHED, self.CFG)
         assert rep.converged
-        return f, psi, omega, m, rep
+        v = u.data + math.log(c) / self.SCHED[-1]  # the raw v at the last eps
+        return f, psi, omega, m, v, c
 
     @pytest.mark.parametrize("delta", [0.1, 0.01, 0.001])
     def test_matches_cold_solve_in_fewer_steps(self, base, delta):
-        f, psi, omega, m, base_rep = base
+        f, psi, omega, m, v, _ = base
         g = ScalarField(f.grid, f.data * (1.0 + delta * psi.data))
         u_cold, c_cold, cold = solve_normalized(g, omega, m, self.SCHED, self.CFG)
-        u_warm, c_warm, warm = solve_normalized(g, omega, m, self.SCHED, self.CFG,
-                                                warm=base_rep.iterates)
+        u_warm, c_warm, warm = solve_normalized(g, omega, m, self.SCHED[-1:], self.CFG,
+                                                v0=v)
         assert cold.converged and warm.converged
-        assert [e for e, _ in warm.eps_path] == [e for e, _ in cold.eps_path]
-        assert warm.tol_c == pytest.approx(cold.tol_c, rel=1e-8)
         assert c_warm == pytest.approx(c_cold, rel=1e-8)
         assert np.max(np.abs(u_warm.data - u_cold.data)) <= 1e-9
         assert warm.newton_steps < cold.newton_steps
-        # every eps starts by Newton from the base iterate, no continuity path
-        assert all([t for t, _, _ in r.t_path] == [1.0] for _, r in warm.eps_path)
+        # one eps, started by Newton from v: no continuity path
+        assert [e for e, _ in warm.eps_path] == [self.SCHED[-1]]
+        assert [t for t, _, _ in warm.eps_path[0][1].t_path] == [1.0]
 
-    def test_iterates_are_the_raw_converged_solutions(self, base):
-        f, psi, omega, m, rep = base
-        assert list(rep.iterates) == [e for e, _ in rep.eps_path]
-        eps, v = self.SCHED[-1], rep.iterates[self.SCHED[-1]]
-        assert rep.c_estimates[-1] == math.exp(eps * np.max(v))
+    def test_base_pair_is_the_raw_solution(self, base):
+        # u + log(c) / eps is the raw v of the last eps to round-off: started
+        # there, the same density needs no Newton step
+        f, psi, omega, m, v, c = base
+        u, c_again, rep = solve_normalized(f, omega, m, self.SCHED[-1:], self.CFG, v0=v)
+        assert rep.converged and rep.newton_steps == 0
+        assert c_again == pytest.approx(c, rel=1e-12)
+        assert np.max(np.abs(u.data - (v - np.max(v)))) == 0.0
 
     def test_midpoint_and_retry_start_from_the_walk(self, base, monkeypatch):
-        # after a rejected warm start the midpoint starts from the last
-        # converged eps and the retry from the midpoint, as without warm, even
-        # when warm holds an iterate keyed by that very midpoint
-        f, psi, omega, m, rep = base
-        mid = math.sqrt(0.3 * 0.1)
-        warm = dict(rep.iterates)
-        warm[mid] = np.full(f.grid.shape, np.nan)
+        # after a rejected start at a later eps the midpoint starts from the
+        # last converged eps and the retry from the midpoint, never from v0
+        f, psi, omega, m, v, _ = base
+        sched = (0.03, 0.01)
+        mid = math.sqrt(0.03 * 0.01)
         calls = []
         real_solve = solver._solve
 
         def solve_failing_once(eq, harr, cfg, u0=None):
             u, out = real_solve(eq, harr, cfg, u0)
             calls.append((eq.q, u0, u))
-            if len(calls) == 3:  # the warm start at eps 0.1
+            if len(calls) == 2:  # the first start at eps 0.01
                 out.converged = False
             return u, out
 
         monkeypatch.setattr(solver, "_solve", solve_failing_once)
-        _, _, out = solve_normalized(f, omega, m, (1.0, 0.3, 0.1), self.CFG, warm=warm)
+        _, _, out = solve_normalized(f, omega, m, sched, self.CFG, v0=v)
         assert out.converged
-        assert [q for q, _, _ in calls] == [1.0, 0.3, 0.1, mid, 0.1]
-        assert [e for e, _ in out.eps_path] == [1.0, 0.3, mid, 0.1]
-        assert calls[0][1] is rep.iterates[1.0]
-        assert calls[1][1] is rep.iterates[0.3]
-        assert calls[2][1] is rep.iterates[0.1]
-        assert calls[3][1] is calls[1][2]
-        assert calls[4][1] is calls[3][2]
+        assert [q for q, _, _ in calls] == [0.03, 0.01, mid, 0.01]
+        assert [e for e, _ in out.eps_path] == [0.03, mid, 0.01]
+        assert calls[0][1] is v
+        assert calls[1][1] is calls[0][2]
+        assert calls[2][1] is calls[0][2]
+        assert calls[3][1] is calls[2][2]
 
-    def test_rejected_first_warm_start_reruns_by_continuity(self, base, monkeypatch):
-        # no midpoint exists before the first eps: the walk falls back to the
-        # continuity path it takes without warm, then goes on from there
-        f, psi, omega, m, rep = base
+    def test_rejected_start_ends_the_walk(self, base, monkeypatch):
+        # no midpoint exists before the first eps and a start is never rerun
+        # by continuity: a rejected v0 ends the walk with one failed report
+        f, psi, omega, m, v, _ = base
         calls = []
         real_solve = solver._solve
 
-        def solve_failing_once(eq, harr, cfg, u0=None):
+        def solve_failing(eq, harr, cfg, u0=None):
             u, out = real_solve(eq, harr, cfg, u0)
-            calls.append((eq.q, u0, u))
-            if len(calls) == 1:  # the warm start at eps 1.0
-                out.converged = False
+            calls.append((eq.q, u0))
+            out.converged = False
             return u, out
 
-        monkeypatch.setattr(solver, "_solve", solve_failing_once)
-        _, _, out = solve_normalized(f, omega, m, (1.0, 0.3), self.CFG,
-                                     warm=rep.iterates)
-        assert out.converged
-        assert [q for q, _, _ in calls] == [1.0, 1.0, 0.3]
-        assert [e for e, _ in out.eps_path] == [1.0, 0.3]
-        assert calls[0][1] is rep.iterates[1.0]
-        assert calls[1][1] is None
-        assert calls[2][1] is rep.iterates[0.3]
-        assert len(out.eps_path[0][1].t_path) == self.CFG.t_steps
+        monkeypatch.setattr(solver, "_solve", solve_failing)
+        _, c, out = solve_normalized(f, omega, m, self.SCHED[-2:], self.CFG, v0=v)
+        assert not out.converged
+        assert calls == [(self.SCHED[-2], v)]
+        assert [e for e, _ in out.eps_path] == [self.SCHED[-2]]
+        assert math.isnan(c)
 
-    def test_warm_start_outside_cone_reruns_by_continuity(self, base, monkeypatch):
-        # Newton refuses a start outside Gamma_m; the first eps is then solved
-        # by continuity and the walk gives exactly the cold solve
-        f, psi, omega, m, rep = base
+    def test_start_outside_cone_fails_without_continuity(self, base, monkeypatch):
+        # Newton refuses a start outside Gamma_m, and nothing reruns it
+        f, psi, omega, m, _, _ = base
         bad = make_field(f.grid, [((1, 0, 0, 0), 12.0, 0.0)]).data
         assert not sigma_m(ScalarField(f.grid, bad), omega, m).cone_mask.all()
         failures = []
@@ -531,17 +525,13 @@ class TestWarmStartedNormalized:
             return out
 
         monkeypatch.setattr(solver, "_newton", newton)
-        u_warm, c_warm, warm = solve_normalized(f, omega, m, self.SCHED, self.CFG,
-                                                warm={1.0: bad})
-        assert failures[0] == "initial iterate outside the cone"
-        assert failures[1:] == [None] * (len(failures) - 1)
-        monkeypatch.undo()
-        u_cold, c_cold, cold = solve_normalized(f, omega, m, self.SCHED, self.CFG)
-        assert warm.converged
-        np.testing.assert_array_equal(u_warm.data, u_cold.data)
-        assert c_warm == c_cold
-        assert [(e, r.t_path) for e, r in warm.eps_path] == [
-            (e, r.t_path) for e, r in cold.eps_path]
+        _, c, out = solve_normalized(f, omega, m, self.SCHED, self.CFG, v0=bad)
+        assert failures == ["initial iterate outside the cone"]
+        assert not out.converged and math.isnan(c)
+        [(eps, rep)] = out.eps_path
+        assert eps == self.SCHED[0]
+        assert rep.failure == "initial iterate outside the cone"
+        assert rep.t_path == [(1.0, 0, math.inf)]
 
 
 class TestSolverConfigValidation:
@@ -556,7 +546,7 @@ class TestSolverConfigValidation:
             SolverConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["newton_tol", "krylov_tol"])
+    @pytest.mark.parametrize("name", ["newton_tol"])
     def test_rejects_non_finite_tol(self, name, value):
         # nan passes a `<= 0` test: a nan newton_tol ends Newton before any step
         with pytest.raises(InputError):

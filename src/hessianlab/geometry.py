@@ -10,9 +10,11 @@ differences and periodic wrap:
     u_{j kbar} = (1/4) [(D_{x_j x_k} + D_{y_j y_k}) u]
                + (i/4) [(D_{x_j y_k} - D_{y_j x_k}) u].
 
-Mixed derivatives use the standard 4-point cross stencil.  Every difference
-is a sum of shifted slices of one wrap-padded copy of u, produced by
-_stencils, which the Krylov matvec (hessop) runs on its vector too, so dd^c
+Mixed derivatives use the standard 4-point cross stencil.  A step of one
+along axis a is a flat offset of N^(2n-1-a) elements of the C-order field,
+so every shift and difference is one contiguous copy or subtraction and a
+strided rewrite of the wrapped face, with no padded copy.  _stencils makes
+them, and the Krylov matvec (hessop) runs it on its vector too, so dd^c
 is written once, straight into the Hermitian layout that every per-point
 matrix field shares: real, shape (n, n) + grid.shape, with M_jj on [j, j]
 and, for j < k, Re M_kj on [k, j] and Im M_kj on [j, k].  The complex
@@ -241,55 +243,86 @@ def _cholesky_inverse_layout(form):
     return out
 
 
-def _cut(p, N, axis, s, others=True):
-    """p offset by s along ``axis`` and cut there to length N, p being padded
-    by one on each side; with ``others`` every other padded axis is cut too."""
-    idx = [slice(1, N + 1) if others and size == N + 2 else slice(None)
-           for size in p.shape]
-    idx[axis] = slice(1 + s, N + 1 + s)
-    return p[tuple(idx)]
+def _faces(a, axis):
+    """C-contiguous a as a (before, N, after) view with ``axis`` in the middle."""
+    return a.reshape(-1, a.shape[axis], math.prod(a.shape[axis + 1:]))
 
 
-def _difference(p, N, axis, others=True):
-    """Undivided central difference p(+1) - p(-1) along ``axis``."""
-    return _cut(p, N, axis, 1, others) - _cut(p, N, axis, -1, others)
+def _shifted(data, axis, s, out):
+    """data at the neighbour s = +1 or -1 along ``axis``, written into out:
+    one flat copy offset by the axis stride, then the wrapped face."""
+    step = math.prod(data.shape[axis + 1:])
+    flat, dst = data.reshape(-1), out.reshape(-1)
+    faces, dst_faces = _faces(data, axis), _faces(out, axis)
+    if s > 0:
+        dst[:-step] = flat[step:]
+        dst_faces[:, -1] = faces[:, 0]
+    else:
+        dst[step:] = flat[:-step]
+        dst_faces[:, 0] = faces[:, -1]
+    return out
 
 
-def _stencils(data, n, N):
-    """The undivided differences that make up dd^c of ``data``, taken from
-    slices of one wrap-padded copy.
+def _difference(data, axis, out=None):
+    """Undivided central difference data(+1) - data(-1) along ``axis``: one
+    flat subtraction offset by twice the axis stride, then both wrapped faces."""
+    out = np.empty(data.shape) if out is None else out
+    step = math.prod(data.shape[axis + 1:])
+    flat, dst = data.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2 * step:], flat[:-2 * step], out=dst[step:-step])
+    faces, dst_faces = _faces(data, axis), _faces(out, axis)
+    np.subtract(faces[:, 1], faces[:, -1], out=dst_faces[:, 0])
+    np.subtract(faces[:, 0], faces[:, -2], out=dst_faces[:, -1])
+    return out
 
-    Yields (j, j, ring, None) with ring the 5-point Laplacian of the
-    (x_j, y_j) plane, and for j < k (j, k, re, im) with re = X_{x_j x_k} +
-    X_{y_j y_k} and im = X_{x_j y_k} - X_{y_j x_k}, X_ab the 4-point cross
-    stencil, so u_{j jbar} = ring / (4 h^2) and u_{j kbar} = (re + i im) /
-    (16 h^2).
+
+def _ring(data, xj, yj, tmp):
+    """-4 v + v(+x_j) + v(-x_j) + v(+y_j) + v(-y_j), summed in that order."""
+    ring = -4.0 * data
+    for a in (xj, yj):
+        ring += _shifted(data, a, 1, tmp)
+        ring += _shifted(data, a, -1, tmp)
+    return ring
+
+
+def _stencils(data):
+    """The undivided differences that make up dd^c of ``data``, a field of
+    2n axes, each taken from flat offsets of the field in C order.
+
+    Yields (j, j, ring, None) with ring = -4 v + v(+x_j) + v(-x_j) + v(+y_j)
+    + v(-y_j), the 5-point Laplacian of the (x_j, y_j) plane, and for j < k
+    (j, k, re, im) with re = X_{x_j x_k} + X_{y_j y_k} and im = X_{x_j y_k}
+    - X_{y_j x_k}, X_ab the 4-point cross stencil, the difference along b of
+    the difference along a; so u_{j jbar} = ring / (4 h^2) and u_{j kbar} =
+    (re + i im) / (16 h^2).  Every yielded array is fresh; the caller may
+    overwrite it.
     """
-    p = np.pad(data, 1, mode="wrap")
+    data = np.ascontiguousarray(data)
+    n = data.ndim // 2
+    tmp = np.empty(data.shape)  # scratch for one shifted copy or difference
     for j in range(n):
         xj, yj = 2 * j, 2 * j + 1
-        ring = -4.0 * data
-        for a in (xj, yj):
-            ring += _cut(p, N, a, 1)
-            ring += _cut(p, N, a, -1)
-        yield j, j, ring, None
+        yield j, j, _ring(data, xj, yj, tmp), None
         if j + 1 == n:
             return
         # differenced again along a second axis b, these give the cross
         # stencils on (x_j, b) and (y_j, b)
-        dx = _difference(p, N, xj, others=False)
-        dy = _difference(p, N, yj, others=False)
+        dx = _difference(data, xj)
+        dy = _difference(data, yj)
         for k in range(j + 1, n):
             xk, yk = 2 * k, 2 * k + 1
-            yield (j, k, _difference(dx, N, xk) + _difference(dy, N, yk),
-                   _difference(dx, N, yk) - _difference(dy, N, xk))
+            re = _difference(dx, xk)
+            re += _difference(dy, yk, tmp)
+            im = _difference(dx, yk)
+            im -= _difference(dy, xk, tmp)
+            yield j, k, re, im
 
 
 def complex_hessian_layout(data, grid):
     """dd^c of ``data`` in the Hermitian layout, (n, n) + grid.shape real."""
     n, h = grid.n, grid.h
     out = np.empty((n, n) + grid.shape)
-    for j, k, d_re, d_im in _stencils(data, n, grid.N):
+    for j, k, d_re, d_im in _stencils(data):
         if d_im is None:
             np.multiply(d_re, 0.25 / (h * h), out=out[j, j])
         else:
@@ -353,12 +386,13 @@ def analytic_complex_hessian(grid, terms):
 
 def gradient_sup(u):
     """Max Euclidean norm of the central-difference gradient over the grid."""
-    N, h = u.grid.N, u.grid.h
-    p = np.pad(u.data, 1, mode="wrap")
+    data, h = np.ascontiguousarray(u.data), u.grid.h
     total = np.zeros(u.grid.shape)
+    d = np.empty(u.grid.shape)
     for axis in range(2 * u.grid.n):
-        d = _difference(p, N, axis) / (2.0 * h)
-        total += d * d
+        _difference(data, axis, d)
+        d /= 2.0 * h
+        total += np.multiply(d, d, out=d)
     return float(np.sqrt(np.max(total)))
 
 

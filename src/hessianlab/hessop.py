@@ -26,9 +26,9 @@ alternating sum of sigma_m over the 2^m - 1 nonempty sums of them.
 
 The linearized operator tr(A dd^c v) - q v is a real combination of second
 differences of v, so the Krylov matvec applies it from n^2 real stencil
-weights per point (see LinearizationField) on shifted views of one
-wrap-padded copy of v, taken from the same geometry._stencils that write
-dd^c u; it never forms the complex Hessian of v.
+weights per point (see LinearizationField) on periodic differences of v
+taken from flat offsets of the field by the same geometry._stencils that
+write dd^c u; it never forms the complex Hessian of v.
 """
 
 from __future__ import annotations
@@ -237,12 +237,15 @@ def apply_linearization_array(lin, v_data):
     """tr(A dd^c v) - q v summed from the stencil weights of ``lin``."""
     w = lin.weights
     out = -lin.q * v_data
-    for j, k, d_re, d_im in _stencils(v_data, lin.grid.n, lin.grid.N):
+    for j, k, d_re, d_im in _stencils(v_data):  # fresh arrays, weighted in place
         if d_im is None:
-            out += w[j, j] * d_re
+            d_re *= w[j, j]
+            out += d_re
         else:
-            out += w[k, j] * d_re
-            out -= w[j, k] * d_im
+            d_re *= w[k, j]
+            out += d_re
+            d_im *= w[j, k]
+            out -= d_im
     return out
 
 

@@ -64,6 +64,7 @@ class StabilityRecord:
     ratio: float
     legal: bool  # a < 1/(m+1) and p > n/m
     newton_steps: int  # accepted steps of this delta's solve (the base's for delta 0)
+    cold_walk: bool  # this delta's one-eps start failed and the schedule was walked cold
     converged: bool  # the base solve and this delta's solve both converged
 
 
@@ -80,9 +81,10 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     base's raw v = u + log(c) / eps, which is O(delta) away (Allgower &
     Georg 1990); if that solve fails, the full schedule is walked cold.
     Each record carries the Newton steps of its solve's accepted path
-    (``NormalizedReport.newton_steps``).  Illegal exponents are allowed
-    for exploratory runs and are just flagged on the records, and so are
-    unconverged solves, whose ratios mean nothing.
+    (``NormalizedReport.newton_steps``) and whether the cold walk ran.
+    Illegal exponents are allowed for exploratory runs and are just
+    flagged on the records, and so are unconverged solves, whose ratios
+    mean nothing.
     """
     cfg = cfg or SolverConfig()
     if not (0 < p < math.inf and 0 < a < math.inf):
@@ -104,12 +106,14 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     v_base = u_base.data + math.log(c_base) / eps_last
     records = []
     for delta, gdata in zip(deltas, gs):
+        cold_walk = False
         if delta == 0:  # g = f: v is the base solution, the ratio 0
             v, rep = u_base, base
         else:
             g = ScalarField(f.grid, gdata)
             v, _, rep = solve_normalized(g, omega, m, (eps_last,), cfg, v0=v_base)
             if not rep.converged:
+                cold_walk = True
                 v, _, rep = solve_normalized(g, omega, m, eps_schedule, cfg)
         lhs = float(np.max(np.abs(u_base.data - v.data)))
         rhs = lp_norm(ScalarField(f.grid, fdata - gdata), p) ** a
@@ -117,6 +121,7 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
         records.append(StabilityRecord(delta=float(delta), p=p, a=a, lhs=lhs,
                                        rhs=rhs, ratio=ratio, legal=legal,
                                        newton_steps=rep.newton_steps,
+                                       cold_walk=cold_walk,
                                        converged=base.converged and rep.converged))
     return records
 

@@ -392,7 +392,7 @@ class TestOtherCommands:
                      "--deltas", "0.1,0", "--p", "4", "--a", "0.3",
                      "--eps-schedule", "1,0.3", "--out", str(out), "--t-steps", "1"]) == 0
         lines = (out / "records.csv").read_text().splitlines()
-        assert lines[0] == "delta,p,a,lhs,rhs,ratio,legal,newton_steps,converged"
+        assert lines[0] == "delta,p,a,lhs,rhs,ratio,legal,newton_steps,cold_walk,converged"
         records = json.loads((out / "summary.json").read_text())["records"]
         assert lines[1:] == [",".join(str(rec[k]) for k in lines[0].split(","))
                              for rec in records]

@@ -168,6 +168,10 @@ class TestStabilitySweep:
         # measured: 13 steps for the base (delta 0), 3 and 2 from its raw v
         assert all(r.newton_steps < sweep[0].newton_steps for r in sweep[1:])
 
+    def test_no_cold_walk(self, sweep):
+        # every one-eps start from the base's raw v converges
+        assert not any(r.cold_walk for r in sweep)
+
     def test_rejected_first_warm_start_still_converges(self, monkeypatch):
         # at max_newton=5 the one-eps solve of delta 0.99 from the base's raw
         # v hits the Newton cap; the sweep then walks the schedule cold
@@ -195,6 +199,7 @@ class TestStabilitySweep:
             (sched, False, [None] * 4),  # the cold walk
         ]
         assert all(r.converged for r in records)
+        assert [r.cold_walk for r in records] == [False, True]
 
     def test_nan_delta_rejected(self, no_solve):
         # a NaN g passes min(g) <= 0; it is rejected before the base solve

@@ -16,9 +16,9 @@ so wall-clock timings are printed and never written; newton_trace.jsonl is
 one _doc line per Newton record.  A non-finite float is written as null,
 so every file is strict JSON (RFC 8259).  The echoed resolved_config.json
 omits the subcommand and the output path, so it is itself a valid --config
-and identical (config, seed) pairs reproduce every output file bit-exactly.
-No setting names a thread count: verify-cone's report depends only on its
-arguments, whatever the machine's core count.
+and it reproduces every output file bit-exactly.  Only verify-cone draws
+random numbers, so only it takes --seed; it has no thread setting, and
+its report is the same on any core count.
 
 Exit codes: 0 success, 1 convergence failure, 2 input error (an --out that
 cannot be made a directory among them).
@@ -278,7 +278,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None,
                        help="JSON config file; explicit flags override it")
 
@@ -299,6 +298,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_verify_cone)
 

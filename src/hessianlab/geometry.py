@@ -439,4 +439,4 @@ def read_field(path, memory_cap=2 << 30):
     data = np.frombuffer(payload, dtype="<f8").reshape(grid.shape, order="F")
     if not np.all(np.isfinite(data)):
         raise InputError(f"field values in {path} must be finite")
-    return ScalarField(grid, data.astype(float)), kind
+    return ScalarField(grid, np.array(data, dtype=float, order="C")), kind

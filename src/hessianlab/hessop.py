@@ -55,6 +55,7 @@ from .symfunc import elementary_symmetric_table
 __all__ = [
     "OperatorValue",
     "LinearizationField",
+    "check_degree",
     "sigma_m",
     "linearization",
     "mixed_product",
@@ -180,25 +181,24 @@ def state_matrices(u_data, metric):
     return b
 
 
+def check_degree(m, n):
+    """The degree rule of every sigma_m: 1 <= m <= n, m = n the Monge-Ampere case."""
+    if not 1 <= m <= n:
+        raise InputError(f"m={m} out of range 1..{n}")
+
+
 def sk_table_of_state(state, metric, kmax):
     """Table of S_0..S_kmax of the relative eigenvalues at every grid point,
     from B' (state_matrices) or from a complex grid.shape + (n, n) field g."""
     if np.iscomplexobj(state):
         state = _congruence(metric.factor, layout_of_complex(state))
-    if kmax > state.shape[0]:
-        raise InputError(f"degree {kmax} exceeds dimension {state.shape[0]}")
+    check_degree(kmax, state.shape[0])
     return _minor_sums(state, kmax)
 
 
 def sigma_m(u, omega, m):
-    """sigma_m(u) with the strict-cone mask, relative to the metric omega.
-
-    m = n is permitted as a Monge-Ampere cross-check even though the
-    genuinely Hessian regime is m < n.
-    """
+    """sigma_m(u) with the strict-cone mask, relative to the metric omega."""
     grid = u.grid
-    if not 1 <= m <= grid.n:
-        raise InputError(f"m={m} out of range 1..{grid.n}")
     if omega.grid != grid:
         raise InputError("field and metric live on different grids")
     table = sk_table_of_state(state_matrices(u.data, omega), omega, m)
@@ -257,8 +257,7 @@ def sigma_of_form(gamma, omega_form, m):
     """
     gamma = check_hermitian(gamma, "gamma")
     n = gamma.shape[-1]
-    if not 1 <= m <= n:
-        raise InputError(f"m={m} out of range 1..{n}")
+    check_degree(m, n)
     omega_form = check_hermitian(omega_form, "omega")
     if omega_form.shape != gamma.shape:
         raise InputError("gamma and omega must have matching shapes")
@@ -291,14 +290,12 @@ def mixed_product(gammas, omega_form, m):
     are put in a canonical byte order first, so the value is bitwise
     symmetric under permutations of the gammas.
     """
-    if m < 1 or len(gammas) != m:
+    if len(gammas) != m or not len(gammas):  # sigma_of_form checks m's range
         raise InputError(f"expected m >= 1 forms, got m={m} and {len(gammas)} forms")
     mats = [check_hermitian(g, f"gamma_{i}") for i, g in enumerate(gammas)]
     n = mats[0].shape[-1]
     if any(g.shape != (n, n) for g in mats):
         raise InputError("forms must share a common dimension")
-    if not 1 <= m <= n:
-        raise InputError(f"m={m} out of range 1..{n}")
     mats.sort(key=lambda g: g.tobytes())
     total = 0.0
     for k in range(1, m + 1):

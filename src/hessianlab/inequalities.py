@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import ScalarField, complex_hessian, gradient_sup
-from .hessop import sk_table_of_state, state_matrices
+from .hessop import check_degree, sk_table_of_state, state_matrices
 from .solver import SolverConfig, check_density, solve_normalized
 
 __all__ = [
@@ -73,13 +73,13 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     """Perturb f along psi and record the stability ratios.
 
     Each delta solves the normalized equation for g = f (1 + delta psi); the
-    base solve for f is shared.  psi must live on f's grid, and f and every
-    g must pass solve_normalized's positivity rule (check_density); all of
-    them are checked before the base solve, so bad input costs no Newton
-    step.  A ratio reads only the solution at the last schedule eps, so
-    each perturbed density is solved there alone, by Newton from the
-    base's raw v = u + log(c) / eps, which is O(delta) away (Allgower &
-    Georg 1990); if that solve fails, the full schedule is walked cold.
+    base solve for f is shared.  m (check_degree), psi's grid, and f and
+    every g (solve_normalized's positivity rule, check_density) are checked
+    before the base solve, so bad input costs no Newton step.  A ratio
+    reads only the solution at the last schedule eps, so each perturbed
+    density is solved there alone, by Newton from the base's raw
+    v = u + log(c) / eps, which is O(delta) away (Allgower & Georg 1990);
+    if that solve fails, the full schedule is walked cold.
     Each record carries the Newton steps of its solve's accepted path
     (``NormalizedReport.newton_steps``) and whether the cold walk ran.
     Illegal exponents are allowed for exploratory runs and are just
@@ -92,6 +92,7 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     if not deltas:
         raise InputError("delta list is empty")
     n = omega.grid.n
+    check_degree(m, n)
     legal = (a < 1.0 / (m + 1)) and (p > n / m)
     if psi.grid != f.grid:
         raise InputError("f and psi live on different grids")

@@ -293,14 +293,14 @@ def krylov_solve(lin, rhs, tol):
 class _State:
     __slots__ = ("u", "b", "table", "residual", "res_sup", "in_cone", "margin")
 
-    def __init__(self, u, b, table, n, m, q, harr, binom_m):
+    def __init__(self, u, b, table, n, m, q, harr):
         self.u = u
         self.b = b  # B' in the Hermitian layout, kept for the linearization
-        self.table = table
+        self.table = table  # sk_table_of_state has checked m's degree
         self.margin = float(np.min(table_margin(table, n, m)))
         self.in_cone = self.margin > 0.0
         if self.in_cone:  # S_m > 0 on Gamma_m
-            self.residual = np.log(table[..., m] / binom_m) - q * u - harr
+            self.residual = np.log(table[..., m] / math.comb(n, m)) - q * u - harr
             self.res_sup = float(np.max(np.abs(self.residual)))
         else:
             self.residual = None
@@ -314,12 +314,11 @@ class _Equation:
         self.metric = metric
         self.m = m
         self.q = q
-        self.binom_m = float(math.comb(metric.grid.n, m))
 
     def evaluate(self, u, harr):
         b = state_matrices(u, self.metric)
         table = sk_table_of_state(b, self.metric, self.m)
-        return _State(u, b, table, self.metric.grid.n, self.m, self.q, harr, self.binom_m)
+        return _State(u, b, table, self.metric.grid.n, self.m, self.q, harr)
 
 
 def _newton(eq, u0, harr, cfg, t_label, trace):
@@ -480,7 +479,9 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None, v0=None):
     the last gives c and u := v - sup v, so sup u = 0 holds exactly.  The
     report records every solved eps (midpoints included), the c estimates,
     their gaps and the tolerance for sup |sigma_m(u) - c f| extrapolated
-    from the drift over the last two converged eps.
+    from the drift over the last two converged eps; with one (as in each
+    perturbed solve of stability_sweep) tol_c is 100 newton_tol max f and
+    does not bound final_mismatch, the O(eps) bias c f |exp(eps u) - 1|.
     """
     cfg = cfg or SolverConfig()
     if f.grid != omega.grid:

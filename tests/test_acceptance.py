@@ -229,8 +229,7 @@ def test_criterion_8_stability():
 def test_criterion_9_determinism(tmp_path):
     jobs = [
         ["solve", "--n", "2", "--m", "2", "--N", "8",
-         "--H", "cos:1,0,0,0:0.4+sin:0,1,0,0:0.3", "--t-steps", "1",
-         "--seed", "3"],
+         "--H", "cos:1,0,0,0:0.4+sin:0,1,0,0:0.3", "--t-steps", "1"],
         ["verify-cone", "--n", "3", "--m", "2", "--samples", "20000",
          "--seed", "9"],
     ]

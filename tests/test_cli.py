@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, outputs, determinism, config files."""
 
+import argparse
 import dataclasses
 import filecmp
 import json
@@ -107,6 +108,79 @@ class TestRequiredFlags:
     def test_missing_flags_exit_2(self, tmp_path, argv):
         # each argv lacks the last of its command's required flags
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+
+
+# one quick run of every subcommand at N=8, without --out
+QUICK_RUNS = {
+    "verify-cone": ["verify-cone", "--n", "3", "--m", "2", "--samples", "200"],
+    "solve": ["solve", "--n", "2", "--m", "1", "--N", "8", "--H", "cos:1,0,0,0:0.5",
+              "--t-steps", "1"],
+    "normalized": ["normalized", "--n", "2", "--m", "1", "--N", "8", "--f", "cos:0,0,0,0:2",
+                   "--eps-schedule", "1,0.3", "--t-steps", "1"],
+    "envelope": ["envelope", "--n", "2", "--m", "1", "--N", "8", "--h", "cos:1,0,0,0:2",
+                 "--eps-schedule", "1,0.3", "--t-steps", "1"],
+    "mms": ["mms", "--n", "2", "--m", "1", "--N-list", "8", "--t-steps", "1"],
+    "stability-sweep": ["stability-sweep", "--n", "2", "--m", "1", "--N", "8",
+                        "--deltas", "0.1", "--p", "4", "--a", "0.3",
+                        "--eps-schedule", "1,0.3", "--t-steps", "1"],
+    "decay": ["decay", "--n", "2", "--m", "1", "--N", "8", "--phi", "cos:1,0,0,0:1",
+              "--t-list", "0.5,1"],
+}
+GRID_COMMANDS = [name for name in QUICK_RUNS if name != "verify-cone"]
+
+
+class TestDegreeRule:
+    @pytest.mark.parametrize("m", [0, -1, 3])
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_degree_out_of_range_exit_2(self, tmp_path, capsys, command, m):
+        # every grid path reaches hessop.check_degree before it solves anything
+        argv = list(QUICK_RUNS[command])
+        argv[argv.index("--m") + 1] = str(m)
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"input error: m={m} out of range 1..2\n"
+
+
+class TestSettings:
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_seed_only_on_verify_cone(self, tmp_path, command, how):
+        # only verify-cone draws random numbers; a seed elsewhere is unknown
+        argv = QUICK_RUNS[command] + ["--out", str(tmp_path / "x")]
+        if how == "flag":
+            argv += ["--seed", "3"]
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"seed": 3}))
+            argv += ["--config", str(cfgfile)]
+        assert main(argv) == 2
+
+    def test_every_setting_is_read(self, tmp_path, monkeypatch):
+        # a setting that no subcommand reads changes nothing: each dest of
+        # each subcommand but the parser's own is read during its run
+        import hessianlab.cli as cli
+
+        assert set(QUICK_RUNS) == set(_SUBCOMMANDS)
+        reads = set()  # outside the namespace, so vars() sees only the settings
+
+        class ReadLog(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        parsed = []
+        real_parse = cli._parse_args
+
+        def logged_parse(argv):
+            parsed.append(ReadLog(**vars(real_parse(argv))))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "_parse_args", logged_parse)
+        unread = {}
+        for command, argv in QUICK_RUNS.items():
+            reads.clear()
+            assert main(argv + ["--out", str(tmp_path / command)]) == 0
+            unread[command] = set(vars(parsed[-1])) - {"command", "func", "config"} - reads
+        assert unread == {command: set() for command in QUICK_RUNS}
 
 
 class TestListFlags:
@@ -280,8 +354,7 @@ def _tree_files(root):
 class TestDeterminism:
     def test_bit_identical_reruns(self, tmp_path):
         args = ["solve", "--n", "2", "--m", "2", "--N", "8",
-                "--H", "cos:1,0,0,0:0.4+sin:0,1,0,0:0.3", "--t-steps", "1",
-                "--seed", "3"]
+                "--H", "cos:1,0,0,0:0.4+sin:0,1,0,0:0.3", "--t-steps", "1"]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0

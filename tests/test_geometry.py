@@ -372,6 +372,18 @@ class TestFieldFiles:
         assert v.grid == g
         np.testing.assert_array_equal(v.data, u.data)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_read_field_is_c_ordered(self, tmp_path, n):
+        # the file is written in Fortran order; the field read back is a
+        # C-ordered array, so no stencil pass copies it again
+        g = TorusGrid(n, 8)
+        u = ScalarField(g, np.random.default_rng(n).normal(size=g.shape))
+        path = tmp_path / "u.field"
+        write_field(path, u)
+        v, _ = read_field(path)
+        assert v.data.flags.c_contiguous and v.data.flags.writeable
+        np.testing.assert_array_equal(v.data, u.data)
+
     def test_length_validation(self, tmp_path):
         path = tmp_path / "bad.field"
         with open(path, "wb") as fh:

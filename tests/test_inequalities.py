@@ -233,6 +233,15 @@ class TestStabilitySweep:
         with pytest.raises(InputError, match="delta=0.99999999 must be strictly positive"):
             stability_sweep(f, psi, [0.1, 1 - 1e-8], p=4.0, a=0.3, omega=omega, m=2)
 
+    @pytest.mark.parametrize("m", [0, -1, 3])
+    def test_degree_checked_before_any_solve(self, no_solve, m):
+        # the legal flag divides by m, so the degree rule comes first
+        grid, omega = flat(2, 8)
+        f = make_field(grid, [((0, 0, 0, 0), 1.0, 0.0)])
+        psi = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)])
+        with pytest.raises(InputError, match=rf"^m={m} out of range 1\.\.2$"):
+            stability_sweep(f, psi, [0.1], p=4.0, a=0.3, omega=omega, m=m)
+
     def test_psi_on_another_grid_rejected(self, no_solve):
         grid, omega = flat(2, 8)
         zero = (0, 0, 0, 0)

@@ -285,7 +285,7 @@ def _ring(data, xj, yj, tmp):
     return ring
 
 
-def _stencils(data):
+def _stencils(data, pairs=None):
     """The undivided differences that make up dd^c of ``data``, a field of
     2n axes, each taken from flat offsets of the field in C order.
 
@@ -294,8 +294,10 @@ def _stencils(data):
     (j, k, re, im) with re = X_{x_j x_k} + X_{y_j y_k} and im = X_{x_j y_k}
     - X_{y_j x_k}, X_ab the 4-point cross stencil, the difference along b of
     the difference along a; so u_{j jbar} = ring / (4 h^2) and u_{j kbar} =
-    (re + i im) / (16 h^2).  Every yielded array is fresh; the caller may
-    overwrite it.
+    (re + i im) / (16 h^2).  ``pairs``, a set of (j, k) with j < k, limits
+    the cross stencils to those pairs (None: every pair); a plane with no
+    pair left takes no difference at all.  Every yielded array is fresh;
+    the caller may overwrite it.
     """
     data = np.ascontiguousarray(data)
     n = data.ndim // 2
@@ -303,13 +305,14 @@ def _stencils(data):
     for j in range(n):
         xj, yj = 2 * j, 2 * j + 1
         yield j, j, _ring(data, xj, yj, tmp), None
-        if j + 1 == n:
-            return
+        ks = [k for k in range(j + 1, n) if pairs is None or (j, k) in pairs]
+        if not ks:
+            continue
         # differenced again along a second axis b, these give the cross
         # stencils on (x_j, b) and (y_j, b)
         dx = _difference(data, xj)
         dy = _difference(data, yj)
-        for k in range(j + 1, n):
+        for k in ks:
             xk, yk = 2 * k, 2 * k + 1
             re = _difference(dx, xk)
             re += _difference(dy, yk, tmp)

@@ -28,13 +28,14 @@ The linearized operator tr(A dd^c v) - q v is a real combination of second
 differences of v, so the Krylov matvec applies it from n^2 real stencil
 weights per point (see LinearizationField) on periodic differences of v
 taken from flat offsets of the field by the same geometry._stencils that
-write dd^c u; it never forms the complex Hessian of v.
+write dd^c u, skipping the cross stencils of pairs whose weights are all
+zero; it never forms the complex Hessian of v.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
 from operator import iadd
@@ -91,11 +92,23 @@ class LinearizationField:
     the 4-point cross stencil, weights[k, j] = Re A_kj / (8 h^2) multiplies
     X_{x_j x_k} + X_{y_j y_k} and weights[j, k] = Im A_kj / (8 h^2)
     multiplies X_{y_j x_k} - X_{x_j y_k}.
+
+    ``pairs`` holds the (j, k), j < k, whose weights[k, j] or weights[j, k]
+    are not all zero; the matvec takes cross stencils for these alone, since
+    the others add exactly +-0.  It is empty for m = 1 on a diagonal metric,
+    where A = omega^{-1} / S_1, and at u = 0 for every m.  It is recorded
+    once, from the weights given at construction.
     """
 
     grid: object
     weights: np.ndarray  # (n, n) + grid.shape, real
     q: float
+    pairs: frozenset = field(init=False, repr=False)
+
+    def __post_init__(self):
+        w = self.weights
+        self.pairs = frozenset((j, k) for j, k in combinations(range(w.shape[0]), 2)
+                               if np.any(w[k, j]) or np.any(w[j, k]))
 
 
 def _entries(x, kind="hermitian"):
@@ -234,10 +247,11 @@ def linearization(b, table, omega, m, q):
 
 
 def apply_linearization_array(lin, v_data):
-    """tr(A dd^c v) - q v summed from the stencil weights of ``lin``."""
+    """tr(A dd^c v) - q v summed from the stencil weights of ``lin``, with
+    cross stencils only for the pairs whose weights are not all zero."""
     w = lin.weights
     out = -lin.q * v_data
-    for j, k, d_re, d_im in _stencils(v_data):  # fresh arrays, weighted in place
+    for j, k, d_re, d_im in _stencils(v_data, lin.pairs):  # fresh arrays, weighted in place
         if d_im is None:
             d_re *= w[j, j]
             out += d_re

@@ -6,6 +6,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from hessianlab import geometry
 from hessianlab.errors import InputError
 from hessianlab.geometry import (
     MetricField,
@@ -353,6 +354,87 @@ class TestApplyLinearization:
         fd = (bumped.sigma.data - base.sigma.data) / s
         scale = np.maximum(1.0, np.abs(fd))
         assert np.max(np.abs(fd - pred) / scale) < 1e-4
+
+
+class TestZeroWeightPairs:
+    """Cross stencils whose weights are all zero add exactly +-0, so the
+    matvec skips them; it stays bit-identical to the sum over every stencil."""
+
+    @staticmethod
+    def _generic_state(grid):
+        """A state inside Gamma_2 whose Hessian couples every pair (j, k)."""
+        n = grid.n
+        terms = [((1,) + (0,) * (2 * n - 1), 0.3, 0.0)]
+        for j in range(n):
+            for k in range(j + 1, n):
+                freq = [0] * (2 * n)
+                freq[2 * j], freq[2 * k + 1] = 1, 1
+                terms.append((tuple(freq), 0.0, 0.1))
+        return make_field(grid, terms)
+
+    @staticmethod
+    def _full_sum(lin, v):
+        # apply_linearization_array with every cross stencil, in its order
+        w = lin.weights
+        out = -lin.q * v
+        for j, k, d_re, d_im in geometry._stencils(v):
+            if d_im is None:
+                out += d_re * w[j, j]
+            else:
+                out += d_re * w[k, j]
+                out -= d_im * w[j, k]
+        return out
+
+    @pytest.mark.parametrize("kind", ["flat", "conformal"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_m1_on_diagonal_metric_has_no_pairs(self, n, kind):
+        grid = TorusGrid(n, 8)
+        lin = linearize(_cone_state(grid), _metric(kind, grid), 1, 0.7)
+        assert lin.pairs == frozenset()
+
+    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pairs_at_u_zero_and_generic_u(self, n, kind):
+        grid = TorusGrid(n, 8)
+        omega = _metric(kind, grid)
+        every = frozenset((j, k) for j in range(n) for k in range(j + 1, n))
+        for m in range(1, n + 1):
+            lin = linearize(ScalarField.zeros(grid), omega, m, 1.0)
+            # the constant metric has an off-diagonal entry, so it keeps its pair
+            assert lin.pairs == (frozenset({(0, 1)}) if kind == "constant" else frozenset())
+        u = self._generic_state(grid)
+        assert sigma_m(u, omega, 2).cone_mask.all()
+        assert linearize(u, omega, 2, 1.0).pairs == every
+
+    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matvec_equals_sum_over_every_stencil(self, n, kind):
+        grid = TorusGrid(n, 8)
+        omega = _metric(kind, grid)
+        v = np.random.default_rng(n).normal(size=grid.shape)
+        for u in (ScalarField.zeros(grid), _cone_state(grid), self._generic_state(grid)):
+            for m in range(1, n + 1):
+                lin = linearize(u, omega, m, 0.7)
+                assert np.array_equal(apply_linearization_array(lin, v),
+                                      self._full_sum(lin, v)), (m, len(lin.pairs))
+
+    def test_m1_matvec_takes_no_difference(self, monkeypatch):
+        # n = 2 without the skip: dx, dy and four second differences
+        grid, omega = flat(2, 8)
+        u = self._generic_state(grid)
+        m1, m2 = linearize(u, omega, 1, 1.0), linearize(u, omega, 2, 1.0)
+        calls = []
+        difference = geometry._difference
+
+        def counted(*args):
+            calls.append(args[1])
+            return difference(*args)
+
+        monkeypatch.setattr(geometry, "_difference", counted)
+        apply_linearization_array(m1, np.ones(grid.shape))
+        assert calls == []
+        apply_linearization_array(m2, np.ones(grid.shape))
+        assert len(calls) == 6
 
 
 class TestMixedProduct:

@@ -100,10 +100,11 @@ class TestKrylovSolve:
             got = apply_linearization_array(lin, impulse)[point]
             assert got == pytest.approx(diag[point], rel=1e-13), point
 
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_scaled_spectral_exact_on_scaled_constant_weights(self, n):
-        # weights s(x) wbar with q = 0: P = s C is the operator itself
-        grid = TorusGrid(n, 8)
+    @pytest.mark.parametrize("n, N", [(2, 8), (3, 8), (2, 10)], ids=["2", "3", "2-10"])
+    def test_scaled_spectral_exact_on_scaled_constant_weights(self, n, N):
+        # weights s(x) wbar with q = 0: P = s C is the operator itself; N = 10
+        # is no power of two, so a DFT-matrix fault cannot hide behind symmetry
+        grid = TorusGrid(n, N)
         form = np.eye(n, dtype=complex) * np.arange(2, n + 2)
         form[0, 1], form[1, 0] = 0.4 + 0.3j, 0.4 - 0.3j
         constant = MetricField(grid, form)
@@ -117,6 +118,28 @@ class TestKrylovSolve:
         v -= v.mean()
         got = psolve(apply_linearization_array(lin, v).reshape(-1)).reshape(grid.shape)
         assert np.linalg.norm(got - v) <= 1e-12 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("n, N", [(2, 8), (2, 10), (3, 8)])
+    def test_gemm_psolve_matches_pocketfft(self, n, N):
+        # the per-axis GEMMs against numpy's FFT with the same 1/s and symbol;
+        # the symbol's half axis is axis 0, which rfftn halves when it comes
+        # last in ``axes``.  Measured relative gap: at most 1.1e-15, on these
+        # grids and on 16^4 to 40^4 and 10^6
+        grid = TorusGrid(n, N)
+        x1 = (1,) + (0,) * (2 * n - 1)
+        omega = MetricField.conformal(grid, np.eye(n), [(x1, 0.3, 0.0)])
+        y1_x2 = (0, 1, 1) + (0,) * (2 * n - 3)
+        lin = linearize(make_field(grid, [(x1, 0.1, 0.0), (y1_x2, 0.0, 0.05)]), omega, 2, 0.7)
+        inv_s = 4.0 * np.trace(lin.weights) + lin.q
+        inv_s = np.mean(inv_s) / inv_s
+        wbar = np.tensordot(lin.weights, inv_s, axes=2 * n) / inv_s.size
+        sym = solver._spectral_symbol(grid, wbar, lin.q * np.mean(inv_s))
+        axes = tuple(range(1, 2 * n)) + (0,)
+        v = np.random.default_rng(N).standard_normal(grid.shape)
+        spec = np.fft.rfftn(v * inv_s, axes=axes) / sym
+        want = np.fft.irfftn(spec, s=grid.shape, axes=axes)
+        got = _spectral_preconditioner(lin)(v.reshape(-1)).reshape(grid.shape)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_spectral_iteration_ceiling_on_conformal_metric(self):
         grid = TorusGrid(2, 8)

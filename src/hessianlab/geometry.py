@@ -114,6 +114,15 @@ class ScalarField:
         return float(np.min(self.data))
 
 
+def _phase(grid, kvec):
+    """k . theta at every grid point for the integer frequency vector kvec."""
+    phase = np.zeros(grid.shape)
+    for axis, k in enumerate(kvec):
+        if k:
+            phase = phase + k * grid.axis_coordinate(axis)
+    return phase
+
+
 def make_field(grid, terms):
     """Sample a trigonometric polynomial exactly on the grid.
 
@@ -129,10 +138,7 @@ def make_field(grid, terms):
             raise InputError(f"frequency vector {kvec} must have length {2*grid.n}")
         if max((abs(k) for k in kvec), default=0) > grid.N // 4:
             raise InputError(f"frequency {kvec} above N/4 aliasing guard")
-        phase = np.zeros(grid.shape)
-        for axis, k in enumerate(kvec):
-            if k:
-                phase = phase + k * grid.axis_coordinate(axis)
+        phase = _phase(grid, kvec)
         if ccoef:
             data += ccoef * np.cos(phase)
         if scoef:
@@ -368,10 +374,7 @@ def analytic_complex_hessian(grid, terms):
     hess = np.zeros(grid.shape + (n, n), dtype=complex)
     for kvec, ccoef, scoef in terms:
         kvec = tuple(int(k) for k in kvec)
-        phase = np.zeros(grid.shape)
-        for axis, k in enumerate(kvec):
-            if k:
-                phase = phase + k * grid.axis_coordinate(axis)
+        phase = _phase(grid, kvec)
         base = -(ccoef * np.cos(phase) + scoef * np.sin(phase))
         for j in range(n):
             xj, yj = 2 * j, 2 * j + 1

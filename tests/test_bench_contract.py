@@ -1,6 +1,7 @@
-"""The benchmark's build contract: perfbench/workloads.py builds its inputs
-from the library's public API, so an API change it depends on fails here
-rather than as failed operations in a benchmark run.  No solve is made."""
+"""The benchmark's contract: perfbench/workloads.py builds its inputs from
+the library's public API, and perfbench/spans.py's Tracer finds the entry
+points it wraps, so an API change that either depends on fails here rather
+than as failed operations or zeroed layer metrics in a benchmark run."""
 
 import importlib.util
 from pathlib import Path
@@ -8,11 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from hessianlab.geometry import MetricField, TorusGrid, make_field
+from hessianlab.solver import SolverConfig, solve_exponential
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -20,7 +24,7 @@ def _workloads():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_every_workload_builds(seed):
-    workloads = _workloads()
+    workloads = _load("workloads")
     assert sorted(workloads.WORKLOADS) == [
         "conformal-n2", "envelope-n2", "mms-n3", "sweep-n2"]
     for cls in workloads.WORKLOADS.values():
@@ -30,3 +34,23 @@ def test_every_workload_builds(seed):
             data = getattr(value, "data", None)
             if data is not None:
                 assert np.all(np.isfinite(data)), cls.name
+
+
+def test_tracer_counts_krylov_work():
+    # the GMRES and psolve spans wrap solver.gmres_raw by name and its sixth
+    # argument; the iterations they count must equal the solver's own trace
+    spans = _load("spans")
+    grid = TorusGrid(2, 8)
+    H = make_field(grid, [((1, 0, 0, 0), 0.4, 0.0)])
+    tracer = spans.Tracer()
+    tracer.attach()
+    try:
+        _, report = solve_exponential(H, MetricField.flat(grid), 2, SolverConfig(t_steps=1))
+    finally:
+        tracer.detach()
+    assert report.converged
+    names = {span[0] for span in tracer.spans}
+    assert {spans.GMRES, spans.PSOLVE} <= names
+    krylov_iters = sum(r.krylov_iters for r in report.trace)
+    assert krylov_iters > 0
+    assert tracer.gmres_iters == krylov_iters

@@ -70,6 +70,17 @@ class TestKrylovSolve:
         with pytest.raises(InputError):
             krylov_solve(lin, ScalarField.zeros(TorusGrid(2, 16)), 1e-10)
 
+    def test_rhs_is_not_written(self):
+        # gmres_raw gets a view of rhs.data, not a copy
+        grid, omega = flat()
+        u = make_field(grid, [((1, 0, 0, 0), 0.4, 0.0)])
+        lin = linearize(u, omega, 2, 1.0)
+        rhs = make_field(grid, [((0, 1, 0, 0), 0.0, 1.0), ((1, 0, 1, 0), 0.5, 0.0)])
+        before = rhs.data.copy()
+        _, info = krylov_solve(lin, rhs, 1e-10)
+        assert info.iterations > 0
+        assert np.array_equal(rhs.data, before)
+
     def test_cap_returns_best_iterate(self):
         # a zero tolerance is never met, so GMRES stops at the 10 N^n cap and
         # hands back its iterate and true residual instead of raising
@@ -150,6 +161,48 @@ class TestKrylovSolve:
         rhs = ScalarField(grid, np.random.default_rng(0).standard_normal(grid.shape))
         _, info = krylov_solve(lin, rhs, 1e-10)
         assert info.iterations <= 24
+
+
+class TestGmresRaw:
+    @pytest.mark.parametrize("restart", [5, 60])
+    def test_matches_dense_solve(self, restart):
+        # a 40 x 40 nonsymmetric system, Jacobi-preconditioned; at restart 5
+        # the solve takes several cycles (measured 22 iterations, 21 at 60)
+        size = 40
+        rng = np.random.default_rng(1)
+        a = np.eye(size) + 0.3 * rng.standard_normal((size, size)) / np.sqrt(size)
+        b = rng.standard_normal(size)
+        diag = np.diag(a)
+        x, iters, relres = solver.gmres_raw(
+            lambda v: a @ v, b, 1e-12, restart, 10 * size, lambda v: v / diag
+        )
+        want = np.linalg.solve(a, b)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+        true_relres = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+        assert relres <= 1e-12
+        assert relres == pytest.approx(true_relres, rel=0.0, abs=1e-14)
+        if restart == 5:
+            assert iters > restart
+
+    def test_lucky_breakdown_exits_after_one_iteration(self):
+        # the identity maps e_0 into the span of the first basis vector, so
+        # the Hessenberg subdiagonal is exactly 0 after one step
+        b = np.zeros(8)
+        b[0] = 3.0
+        x, iters, relres = solver.gmres_raw(lambda v: v.copy(), b, 1e-12, 60, 80, lambda v: v)
+        assert iters == 1
+        assert relres == 0.0
+        assert np.array_equal(x, b)
+
+    def test_breakdown_at_zero_tol_stays_finite(self):
+        # here the least-squares residual of the breakdown step is not exactly
+        # 0, so at tol 0 only the zero subdiagonal keeps w / 0 out of the basis
+        b = np.zeros(8)
+        b[0] = 7.0
+        x, iters, relres = solver.gmres_raw(lambda v: 3.0 * v, b, 0.0, 60, 80, lambda v: v)
+        assert relres == 0.0
+        assert iters < 80
+        assert np.array_equal(x, b / 3.0)
 
 
 class TestSolveExponential:
@@ -364,8 +417,6 @@ class TestSolveNormalized:
         shifted = ustar.data - ustar.data.max()
         err = np.max(np.abs(u.data - shifted))
         assert err <= 5.0 * (grid.h**2 + sched[-1])
-        # residual against c f bounded by the drift-extrapolated tolerance
-        assert rep.final_mismatch <= rep.tol_c
         # Cauchy gaps shrink along the asymptotic tail of the schedule
         tail = rep.c_gaps[1:]
         assert all(b <= a + 10 * FAST.newton_tol for a, b in zip(tail, tail[1:]))
@@ -398,15 +449,7 @@ class TestSolveNormalized:
         assert all(r.converged for _, r in rep.eps_path)
         assert len(rep.c_estimates) == len(sched) + 1
         assert c == rep.c_estimates[-1]
-        # the drift extrapolation uses the last two eps on the path
-        ratio = 0.1 / mid
-        drift = rep.c_gaps[-1]
-        fmax = float(np.max(f.data))
-        expected = 100.0 * FAST.newton_tol * fmax + fmax * (
-            10.0 * drift * ratio / (1.0 - ratio) + 10.0 * drift
-        )
-        assert drift > 0.0
-        assert rep.tol_c == pytest.approx(expected, rel=1e-12)
+        assert rep.c_gaps[-1] > 0.0
 
     def test_rejects_nonpositive_f(self):
         grid, omega = flat()

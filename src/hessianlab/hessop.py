@@ -30,6 +30,10 @@ weights per point (see LinearizationField) on periodic differences of v
 taken from flat offsets of the field by the same geometry._stencils that
 write dd^c u, skipping the cross stencils of pairs whose weights are all
 zero; it never forms the complex Hessian of v.
+
+B', its S_k table, the linearization and the matvec each run over
+geometry's slabs of rows, writing each slab straight into one full-size
+output, so dd^c u is never held whole.
 """
 
 from __future__ import annotations
@@ -45,13 +49,14 @@ import numpy as np
 from .errors import InputError
 from .geometry import (
     ScalarField,
+    _hessian_rows,
+    _slabs,
     _stencils,
     check_hermitian,
     check_positive_definite,
-    complex_hessian_layout,
     layout_of_complex,
 )
-from .symfunc import elementary_symmetric_table
+from .symfunc import elementary_symmetric_table, table_in_cone
 
 __all__ = [
     "OperatorValue",
@@ -126,14 +131,15 @@ def _entries(x, kind="hermitian"):
     return out
 
 
-def _product(x, y, n, like=None):
+def _product(x, y, n, out=None):
     """The product of two entry dicts as an entry dict or, for a product known
-    to be Hermitian, as the Hermitian layout shaped like ``like`` (only its
-    lower triangle computed).  Written out per entry in real arithmetic: on
-    fields of 2x2 and 3x3 matrices that beats a batched product."""
-    out = {}
+    to be Hermitian, written into the Hermitian layout ``out`` (only its lower
+    triangle computed).  Every entry is computed before ``out`` is written,
+    so x and y may be views of it.  Written out per entry in real arithmetic:
+    on fields of 2x2 and 3x3 matrices that beats a batched product."""
+    entries = {}
     for a in range(n):
-        for b in range(n if like is None else a + 1):
+        for b in range(n if out is None else a + 1):
             re, im = [], []
             for (xr, xi), (yr, yi) in [(x[a, c], y[c, b]) for c in range(n)
                                        if (a, c) in x and (c, b) in y]:
@@ -141,19 +147,18 @@ def _product(x, y, n, like=None):
                 im += [p * q for p, q in ((xr, yi), (xi, yr))
                        if p is not None and q is not None]
             # sums accumulate in place into their first, freshly made, term
-            out[a, b] = tuple(reduce(iadd, v) if v else None for v in (re, im))
-    if like is None:
-        return out
-    layout = np.empty_like(like)
-    for (a, b), (re, im) in out.items():
-        layout[a, b] = re
+            entries[a, b] = tuple(reduce(iadd, v) if v else None for v in (re, im))
+    if out is None:
+        return entries
+    for (a, b), (re, im) in entries.items():
+        out[a, b] = re
         if a != b:
-            layout[b, a] = 0.0 if im is None else im
-    return layout
+            out[b, a] = 0.0 if im is None else im
+    return out
 
 
 def _congruence(f, x, adjoint=False):
-    """P X P^* in the Hermitian layout, for X Hermitian in layout x and P the
+    """P X P^* written over the Hermitian layout x of X, for P the
     lower-triangular f (its adjoint when ``adjoint``); f None is the identity."""
     if f is None:
         return x
@@ -161,14 +166,20 @@ def _congruence(f, x, adjoint=False):
     if adjoint:
         p, p_adj = p_adj, p
     n = x.shape[0]
-    return _product(_product(p, _entries(x), n), p_adj, n, like=x)
+    return _product(_product(p, _entries(x), n), p_adj, n, out=x)
 
 
-def _minor_sums(b, kmax):
-    """S_0..S_kmax of the spectrum of the Hermitian layout b, as a
-    shape + (kmax + 1,) table, from principal-minor sums."""
+def _rows(x, rows):
+    """The rows ``rows`` of a per-point field in the Hermitian layout; a
+    constant (n, n) matrix or None stands for every row."""
+    return x if x is None or x.ndim == 2 else x[:, :, rows]
+
+
+def _minor_sums(b, kmax, out):
+    """S_0..S_kmax of the spectrum of the Hermitian layout b, written into
+    the shape + (kmax + 1,) table ``out``, from principal-minor sums."""
     n = b.shape[0]
-    out = np.ones(b.shape[2:] + (kmax + 1,))
+    out[..., 0] = 1.0
     if kmax >= 1:
         out[..., 1] = sum(b[j, j] for j in range(n))
     if kmax >= 2:
@@ -187,10 +198,15 @@ def _minor_sums(b, kmax):
 
 def state_matrices(u_data, metric):
     """B' = L^{-1} g L^{-*} for g = omega + dd^c u and omega = L L^*, in the
-    Hermitian layout; L^{-1} omega L^{-*} = I, so B' = I + L^{-1} dd^c u L^{-*}."""
-    b = _congruence(metric.factor, complex_hessian_layout(u_data, metric.grid))
-    for j in range(b.shape[0]):
-        b[j, j] += 1.0
+    Hermitian layout; L^{-1} omega L^{-*} = I, so B' = I + L^{-1} dd^c u L^{-*},
+    made one slab of rows at a time."""
+    grid = metric.grid
+    b = np.empty((grid.n, grid.n) + grid.shape)
+    for rows in _slabs(grid.shape):
+        x = _hessian_rows(u_data, grid.h, rows, b[:, :, rows])
+        _congruence(_rows(metric.factor, rows), x)
+        for j in range(grid.n):
+            x[j, j] += 1.0
     return b
 
 
@@ -206,7 +222,10 @@ def sk_table_of_state(state, metric, kmax):
     if np.iscomplexobj(state):
         state = _congruence(metric.factor, layout_of_complex(state))
     check_degree(kmax, state.shape[0])
-    return _minor_sums(state, kmax)
+    table = np.empty(state.shape[2:] + (kmax + 1,))
+    for rows in _slabs(state.shape[2:]):
+        _minor_sums(state[:, :, rows], kmax, table[rows])
+    return table
 
 
 def sigma_m(u, omega, m):
@@ -216,50 +235,61 @@ def sigma_m(u, omega, m):
         raise InputError("field and metric live on different grids")
     table = sk_table_of_state(state_matrices(u.data, omega), omega, m)
     sigma = table[..., m] / math.comb(grid.n, m)
-    mask = np.all(table[..., 1 : m + 1] > 0.0, axis=-1)
-    return OperatorValue(sigma=ScalarField(grid, sigma), cone_mask=mask)
+    return OperatorValue(sigma=ScalarField(grid, sigma), cone_mask=table_in_cone(table, m))
 
 
-def _newton_tensor(b, table, m):
-    """T_{m-1}(B) in the Hermitian layout by T_0 = I, T_k = S_k I - B T_{k-1};
-    B T_{k-1} is a polynomial in B, so Hermitian."""
+def _newton_tensor(b, table, m, out):
+    """T_{m-1}(B) written into the Hermitian layout ``out`` by T_0 = I,
+    T_k = S_k I - B T_{k-1}; B T_{k-1} is a polynomial in B, so Hermitian."""
+    n = b.shape[0]
     # T_0 = I; T_1 = S_1 I - B, since B T_0 = B needs no product
-    t = np.zeros_like(b) if m == 1 else -b
+    if m == 1:
+        out[...] = 0.0
+    else:
+        np.negative(b, out=out)
     for k in range(0 if m == 1 else 1, m):
         if k > 1:
-            t = -_product(_entries(b), _entries(t), b.shape[0], like=b)
-        for j in range(b.shape[0]):
-            t[j, j] += table[..., k]
-    return t
+            np.negative(_product(_entries(b), _entries(out), n, out=out), out=out)
+        for j in range(n):
+            out[j, j] += table[..., k]
+    return out
 
 
 def linearization(b, table, omega, m, q):
     """Stencil weights of the linearized operator at the state B' = ``b``
     (state_matrices) with its S_0..S_m ``table`` (sk_table_of_state), which
-    the caller has found strictly inside Gamma_m; no eigensolve."""
+    the caller has found strictly inside Gamma_m; no eigensolve.  Each slab
+    of rows is written straight into the weights."""
     grid = omega.grid
-    a = _congruence(omega.factor, _newton_tensor(b, table, m), adjoint=True)
-    # weights: A_jj / (4 h^2) on the diagonal, A / (8 h^2) off it
-    a *= 0.125 / (grid.h * grid.h * table[..., m])
-    for j in range(grid.n):
-        a[j, j] *= 2.0
-    return LinearizationField(grid=grid, weights=a, q=q)
+    weights = np.empty_like(b)
+    for rows in _slabs(grid.shape):
+        a = _newton_tensor(b[:, :, rows], table[rows], m, weights[:, :, rows])
+        _congruence(_rows(omega.factor, rows), a, adjoint=True)
+        # weights: A_jj / (4 h^2) on the diagonal, A / (8 h^2) off it
+        a *= 0.125 / (grid.h * grid.h * table[rows][..., m])
+        for j in range(grid.n):
+            a[j, j] *= 2.0
+    return LinearizationField(grid=grid, weights=weights, q=q)
 
 
 def apply_linearization_array(lin, v_data):
     """tr(A dd^c v) - q v summed from the stencil weights of ``lin``, with
-    cross stencils only for the pairs whose weights are not all zero."""
+    cross stencils only for the pairs whose weights are not all zero, one
+    slab of rows at a time."""
     w = lin.weights
-    out = -lin.q * v_data
-    for j, k, d_re, d_im in _stencils(v_data, lin.pairs):  # fresh arrays, weighted in place
-        if d_im is None:
-            d_re *= w[j, j]
-            out += d_re
-        else:
-            d_re *= w[k, j]
-            out += d_re
-            d_im *= w[j, k]
-            out -= d_im
+    out = np.empty(v_data.shape)
+    for rows in _slabs(v_data.shape):
+        acc = np.multiply(-lin.q, v_data[rows], out=out[rows])
+        # fresh arrays, weighted in place
+        for j, k, d_re, d_im in _stencils(v_data, lin.pairs, rows):
+            if d_im is None:
+                d_re *= w[j, j, rows]
+                acc += d_re
+            else:
+                d_re *= w[k, j, rows]
+                acc += d_re
+                d_im *= w[j, k, rows]
+                acc -= d_im
     return out
 
 

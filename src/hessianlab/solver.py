@@ -53,7 +53,7 @@ from .hessop import (
     sk_table_of_state,
     state_matrices,
 )
-from .symfunc import table_margin
+from .symfunc import table_in_cone, table_margin
 
 __all__ = [
     "SolverConfig",
@@ -306,7 +306,7 @@ class _State:
         self.b = b  # B' in the Hermitian layout, kept for the linearization
         self.table = table  # sk_table_of_state has checked m's degree
         self.margin = float(np.min(table_margin(table, n, m)))
-        self.in_cone = self.margin > 0.0
+        self.in_cone = bool(np.all(table_in_cone(table, m)))
         if self.in_cone:  # S_m > 0 on Gamma_m
             self.residual = np.log(table[..., m] / math.comb(n, m)) - q * u - harr
             self.res_sup = float(np.max(np.abs(self.residual)))

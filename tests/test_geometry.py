@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hessianlab import geometry
 from hessianlab.errors import InputError
 from hessianlab.geometry import (
     MetricField,
@@ -254,14 +255,26 @@ class TestFlatOffsets:
 
     @pytest.mark.parametrize("n, N", CASES)
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_stencils_match_roll(self, n, N, order):
+    def test_stencils_match_roll(self, n, N, order, monkeypatch):
+        # on the whole grid, and on slabs of one row and of three rows (N = 8
+        # in 3 + 3 + 2, N = 10 in 3 + 3 + 3 + 1), whose first and last slabs
+        # read the rows that wrap along axis 0
         data = np.asarray(np.random.default_rng(N).normal(size=(N,) * (2 * n)), order=order)
-        got = list(_stencils(data))
         want = list(_roll_stencils(data, n))
-        assert [g[:2] for g in got] == [w[:2] for w in want]
-        for (_, _, g_re, g_im), (_, _, w_re, w_im) in zip(got, want):
-            assert np.array_equal(g_re, w_re)
-            assert (g_im is None and w_im is None) or np.array_equal(g_im, w_im)
+        for rows_per_slab in (None, 1, 3):
+            if rows_per_slab is None:
+                slabs = [slice(None)]
+                got = [list(_stencils(data))]
+            else:
+                monkeypatch.setattr(geometry, "_SLAB_POINTS", rows_per_slab * N ** (2 * n - 1))
+                slabs = geometry._slabs(data.shape)
+                assert slabs[0].start == 0 and slabs[-1].stop == N and len(slabs) > 1
+                got = [list(_stencils(data, rows=rows)) for rows in slabs]
+            for rows, items in zip(slabs, got):
+                assert [g[:2] for g in items] == [w[:2] for w in want]
+                for (_, _, g_re, g_im), (_, _, w_re, w_im) in zip(items, want):
+                    assert np.array_equal(g_re, w_re[rows])
+                    assert (g_im is None and w_im is None) or np.array_equal(g_im, w_im[rows])
 
     @pytest.mark.parametrize("n, N", CASES)
     def test_gradient_sup_matches_roll(self, n, N):

@@ -1,6 +1,7 @@
 """Hessian operator, linearization, and polarized products."""
 
 import math
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -13,10 +14,12 @@ from hessianlab.geometry import (
     ScalarField,
     TorusGrid,
     complex_hessian,
+    complex_hessian_layout,
     make_field,
 )
 from hessianlab.hessop import (
     apply_linearization_array,
+    linearization,
     mixed_product,
     polarization_constant,
     sigma_m,
@@ -24,6 +27,7 @@ from hessianlab.hessop import (
     sk_table_of_state,
     state_matrices,
 )
+from hessianlab.solver import _Equation
 from hessianlab.symfunc import cone_mask, elementary_symmetric_table
 from oracles import coefficient_matrices, generalized_eigh, linearize
 
@@ -426,15 +430,89 @@ class TestZeroWeightPairs:
         calls = []
         difference = geometry._difference
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[1])
-            return difference(*args)
+            return difference(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "_difference", counted)
         apply_linearization_array(m1, np.ones(grid.shape))
         assert calls == []
         apply_linearization_array(m2, np.ones(grid.shape))
         assert len(calls) == 6
+
+
+class TestSlabs:
+    """Every grid kernel runs over slabs of rows along axis 0; how the grid
+    is split changes no bit of any output, and no kernel holds more than a
+    few full-size temporaries."""
+
+    @staticmethod
+    def _kernels(omega, v):
+        """Every kernel's output, keyed by kernel and degree, at a state that
+        couples every pair (j, k) and lies inside every Gamma_m."""
+        grid = omega.grid
+        u = TestZeroWeightPairs._generic_state(grid).data
+        b = state_matrices(u, omega)
+        out = {"hessian": complex_hessian_layout(u, grid), "state": b}
+        for m in range(1, grid.n + 1):
+            table = sk_table_of_state(b, omega, m)
+            assert np.all(table[..., 1 : m + 1] > 0.0)
+            lin = linearization(b, table, omega, m, 0.7)
+            out["table", m], out["weights", m] = table, lin.weights
+            out["matvec", m] = apply_linearization_array(lin, v)
+        return out
+
+    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_split_is_bit_identical(self, n, kind, monkeypatch):
+        grid = TorusGrid(n, 8)
+        omega = _metric(kind, grid)
+        v = np.random.default_rng(n).normal(size=grid.shape)
+        row = grid.points // grid.N
+        monkeypatch.setattr(geometry, "_SLAB_POINTS", grid.points)
+        assert geometry._slabs(grid.shape) == [slice(0, 8)]
+        want = self._kernels(omega, v)
+        for rows, split in ((1, [1] * 8), (3, [3, 3, 2])):
+            monkeypatch.setattr(geometry, "_SLAB_POINTS", rows * row)
+            assert [s.stop - s.start for s in geometry._slabs(grid.shape)] == split
+            got = self._kernels(omega, v)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert np.array_equal(got[key], want[key]), (rows, key)
+
+    # tracemalloc peaks of one matvec, one solver evaluate (B', its S_k
+    # table and the residual) and one linearization, in grid arrays, at the
+    # default slab size: whole-grid kernels peaked at 7.1, 24.0 and 21.0
+    # (n=2 N=24 conformal) and 8.0, 16.1 and 11.0 (n=3 N=8 flat); slabs of
+    # 2^15 points measured 1.5, 10.0 and 5.2, and 1.9, 15.0 and 9.25.  The
+    # outputs alone are 1, 8 (B' 4, table 3, residual 1) and 4 at n=2, and
+    # 1, 13 and 9 at n=3.
+    @pytest.mark.parametrize("n, N, kind, bounds", [
+        (2, 24, "conformal", (2.0, 10.5, 5.5)),
+        (3, 8, "flat", (2.5, 15.5, 9.75)),
+    ], ids=["n2-conformal", "n3-flat"])
+    def test_transient_memory(self, n, N, kind, bounds):
+        grid = TorusGrid(n, N)
+        omega = (MetricField.flat(grid) if kind == "flat" else MetricField.conformal(
+            grid, np.eye(n), [((1, 0, 0, 0), 1.2, 0.0), ((0, 0, 1, 1), 0.0, 0.6)]))
+        eq = _Equation(omega, 2, 1.0)
+        u, harr = _cone_state(grid).data, np.zeros(grid.shape)
+        state = eq.evaluate(u, harr)
+        assert state.in_cone
+        lin = linearization(state.b, state.table, omega, 2, 1.0)
+        v = np.random.default_rng(0).normal(size=grid.shape)
+        calls = (lambda: apply_linearization_array(lin, v),
+                 lambda: eq.evaluate(u, harr),
+                 lambda: linearization(state.b, state.table, omega, 2, 1.0))
+        peaks = []
+        for call in calls:
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / (8 * grid.points))
+            finally:
+                tracemalloc.stop()
+        assert all(p <= b for p, b in zip(peaks, bounds)), peaks
 
 
 class TestMixedProduct:

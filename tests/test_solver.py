@@ -22,6 +22,7 @@ from hessianlab.solver import (
     solve_exponential,
     solve_normalized,
 )
+from hessianlab.symfunc import cone_mask, elementary_symmetric_table
 from oracles import linearize
 
 
@@ -373,6 +374,21 @@ class TestFailureReporting:
         assert not rep.converged
         assert rep.failure.startswith("continuity stalled")
         assert np.all(np.isfinite(u.data))  # last iterate still returned
+
+
+class TestConeRule:
+    def test_state_admits_what_cone_mask_admits(self):
+        # at [0, 5e-324], m = 1, S_1 > 0 but the margin S_1 / C(2, 1) rounds
+        # to 0: the solver admits the point, as cone_mask does, and reports
+        # the margin as it is
+        lam = np.array([[0.0, 5e-324], [1.0, 1.0]])
+        table = elementary_symmetric_table(lam, 1)
+        assert cone_mask(lam, 1).all()
+        with np.errstate(divide="ignore"):  # log sigma_1 = log 0 at the first point
+            state = solver._State(np.zeros(2), None, table, 2, 1, 0.0, np.zeros(2))
+        assert state.in_cone and state.margin == 0.0
+        state = solver._State(np.zeros(2), None, -table, 2, 1, 0.0, np.zeros(2))
+        assert not state.in_cone and state.residual is None
 
 
 class TestSolveNormalized:

@@ -18,6 +18,7 @@ from hessianlab.symfunc import (
     cone_mask,
     elementary_symmetric_table,
     sample_cone,
+    table_in_cone,
     table_margin,
     verify_cone_inequalities,
 )
@@ -187,6 +188,7 @@ class TestInCone:
            st.floats(0.01, 100.0))
     @settings(max_examples=150, deadline=None)
     @example([4.999999999999999] * 3 + [-4.999999999999999], 1.75)
+    @example([0.0, 5e-324], 2.0)
     def test_positive_homogeneity(self, entries, t):
         # underflow breaks homogeneity in floating point only: skip the inputs
         # where scaling flushes an entry to 0 (t = 0.5 on 5e-324) or where
@@ -199,9 +201,13 @@ class TestInCone:
         # as in the pinned example, where S_2 is 0 exactly and 2.8e-14 scaled
         assume(all(s != 0 for v in (lam, t * lam) for s in exact_sk(v, m)))
         assert cone_mask(lam, m) == cone_mask(t * lam, m)
-        # the solver's rule, margin > 0, is the same membership test
-        assert (margin(lam, m) > 0) == cone_mask(lam, m)
-        assert (margin(t * lam, m) > 0) == cone_mask(t * lam, m)
+        # the solver's rule, table_in_cone of its S_k table, is the same
+        # membership test; a positive margin implies membership, but inside
+        # the cone a subnormal S_k / C(n, k) can round to a margin of 0, as in
+        # the pinned example [0, 5e-324]
+        for v in (lam, t * lam):
+            assert table_in_cone(elementary_symmetric_table(v, m), m) == cone_mask(v, m)
+            assert (margin(v, m) > 0) <= cone_mask(v, m)
 
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=8),
            st.randoms())

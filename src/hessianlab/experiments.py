@@ -1,8 +1,11 @@
 """Reusable experiment drivers: manufactured solutions, random data, studies.
 
-The manufactured-solution route: pick a band-limited u*, compute its exact
-continuum complex Hessian term-by-term, evaluate the exact sigma_m pointwise,
-and set H := log sigma_m(u*) - u*.  The discrete solve then has to recover
+The manufactured-solution route: pick a band-limited u*, write its exact
+continuum complex Hessian term-by-term straight into the real Hermitian
+layout the solver's kernels share (geometry.analytic_hessian_layout, each
+term on the sub-grid of the axes it varies along), evaluate the exact
+sigma_m pointwise from the S_k table of that layout, and set
+H := log sigma_m(u*) - u*.  The discrete solve then has to recover
 u* up to the O(h^2) stencil truncation, which is what the convergence-order
 studies measure.
 """
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import MetricField, ScalarField, TorusGrid, analytic_complex_hessian, make_field
+from .geometry import MetricField, ScalarField, TorusGrid, analytic_hessian_layout, make_field
 from .hessop import sk_table_of_state
 from .solver import SolverConfig, solve_exponential
 from .symfunc import table_margin
@@ -55,12 +58,14 @@ def manufactured_terms(n, amplitude):
 def exact_sigma(grid, terms, m):
     """Exact continuum sigma_m of the trig polynomial, sampled on the grid.
 
-    Returns (sigma array, cone margin of the exact eigenvalues).
+    Returns (sigma array, cone margin of the exact eigenvalues).  The
+    flat metric's I is added on the diagonal of the Hermitian layout.
     """
     n = grid.n
-    g = analytic_complex_hessian(grid, terms) + np.eye(n)
-    metric = MetricField.flat(grid)
-    table = sk_table_of_state(g, metric, m)
+    g = analytic_hessian_layout(grid, terms)
+    for j in range(n):
+        g[j, j] += 1.0
+    table = sk_table_of_state(g, MetricField.flat(grid), m)
     margin = float(np.min(table_margin(table, n, m)))
     return table[..., m] / math.comb(n, m), margin
 

@@ -44,6 +44,7 @@ __all__ = [
     "MetricField",
     "make_field",
     "complex_hessian",
+    "analytic_hessian_layout",
     "analytic_complex_hessian",
     "gradient_sup",
     "write_field",
@@ -120,9 +121,28 @@ class ScalarField:
         return float(np.min(self.data))
 
 
+def _terms(grid, terms):
+    """The (freq_vector, cos_coeff, sin_coeff) terms of a trigonometric
+    polynomial on ``grid``, each frequency vector as a tuple of 2n ints;
+    raises InputError for a vector of another length, a frequency above N/4
+    (it would alias under the second-difference stencils used downstream) or
+    a coefficient that is not finite."""
+    for kvec, ccoef, scoef in terms:
+        kvec = tuple(int(k) for k in kvec)
+        if len(kvec) != 2 * grid.n:
+            raise InputError(f"frequency vector {kvec} must have length {2*grid.n}")
+        if max((abs(k) for k in kvec), default=0) > grid.N // 4:
+            raise InputError(f"frequency {kvec} above N/4 aliasing guard")
+        if not (math.isfinite(ccoef) and math.isfinite(scoef)):
+            raise InputError(f"coefficients of frequency {kvec} must be finite")
+        yield kvec, ccoef, scoef
+
+
 def _phase(grid, kvec):
-    """k . theta at every grid point for the integer frequency vector kvec."""
-    phase = np.zeros(grid.shape)
+    """k . theta on the sub-grid of the axes where k != 0: N points along
+    each of those axes and 1 along the others, so it broadcasts against a
+    field of grid.shape."""
+    phase = np.zeros((1,) * (2 * grid.n))
     for axis, k in enumerate(kvec):
         if k:
             phase = phase + k * grid.axis_coordinate(axis)
@@ -133,17 +153,12 @@ def make_field(grid, terms):
     """Sample a trigonometric polynomial exactly on the grid.
 
     ``terms`` is a list of (freq_vector, cos_coeff, sin_coeff) with the
-    frequency vector of length 2n over (x_1, y_1, ..., x_n, y_n).  Frequencies
-    above N/4 are rejected: they would alias under the second-difference
-    stencils used downstream.
+    frequency vector of length 2n over (x_1, y_1, ..., x_n, y_n), checked by
+    _terms.  Each term is evaluated on its sub-grid (_phase) and added into
+    the field by broadcasting.
     """
     data = np.zeros(grid.shape)
-    for kvec, ccoef, scoef in terms:
-        kvec = tuple(int(k) for k in kvec)
-        if len(kvec) != 2 * grid.n:
-            raise InputError(f"frequency vector {kvec} must have length {2*grid.n}")
-        if max((abs(k) for k in kvec), default=0) > grid.N // 4:
-            raise InputError(f"frequency {kvec} above N/4 aliasing guard")
+    for kvec, ccoef, scoef in _terms(grid, terms):
         phase = _phase(grid, kvec)
         if ccoef:
             data += ccoef * np.cos(phase)
@@ -422,17 +437,20 @@ def complex_hessian(u):
     return complex_of_layout(complex_hessian_layout(u.data, u.grid))
 
 
-def analytic_complex_hessian(grid, terms):
-    """Exact continuum complex Hessian of a trigonometric polynomial, sampled.
+def analytic_hessian_layout(grid, terms):
+    """Exact continuum dd^c of a trigonometric polynomial, sampled, in the
+    Hermitian layout that complex_hessian_layout writes.
 
     The manufactured-solution oracle: differentiating term-by-term gives
     d^2/dtheta_a dtheta_b [c cos(k.theta) + s sin(k.theta)]
-      = -k_a k_b [c cos(k.theta) + s sin(k.theta)].
+      = -k_a k_b [c cos(k.theta) + s sin(k.theta)],
+    so a term adds re * base to Re u_{k jbar} and -im * base to Im u_{k jbar}
+    for j <= k, with base = -(c cos + s sin) evaluated once on the term's
+    sub-grid (_phase) and broadcast; an entry with re = im = 0 is skipped.
     """
     n = grid.n
-    hess = np.zeros(grid.shape + (n, n), dtype=complex)
-    for kvec, ccoef, scoef in terms:
-        kvec = tuple(int(k) for k in kvec)
+    out = np.zeros((n, n) + grid.shape)
+    for kvec, ccoef, scoef in _terms(grid, terms):
         phase = _phase(grid, kvec)
         base = -(ccoef * np.cos(phase) + scoef * np.sin(phase))
         for j in range(n):
@@ -441,12 +459,17 @@ def analytic_complex_hessian(grid, terms):
                 xk, yk = 2 * k, 2 * k + 1
                 re = 0.25 * (kvec[xj] * kvec[xk] + kvec[yj] * kvec[yk])
                 im = 0.25 * (kvec[xj] * kvec[yk] - kvec[yj] * kvec[xk])
-                if j == k:
-                    hess[..., j, j] += re * base
-                else:
-                    hess[..., j, k] += (re + 1j * im) * base
-                    hess[..., k, j] += (re - 1j * im) * base
-    return hess
+                if re:
+                    out[k, j] += re * base
+                if im:
+                    out[j, k] -= im * base  # Im u_{k jbar}
+    return out
+
+
+def analytic_complex_hessian(grid, terms):
+    """The exact continuum complex Hessian of analytic_hessian_layout as a
+    complex grid.shape + (n, n) field."""
+    return complex_of_layout(analytic_hessian_layout(grid, terms))
 
 
 def gradient_sup(u):

@@ -4,13 +4,17 @@ points it wraps, so an API change that either depends on fails here rather
 than as failed operations or zeroed layer metrics in a benchmark run."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hessianlab.experiments import manufactured_terms
 from hessianlab.geometry import MetricField, TorusGrid, make_field
+from hessianlab.hessop import sk_table_of_state
 from hessianlab.solver import SolverConfig, solve_exponential
+from oracles import reference_complex_hessian, reference_exact_sigma, reference_field
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,6 +38,29 @@ def test_every_workload_builds(seed):
             data = getattr(value, "data", None)
             if data is not None:
                 assert np.all(np.isfinite(data)), cls.name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_manufactured_inputs_match_reference_route(seed):
+    # the manufactured workloads' inputs are bit-identical to those built on
+    # the whole grid from the complex Hessian, so a change in how they are
+    # built cannot change what the benchmark solves
+    workloads = _load("workloads")
+    for cls in (workloads.MmsN3, workloads.ConformalN2):
+        inputs = cls(seed).build()
+        grid, n, m = inputs["grid"], cls.n, cls.m
+        terms = manufactured_terms(n, 0.25) + workloads._perturbation(seed, n)
+        ustar = reference_field(grid, terms)
+        if cls is workloads.MmsN3:
+            sigma, _ = reference_exact_sigma(grid, terms, m)
+        else:
+            phi = reference_field(grid, cls.metric_terms)
+            form = np.exp(phi)[..., None, None] * np.eye(n)
+            assert np.array_equal(inputs["omega"].form, form), cls.name
+            g = reference_complex_hessian(grid, terms) + form
+            sigma = sk_table_of_state(g, inputs["omega"], m)[..., m] / math.comb(n, m)
+        assert np.array_equal(inputs["ustar"].data, ustar), cls.name
+        assert np.array_equal(inputs["H"].data, np.log(sigma) - ustar), cls.name
 
 
 def test_tracer_counts_krylov_work():

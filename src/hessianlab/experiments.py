@@ -117,7 +117,7 @@ def mms_study(n, m, N_list, amplitude=0.25, cfg=None):
                 N=N,
                 sup_error=err,
                 final_residual=report.t_path[-1][2] if report.t_path else math.inf,
-                newton_iterations=sum(it for _, it, _ in report.t_path),
+                newton_iterations=report.newton_steps,
                 converged=report.converged,
                 wallclock=report.wallclock,
             )

@@ -158,12 +158,13 @@ def make_field(grid, terms):
     the field by broadcasting.
     """
     data = np.zeros(grid.shape)
-    for kvec, ccoef, scoef in _terms(grid, terms):
-        phase = _phase(grid, kvec)
-        if ccoef:
-            data += ccoef * np.cos(phase)
-        if scoef:
-            data += scoef * np.sin(phase)
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the check below
+        for kvec, ccoef, scoef in _terms(grid, terms):
+            phase = _phase(grid, kvec)
+            if ccoef:
+                data += ccoef * np.cos(phase)
+            if scoef:
+                data += scoef * np.sin(phase)
     if not np.all(np.isfinite(data)):
         raise InputError("field values must be finite")
     return ScalarField(grid, data)

@@ -10,7 +10,8 @@ newton_tol.  The normalized equation sigma_m(u) = c f is reached through
 the vanishing-zeroth-order family log sigma_m(v) = eps v + log f with c
 extracted as exp(eps sup v).
 
-Inner solves use GMRES restarted every 60 iterations and capped at 10 N^n,
+Inner solves are one GMRES cycle of at most 60 iterations, with no restart
+(a stalled cycle only stalls again; Embree, SIAM Rev. 45, 2003),
 right-preconditioned so the stopping rule is on the true residual; each
 iteration solves min |beta e_1 - H y| on its Hessenberg H with lstsq.  The
 preconditioner is a constant-coefficient spectral solve, its DFT applied as
@@ -32,7 +33,7 @@ any candidate outside the cone, so each accepted iterate is strictly
 elliptic and has S_m > 0.
 
 SolverConfig holds only what callers set; the line search (step halved down
-to 2^-20), the restart, the cap of 12 t-step halvings and the path
+to 2^-20), the Krylov cap, the cap of 12 t-step halvings and the path
 tolerance 0.1 are constants.
 """
 
@@ -70,7 +71,7 @@ __all__ = [
 
 _DAMPING = 0.5  # line-search step factor
 _MIN_STEP = 2.0**-20  # line-search floor
-_KRYLOV_RESTART = 60  # GMRES basis size
+_KRYLOV_MAX = 60  # GMRES iterations per solve, the basis size
 _MAX_T_HALVINGS = 12  # continuity step halvings before giving up
 _PATH_TOL = 0.1  # residual target at the continuity points t < 1
 
@@ -110,6 +111,11 @@ class SolveReport:
     trace: list = field(default_factory=list)
     failure: str | None = None
 
+    @property
+    def newton_steps(self):
+        """Newton steps of the accepted path, summed over t_path."""
+        return sum(it for _, it, _ in self.t_path)
+
 
 @dataclass
 class NormalizedReport:
@@ -128,7 +134,7 @@ class NormalizedReport:
 
         Rejected starts and failed continuity attempts are not counted.
         """
-        return sum(it for _, r in self.eps_path for _, it, _ in r.t_path)
+        return sum(r.newton_steps for _, r in self.eps_path)
 
 
 @dataclass
@@ -142,8 +148,9 @@ class KrylovInfo:
 # --------------------------------------------------------------------------
 
 
-def gmres_raw(matvec, b, tol, restart, maxiter, psolve):
-    """Restarted GMRES on flat arrays; returns (x, iterations, true relres).
+def gmres_raw(matvec, b, tol, psolve):
+    """One GMRES cycle of at most _KRYLOV_MAX iterations on flat arrays;
+    returns (x, iterations, true relres), the relres possibly above ``tol``.
 
     Right preconditioning keeps the monitored residual equal to the residual
     of the original system, which is what the caller's contract quotes.
@@ -152,34 +159,25 @@ def gmres_raw(matvec, b, tol, restart, maxiter, psolve):
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, 0, 0.0
-    total = 0
-    while True:
-        r = b - matvec(x) if total else b
-        relres = float(np.linalg.norm(r)) / bnorm
-        if relres <= tol or total >= maxiter:
-            return x, total, relres
-        beta = relres * bnorm
-        kmax = min(restart, maxiter - total)
-        basis = np.empty((kmax + 1, b.size))
-        basis[0] = r / beta
-        hess = np.zeros((kmax + 1, kmax))
-        e1 = np.zeros(kmax + 1)
-        e1[0] = beta
-        for j in range(kmax):
-            w = matvec(psolve(basis[j]))
-            for i in range(j + 1):  # modified Gram-Schmidt
-                hij = float(np.dot(basis[i], w))
-                hess[i, j] = hij
-                w -= hij * basis[i]
-            hess[j + 1, j] = np.linalg.norm(w)
-            h, g = hess[:j + 2, :j + 1], e1[:j + 2]
-            y = np.linalg.lstsq(h, g, rcond=None)[0]
-            total += 1
-            if (hess[j + 1, j] == 0.0 or np.linalg.norm(h @ y - g) / bnorm <= 0.9 * tol
-                    or total >= maxiter):
-                break
-            basis[j + 1] = w / hess[j + 1, j]
-        x = x + psolve(y @ basis[:j + 1])
+    basis = np.empty((_KRYLOV_MAX + 1, b.size))
+    basis[0] = b / bnorm
+    hess = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX))
+    e1 = np.zeros(_KRYLOV_MAX + 1)
+    e1[0] = bnorm
+    for j in range(_KRYLOV_MAX):
+        w = matvec(psolve(basis[j]))
+        for i in range(j + 1):  # modified Gram-Schmidt
+            hij = float(np.dot(basis[i], w))
+            hess[i, j] = hij
+            w -= hij * basis[i]
+        hess[j + 1, j] = np.linalg.norm(w)
+        h, g = hess[:j + 2, :j + 1], e1[:j + 2]
+        y = np.linalg.lstsq(h, g, rcond=None)[0]
+        if hess[j + 1, j] == 0.0 or np.linalg.norm(h @ y - g) / bnorm <= 0.9 * tol:
+            break
+        basis[j + 1] = w / hess[j + 1, j]
+    x += psolve(y @ basis[:j + 1])
+    return x, j + 1, float(np.linalg.norm(b - matvec(x))) / bnorm
 
 
 def _spectral_symbol(grid, wbar, q):
@@ -274,22 +272,20 @@ def krylov_solve(lin, rhs, tol):
     """Solve the linearized equation matrix-free to a true relative residual,
     preconditioned by _spectral_preconditioner.
 
-    Returns (iterate, KrylovInfo); at the iteration cap 10 N^n the iterate
-    is the best one reached, its relres above ``tol``, and the Newton driver
-    line-searches along it all the same.
+    Returns (iterate, KrylovInfo); when the one GMRES cycle misses ``tol``
+    the iterate is the best one reached, its relres above ``tol``, and the
+    Newton driver line-searches along it all the same.
     """
     grid = lin.grid
     if rhs.grid != grid:
         raise InputError("rhs and linearization live on different grids")
-    maxiter = 10 * grid.N**grid.n
     psolve = _spectral_preconditioner(lin)
 
     def matvec(v):
         return apply_linearization_array(lin, v.reshape(grid.shape)).reshape(-1)
 
-    x, iters, relres = gmres_raw(
-        matvec, rhs.data.reshape(-1), tol, _KRYLOV_RESTART, maxiter, psolve
-    )
+    # psolve by keyword, where perfbench's tracer finds and wraps it
+    x, iters, relres = gmres_raw(matvec, rhs.data.reshape(-1), tol, psolve=psolve)
     return ScalarField(grid, x.reshape(grid.shape)), KrylovInfo(iters, relres)
 
 

@@ -64,8 +64,8 @@ def test_manufactured_inputs_match_reference_route(seed):
 
 
 def test_tracer_counts_krylov_work():
-    # the GMRES and psolve spans wrap solver.gmres_raw by name and its sixth
-    # argument; the iterations they count must equal the solver's own trace
+    # the GMRES and psolve spans wrap solver.gmres_raw by name and its psolve
+    # keyword; the iterations they count must equal the solver's own trace
     spans = _load("spans")
     grid = TorusGrid(2, 8)
     H = make_field(grid, [((1, 0, 0, 0), 0.4, 0.0)])

@@ -26,38 +26,48 @@ from hessianlab.symfunc import ConeSuiteReport, InequalityResult
 
 class TestFieldSpecGrammar:
     def test_single_cosine(self):
-        terms = parse_field_spec("cos:1,0,0,0:0.5", 2)
+        terms = parse_field_spec("cos:1,0,0,0:0.5")
         assert terms == [((1, 0, 0, 0), 0.5, 0.0)]
 
     def test_multi_term(self):
-        terms = parse_field_spec("cos:1,0,0,0:0.5+sin:0,0,0,1:-0.25", 2)
+        terms = parse_field_spec("cos:1,0,0,0:0.5+sin:0,0,0,1:-0.25")
         assert terms == [((1, 0, 0, 0), 0.5, 0.0), ((0, 0, 0, 1), 0.0, -0.25)]
 
     def test_semicolon_separator(self):
-        terms = parse_field_spec("cos:0,0,0,0:1;sin:1,0,0,0:2", 2)
+        terms = parse_field_spec("cos:0,0,0,0:1;sin:1,0,0,0:2")
         assert len(terms) == 2
 
     def test_bad_kind(self):
         with pytest.raises(InputError):
-            parse_field_spec("tan:1,0,0,0:1", 2)
+            parse_field_spec("tan:1,0,0,0:1")
 
-    def test_bad_arity(self):
-        with pytest.raises(InputError):
-            parse_field_spec("cos:1,0:1", 2)
+    def test_bad_arity(self, tmp_path, capsys):
+        # the grammar takes any length; make_field's one term rule refuses it
+        assert main(["solve", "--n", "2", "--m", "1", "--N", "8", "--H", "cos:1,0:1",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            "input error: frequency vector (1, 0) must have length 4\n")
+
+    def test_overflowing_sum_exit_2(self, tmp_path, capsys):
+        # two finite terms whose sum overflows: only the field check sees it
+        assert main(["solve", "--n", "2", "--m", "1", "--N", "8",
+                     "--H", "cos:0,0,0,0:1e308+cos:0,0,0,0:1e308",
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "input error: field values must be finite\n"
 
     def test_malformed(self):
         with pytest.raises(InputError):
-            parse_field_spec("cos:1,0,0,0", 2)
+            parse_field_spec("cos:1,0,0,0")
 
     @pytest.mark.parametrize("spec", ["cos:1,0,0,0:abc", "sin:1,x,0,0:1", "cos:1.5,0,0,0:1"])
     def test_bad_number(self, spec):
         with pytest.raises(InputError, match="bad field term"):
-            parse_field_spec(spec, 2)
+            parse_field_spec(spec)
 
     @pytest.mark.parametrize("spec", ["", "  ", "+", " ; + "])
     def test_empty_spec(self, spec):
         with pytest.raises(InputError, match="empty field spec"):
-            parse_field_spec(spec, 2)
+            parse_field_spec(spec)
 
 
 class TestVerifyConeCommand:
@@ -469,6 +479,16 @@ class TestOtherCommands:
         records = json.loads((out / "summary.json").read_text())["records"]
         assert lines[1:] == [",".join(str(rec[k]) for k in lines[0].split(","))
                              for rec in records]
+
+    @pytest.mark.parametrize("command", GRID_COMMANDS)
+    def test_no_carriage_returns(self, tmp_path, command):
+        # every text file under --out, the CSV tables too, ends its lines in
+        # \n alone; a .field payload is binary
+        out = tmp_path / command
+        assert main(QUICK_RUNS[command] + ["--out", str(out)]) == 0
+        files = [rel for rel in _tree_files(out) if rel.suffix != ".field"]
+        assert files
+        assert [rel for rel in files if b"\r" in (out / rel).read_bytes()] == []
 
     def test_stability_sweep_unconverged_exits_1(self, tmp_path):
         # one Newton step per solve stalls the continuity path, so the

@@ -1,6 +1,7 @@
 """Grids, fields, stencils: symbolic-differentiation oracles and exactness."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,15 @@ class TestMakeField:
     def test_rejects_non_finite_coefficient(self, coef):
         with pytest.raises(InputError, match="finite"):
             make_field(grid2(), [((1, 0, 0, 0), coef, 0.0)])
+
+    def test_rejects_overflowing_sum(self):
+        # each coefficient is finite, their sum is not: the InputError is the
+        # one report, with no overflow warning ahead of it
+        terms = [((0, 0, 0, 0), 1e308, 0.0), ((0, 0, 0, 0), 1e308, 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="field values must be finite"):
+                make_field(grid2(), terms)
 
     def test_transient_memory(self):
         # tracemalloc peak of make_field at n=3 N=8 on the manufactured

@@ -1,8 +1,8 @@
 """hessianlab: a numerical laboratory for complex m-Hessian equations.
 
-Gamma-cone algebra, periodic finite-difference complex Hessians, a
-continuity-method Newton solver for the exponential-type and normalized
-equations, penalized m-subharmonic envelopes, and randomized verification
+Gamma-cone algebra, periodic finite-difference complex Hessians, a Newton
+solver started from a coarse companion solve or a continuity path for the
+exponential-type and normalized equations, penalized m-subharmonic envelopes, and randomized verification
 of the pointwise cone inequalities.
 """
 

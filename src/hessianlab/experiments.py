@@ -95,6 +95,7 @@ class MmsRow:
     newton_iterations: int
     converged: bool
     wallclock: float
+    resolution_estimate: float | None  # the solve's two-grid estimate of sup_error
 
 
 def mms_study(n, m, N_list, amplitude=0.25, cfg=None):
@@ -120,6 +121,7 @@ def mms_study(n, m, N_list, amplitude=0.25, cfg=None):
                 newton_iterations=report.newton_steps,
                 converged=report.converged,
                 wallclock=report.wallclock,
+                resolution_estimate=report.resolution_estimate,
             )
         )
     orders = [

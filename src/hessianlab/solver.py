@@ -1,13 +1,30 @@
-"""Damped Newton with a continuity path for log sigma_m(u) = q u + H.
+"""Damped Newton with a nested start and a continuity path for
+log sigma_m(u) = q u + H.
 
-The exponential-type equation (q = 1) starts from the exact solution u = 0
-at t = 0 and walks log sigma_m(u_t) = u_t + t H to t = 1, halving a t-step
-whenever Newton fails on it.  Only the endpoint is reported, so each point
-t < 1 is solved to a sup residual of max(newton_tol, 0.1), enough to start
-the next point inside Newton's basin (inexact path following, Deuflhard,
-Newton Methods for Nonlinear Problems, 2011, ch. 5); t = 1 is solved to
-newton_tol.  The normalized equation sigma_m(u) = c f is reached through
-the vanishing-zeroth-order family log sigma_m(v) = eps v + log f with c
+A solve with no start iterate first solves the same equation on the
+companion grid M = N/2, when M is even and at least 8 (so N = 16, 20, 24,
+...; N = 8, 10, 12, 14, 18 and 22 have none), with the data and a variable
+metric restricted by injection and the caller's SolverConfig unchanged.
+That companion solve is this same procedure, so 32 runs 16, which runs 8.
+Newton at N then starts at t = 1 from the companion solution's band-limited
+interpolant (its DFT zero-padded, the coarse Nyquist mode dropped): the
+nested iteration of full multigrid (Brandt, Math. Comp. 31, 1977), which
+starts inside Newton's basin to O(h^2).  The two grids also give the
+Richardson estimate sup|u_N - I u_M| / ((N/M)^2 - 1) of the discretization
+error.  Where no companion runs, it fails, its interpolant leaves Gamma_m or
+Newton from it fails, the solve falls back to the continuity path below,
+bit for bit the solve that runs without a companion; the failed attempt's
+Newton records stay in the trace.  SolveReport.start says which start ran,
+SolveReport.coarse holds the companion's report.
+
+The continuity path starts from the exact solution u = 0 at t = 0 and walks
+log sigma_m(u_t) = q u_t + t H to t = 1, halving a t-step whenever Newton
+fails on it.  Only the endpoint is reported, so each point t < 1 is solved
+to a sup residual of max(newton_tol, 0.1), enough to start the next point
+inside Newton's basin (inexact path following, Deuflhard, Newton Methods
+for Nonlinear Problems, 2011, ch. 5); t = 1 is solved to newton_tol.  The
+normalized equation sigma_m(u) = c f is reached through the
+vanishing-zeroth-order family log sigma_m(v) = eps v + log f with c
 extracted as exp(eps sup v).
 
 Inner solves are one GMRES cycle of at most 60 iterations, with no restart
@@ -39,6 +56,7 @@ tolerance 0.1 are constants.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -46,7 +64,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InputError
-from .geometry import ScalarField
+from .geometry import MetricField, ScalarField, TorusGrid
 from .hessop import (
     LinearizationField,
     apply_linearization_array,
@@ -110,6 +128,9 @@ class SolveReport:
     wallclock: float = 0.0
     trace: list = field(default_factory=list)
     failure: str | None = None
+    start: str = "continuity"  # how t = 1 was reached: "nested", "continuity" or "warm"
+    coarse: SolveReport | None = None  # the companion solve on N/2, if one ran
+    resolution_estimate: float | None = None  # sup|u_N - I u_M| / 3, see _solve
 
     @property
     def newton_steps(self):
@@ -327,7 +348,9 @@ class _Equation:
 
 def _newton(eq, u0, harr, cfg, t_label, trace):
     """Damped Newton at fixed data; returns (state, iters, failure), with
-    ``failure`` None exactly when it converged."""
+    ``failure`` None exactly when it converged.  A step whose line search
+    stalls is traced too, with step_scale 0, the unchanged residual and
+    margin, and its Krylov work."""
     state = eq.evaluate(u0, harr)
     grid = eq.metric.grid
     if not state.in_cone:
@@ -352,6 +375,8 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
                 break
             step *= _DAMPING
         if accepted is None:
+            trace.append(NewtonRecord(t_label, iters + 1, state.res_sup, 0.0, state.margin,
+                                      info.iterations, info.relres))
             return state, iters, "line search stalled at minimum step"
         state = accepted
         iters += 1
@@ -390,9 +415,49 @@ def _continuity_solve(eq, harr, cfg, report):
     return u
 
 
-def _solve(eq, harr, cfg, u0=None):
-    """Solve log sigma = q u + H by continuity from u = 0, or by Newton from u0.
+def _interpolate(u, grid):
+    """Band-limited interpolation of the coarse field u onto ``grid``: the
+    modes |k| < M/2 of u's DFT, zero-padded to the fine half spectrum.  The
+    coarse Nyquist mode, which has no unique continuation, is dropped."""
+    M, N = u.shape[0], grid.N
+    coef = np.fft.rfftn(u)
+    fine = np.zeros(grid.shape[:-1] + (N // 2 + 1,), dtype=complex)
+    low, high = slice(0, M // 2), slice(1 - M // 2, None)  # k = 0..M/2-1, 1-M/2..-1
+    for corner in itertools.product((low, high), repeat=u.ndim - 1):
+        fine[corner + (low,)] = coef[corner + (low,)]
+    return np.fft.irfftn(fine, s=grid.shape, axes=range(u.ndim)) * (N / M) ** u.ndim
 
+
+def _companion_start(eq, harr, cfg, report):
+    """Solve the same equation on the companion grid M = N/2 by _solve and
+    return the band-limited interpolant of its solution, or None when M is
+    odd or below 8 or the companion did not converge.
+
+    Data and a variable metric are restricted by injection (every other
+    point along each axis); the companion report goes to ``report.coarse``.
+    """
+    grid = eq.metric.grid
+    M = grid.N // 2
+    if M % 2 or M < 8:
+        return None
+    coarse = TorusGrid(grid.n, M, memory_cap=grid.memory_cap)
+    every_other = (slice(None, None, 2),) * (2 * grid.n)
+    form = eq.metric.form if eq.metric.constant else eq.metric.form[every_other]
+    u, report.coarse = _solve(_Equation(MetricField(coarse, form), eq.m, eq.q),
+                              harr[every_other], cfg)
+    return _interpolate(u, grid) if report.coarse.converged else None
+
+
+def _solve(eq, harr, cfg, u0=None):
+    """Solve log sigma = q u + H by Newton from u0 ("warm"), or, without u0,
+    by Newton from the interpolated companion solution ("nested"), falling
+    back to continuity from u = 0 when no companion runs or converges, or
+    Newton from its interpolant fails ("continuity").
+
+    The failed nested attempt's Newton records stay in the trace; t_path and
+    the cone margin hold the path that ran.  When the companion and this
+    solve converged, the report carries the two-grid Richardson estimate
+    sup|u_N - I u_M| / ((N/M)^2 - 1) of the discretization error.
     Returns the final iterate and its timed SolveReport; nothing else builds one.
     Non-finite data raises InputError: a NaN residual would pass every
     ``res_sup > newton_tol`` test and report convergence.
@@ -401,14 +466,22 @@ def _solve(eq, harr, cfg, u0=None):
         raise InputError("equation data must be finite")
     start = time.perf_counter()
     report = SolveReport(converged=False)
-    if u0 is None:
+    nested = u0 is None
+    if nested:
+        u0 = _companion_start(eq, harr, cfg, report)
+    if u0 is not None:
+        state, iters, failure = _newton(eq, u0, harr, cfg, 1.0, report.trace)
+    if u0 is None or (nested and failure is not None):
         u = _continuity_solve(eq, harr, cfg, report)
     else:
-        state, iters, report.failure = _newton(eq, u0, harr, cfg, 1.0, report.trace)
         u = state.u
+        report.start = "nested" if nested else "warm"
+        report.failure = failure
         report.t_path.append((1.0, iters, state.res_sup))
         report.cone_margin_min = state.margin
     report.converged = report.failure is None
+    if report.converged and report.coarse is not None and report.coarse.converged:
+        report.resolution_estimate = float(np.max(np.abs(u - u0))) / 3.0  # (N/M)^2 - 1
     report.sup_u = float(np.max(u))
     report.inf_u = float(np.min(u))
     report.wallclock = time.perf_counter() - start
@@ -419,7 +492,8 @@ def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg, u0=None):
     """Solve log sigma_m(u) = q_of(eps) u + harr_of(eps) down a decreasing schedule.
 
     Yields (eps, u_eps, report): the first eps by Newton from ``u0``, or by
-    continuity when ``u0`` is None, then each later eps by Newton from the
+    _solve's cold start (nested or continuity) when ``u0`` is None, then
+    each later eps by Newton from the
     last converged eps_prev.  A rejected start after the first eps is
     retried through sqrt(eps_prev eps), at most 3 len(schedule) times and
     only while that is below 0.99 eps_prev; closer than that the walk has
@@ -450,7 +524,8 @@ def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg, u0=None):
 
 
 def solve_exponential(H, omega, m, cfg=None):
-    """Solve log sigma_m(u) = u + H along the continuity path t H, t: 0 -> 1.
+    """Solve log sigma_m(u) = u + H by _solve's cold start: Newton from the
+    interpolated companion solution, or the continuity path t H, t: 0 -> 1.
 
     Returns the solution field and a SolveReport; on non-convergence the
     report carries the failure and the last iterate is returned.
@@ -476,8 +551,8 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None, v0=None):
 
     The auxiliary equations log sigma_m(v) = eps v + log f are walked down
     the schedule by _walk_schedule, which inserts geometric midpoints where
-    a start is rejected.  The first eps is solved by continuity, or by
-    Newton from ``v0`` when one is given (such as a nearby density's raw
+    a start is rejected.  The first eps is solved cold (nested start or
+    continuity), or by Newton from ``v0`` when one is given (such as a nearby density's raw
     v = u + log(c) / eps); a rejected ``v0`` gives a failed report, with
     no continuity rerun.  Each converged eps gives c := exp(eps sup v);
     the last gives c and u := v - sup v, so sup u = 0 holds exactly.  The

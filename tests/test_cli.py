@@ -627,16 +627,33 @@ class TestNonFiniteOutput:
             _strict_json(line)
 
 
+def _readme_commands():
+    """The argv of each command in README's Command line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("hessianlab ")]
+
+
 class TestDocumentedCommands:
     def test_readme_commands_parse(self):
         # parse only: a flag removed from the CLI but left in the docs fails here
-        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-        commands = [shlex.split(line)[1:] for line in block.splitlines()
-                    if line.startswith("hessianlab ")]
+        commands = _readme_commands()
         assert {argv[0] for argv in commands} == set(_SUBCOMMANDS)
         for argv in commands:
             build_parser().parse_args(argv)
+
+    def test_readme_solve_reports_its_companion(self, tmp_path):
+        # the documented solve is at N = 16: Newton starts from the N = 8
+        # companion's interpolant, and the report says so
+        argv = next(argv for argv in _readme_commands() if argv[0] == "solve")
+        argv[argv.index("--out") + 1] = str(tmp_path / "solve")
+        assert main(argv) == 0
+        doc = json.loads((tmp_path / "solve" / "report.json").read_text())
+        assert doc["start"] == "nested"
+        assert set(doc["coarse"]) == _written(SolveReport)
+        assert doc["coarse"]["converged"] and doc["coarse"]["coarse"] is None
+        assert 0.0 < doc["resolution_estimate"] < 1e-2
 
 
 class TestImportCost:

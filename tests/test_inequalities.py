@@ -5,8 +5,20 @@ import pytest
 
 from hessianlab.errors import InputError
 from hessianlab.experiments import default_density_terms, default_direction_terms
-from hessianlab.geometry import MetricField, ScalarField, TorusGrid, make_field
+from hessianlab.experiments import manufactured_terms
+from hessianlab.geometry import (
+    MetricField,
+    ScalarField,
+    TorusGrid,
+    analytic_hessian_layout,
+    complex_hessian,
+    complex_hessian_layout,
+    complex_of_layout,
+    gradient_sup,
+    make_field,
+)
 from hessianlab.inequalities import (
+    _spectral_radius,
     check_max_principle,
     laplacian_gradient_ratio,
     lp_norm,
@@ -62,6 +74,34 @@ class TestLaplacianGradientRatio:
         r1 = laplacian_gradient_ratio(make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)]))
         r2 = laplacian_gradient_ratio(make_field(grid, [((1, 0, 0, 0), 2.0, 0.0)]))
         assert r2 < r1
+
+    @staticmethod
+    def assert_radius_is_eigvalsh(x):
+        want = np.max(np.abs(np.linalg.eigvalsh(complex_of_layout(x))), axis=-1)
+        got = _spectral_radius(x)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_radius_matches_eigvalsh_on_random_layouts(self, n):
+        # scales 1e-6 .. 1e6, with multiples of the identity (a repeated
+        # eigenvalue) and zero matrices among them
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, n, 3000)) * 10.0 ** rng.integers(-6, 7, 3000)
+        x[:, :, :100] = np.eye(n)[:, :, None] * rng.standard_normal(100)
+        x[:, :, 100:110] = 0.0
+        self.assert_radius_is_eigvalsh(x)
+
+    @pytest.mark.parametrize("n, N", [(2, 16), (3, 8)])
+    def test_radius_matches_eigvalsh_on_manufactured_fields(self, n, N):
+        grid = TorusGrid(n, N)
+        terms = manufactured_terms(n, 0.25)
+        u = make_field(grid, terms)
+        self.assert_radius_is_eigvalsh(complex_hessian_layout(u.data, grid))
+        self.assert_radius_is_eigvalsh(analytic_hessian_layout(grid, terms))
+        want = float(np.max(np.abs(np.linalg.eigvalsh(complex_hessian(u)))))
+        want /= 1.0 + gradient_sup(u) ** 2
+        assert abs(laplacian_gradient_ratio(u) - want) <= 1e-12 * want
 
 
 class TestSublevelVolumeDecay:

@@ -40,7 +40,6 @@ from .inequalities import (
     sublevel_volume_decay,
 )
 from .solver import (
-    KrylovInfo,
     NormalizedReport,
     SolveReport,
     SolverConfig,

@@ -153,8 +153,8 @@ def sublevel_volume_decay(phi, t_list, omega, m, tol=1e-9):
     if float(np.min(table[..., 1 : m + 1])) < -tol:
         raise InputError("phi is not (omega,m)-subharmonic on the grid")
     t_list = sorted(float(t) for t in t_list)
-    if not t_list or t_list[0] <= 0:
-        raise InputError("t values must be positive")
+    if not t_list or not all(0 < t < math.inf for t in t_list):
+        raise InputError("t values must be finite and positive")
     rows = []
     for t in t_list:
         frac = float(np.mean(phi.data < -t))

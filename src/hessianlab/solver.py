@@ -66,7 +66,6 @@ import numpy as np
 from .errors import InputError
 from .geometry import MetricField, ScalarField, TorusGrid
 from .hessop import (
-    LinearizationField,
     apply_linearization_array,
     linearization,
     sk_table_of_state,
@@ -79,7 +78,6 @@ __all__ = [
     "NewtonRecord",
     "SolveReport",
     "NormalizedReport",
-    "KrylovInfo",
     "krylov_solve",
     "solve_exponential",
     "solve_normalized",
@@ -156,12 +154,6 @@ class NormalizedReport:
         Rejected starts and failed continuity attempts are not counted.
         """
         return sum(r.newton_steps for _, r in self.eps_path)
-
-
-@dataclass
-class KrylovInfo:
-    iterations: int
-    relres: float
 
 
 # --------------------------------------------------------------------------
@@ -290,24 +282,26 @@ def _spectral_preconditioner(lin):
 
 
 def krylov_solve(lin, rhs, tol):
-    """Solve the linearized equation matrix-free to a true relative residual,
+    """Solve the linearized equation for the float array ``rhs`` of the
+    linearization's grid shape, matrix-free to a true relative residual,
     preconditioned by _spectral_preconditioner.
 
-    Returns (iterate, KrylovInfo); when the one GMRES cycle misses ``tol``
-    the iterate is the best one reached, its relres above ``tol``, and the
-    Newton driver line-searches along it all the same.
+    Returns gmres_raw's (x, iterations, relres), x shaped like the grid; when
+    the one GMRES cycle misses ``tol`` x is the best iterate reached, its
+    relres above ``tol``, and the Newton driver line-searches along it all
+    the same.
     """
-    grid = lin.grid
-    if rhs.grid != grid:
-        raise InputError("rhs and linearization live on different grids")
+    shape = lin.grid.shape
+    if np.shape(rhs) != shape:
+        raise InputError(f"rhs shape {np.shape(rhs)} is not the grid shape {shape}")
     psolve = _spectral_preconditioner(lin)
 
     def matvec(v):
-        return apply_linearization_array(lin, v.reshape(grid.shape)).reshape(-1)
+        return apply_linearization_array(lin, v.reshape(shape)).reshape(-1)
 
     # psolve by keyword, where perfbench's tracer finds and wraps it
-    x, iters, relres = gmres_raw(matvec, rhs.data.reshape(-1), tol, psolve=psolve)
-    return ScalarField(grid, x.reshape(grid.shape)), KrylovInfo(iters, relres)
+    x, iters, relres = gmres_raw(matvec, rhs.reshape(-1), tol, psolve=psolve)
+    return x.reshape(shape), iters, relres
 
 
 # --------------------------------------------------------------------------
@@ -352,7 +346,6 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
     stalls is traced too, with step_scale 0, the unchanged residual and
     margin, and its Krylov work."""
     state = eq.evaluate(u0, harr)
-    grid = eq.metric.grid
     if not state.in_cone:
         return state, 0, "initial iterate outside the cone"
     trace.append(NewtonRecord(t_label, 0, state.res_sup, 0.0, state.margin))
@@ -364,24 +357,26 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
         lin = linearization(state.b, state.table, eq.metric, eq.m, eq.q)
         forcing = max(0.3 * state.res_sup, 0.5 * cfg.newton_tol / state.res_sup)
         tol_k = min(3e-2, forcing)
-        rhs = ScalarField(grid, -state.residual)
-        delta, info = krylov_solve(lin, rhs, tol_k)
+        # bound for the whole step: a temporary freed before the line search lets
+        # malloc trim a heap the next solve faults back in (3x the faults at 8^6)
+        rhs = -state.residual
+        delta, k_iters, k_relres = krylov_solve(lin, rhs, tol_k)
         step = 1.0
         accepted = None
         while step >= _MIN_STEP:
-            cand = eq.evaluate(state.u + step * delta.data, harr)
+            cand = eq.evaluate(state.u + step * delta, harr)
             if cand.in_cone and cand.res_sup <= (1.0 - 1e-4 * step) * state.res_sup:
                 accepted = cand
                 break
             step *= _DAMPING
         if accepted is None:
             trace.append(NewtonRecord(t_label, iters + 1, state.res_sup, 0.0, state.margin,
-                                      info.iterations, info.relres))
+                                      k_iters, k_relres))
             return state, iters, "line search stalled at minimum step"
         state = accepted
         iters += 1
         trace.append(NewtonRecord(t_label, iters, state.res_sup, step, state.margin,
-                                  info.iterations, info.relres))
+                                  k_iters, k_relres))
     return state, iters, None
 
 
@@ -501,10 +496,10 @@ def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg, u0=None):
     only burn iterations.  The walk ends after the first failed report.
     """
     schedule = [float(e) for e in schedule]
-    if not schedule or any(e <= 0 for e in schedule) or any(
+    if not schedule or not all(0 < e < math.inf for e in schedule) or any(
         b >= a for a, b in zip(schedule, schedule[1:])
     ):
-        raise InputError("eps schedule must be non-empty, positive, strictly decreasing")
+        raise InputError("eps schedule must be non-empty, finite, positive, strictly decreasing")
     pending = list(schedule)
     u, eps_prev = u0, None
     insertions = 0

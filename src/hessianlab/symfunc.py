@@ -298,6 +298,8 @@ def verify_cone_inequalities(n, m, samples, seed, tol=1e-10):
         raise InputError(f"require 1 <= m < n, got n={n}, m={m}")
     if samples < 1:
         raise InputError("samples must be >= 1")
+    if seed < 0:
+        raise InputError(f"seed={seed} must be >= 0")
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol={tol} must be finite and >= 0")
     blocks = -(-samples // _BLOCK)

@@ -91,6 +91,12 @@ class TestVerifyConeCommand:
         assert main(["verify-cone", "--n", "3", "--m", "2", "--samples", "100",
                      f"--tol={tol}", "--out", str(tmp_path / "x")]) == 2
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        # SeedSequence(-1) raises ValueError; the suite refuses the seed first
+        assert main(["verify-cone", "--n", "3", "--m", "2", "--samples", "10",
+                     "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
+        assert "seed=-1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_thread_setting_exit_2(self, tmp_path, how):
         # no setting names a thread count: old bundles holding one are refused

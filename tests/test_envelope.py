@@ -229,6 +229,22 @@ class TestValidation:
         with pytest.raises(InputError):
             msh_envelope(ScalarField.zeros(grid), omega, 1, [1.0, 0.3, 0.3])
 
+    @pytest.mark.parametrize("sched", [[1.0, float("nan")], [float("nan")],
+                                       [1.0, 0.3, float("nan")]],
+                             ids=["nan-after-one", "nan", "nan-last"])
+    def test_schedule_must_be_finite(self, monkeypatch, sched):
+        # abs(nan - 1) > 1e-12 is False, so only the walker's rule stops a NaN
+        import hessianlab.solver as solver
+
+        def newton(*args):
+            raise AssertionError("a Newton step ran before the schedule check")
+
+        monkeypatch.setattr(solver, "_newton", newton)
+        grid, omega = flat(2, 8)
+        h = make_field(grid, [((1, 0, 0, 0), 0.5, 0.0)])
+        with pytest.raises(InputError, match="eps schedule must .*finite"):
+            msh_envelope(h, omega, 1, sched)
+
     def test_grid_mismatch(self):
         grid, _ = flat(2, 8)
         _, omega = flat(2, 16)

@@ -140,8 +140,9 @@ class TestSublevelVolumeDecay:
         with pytest.raises(InputError):
             sublevel_volume_decay(phi, [1.0], omega, 1)
 
-    @pytest.mark.parametrize("t_list", [[0.0, 1.0], [-0.5], []],
-                             ids=["zero", "negative", "empty"])
+    @pytest.mark.parametrize("t_list", [[0.0, 1.0], [-0.5], [], [0.1, float("nan"), 1.0],
+                                        [float("inf")]],
+                             ids=["zero", "negative", "empty", "nan", "inf"])
     def test_requires_positive_t(self, t_list):
         grid, omega = flat(2, 8)
         with pytest.raises(InputError, match="positive"):
@@ -281,6 +282,23 @@ class TestStabilitySweep:
         psi = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)])
         with pytest.raises(InputError, match=rf"^m={m} out of range 1\.\.2$"):
             stability_sweep(f, psi, [0.1], p=4.0, a=0.3, omega=omega, m=m)
+
+    @pytest.mark.parametrize("sched", [(1.0, 0.3, float("nan")), (float("nan"),),
+                                       (float("inf"), 1.0)], ids=["nan-last", "nan", "inf"])
+    def test_nonfinite_schedule_rejected(self, monkeypatch, sched):
+        # the base solve's schedule walker refuses it before any Newton step
+        import hessianlab.solver as solver
+
+        def newton(*args):
+            raise AssertionError("a Newton step ran before the schedule check")
+
+        monkeypatch.setattr(solver, "_newton", newton)
+        grid, omega = flat(2, 8)
+        f = make_field(grid, [((0, 0, 0, 0), 1.0, 0.0), ((1, 0, 0, 0), 0.3, 0.0)])
+        psi = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)])
+        with pytest.raises(InputError, match="eps schedule must .*finite"):
+            stability_sweep(f, psi, [0.1], p=4.0, a=0.3, omega=omega, m=1,
+                            cfg=SolverConfig(t_steps=1), eps_schedule=sched)
 
     def test_psi_on_another_grid_rejected(self, no_solve):
         grid, omega = flat(2, 8)

@@ -1,8 +1,10 @@
 """The test eigensolve oracle and the metric checks: characteristic-polynomial
 oracles and invariants."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,3 +196,25 @@ def test_every_export_resolves():
         module = importlib.import_module(f"hessianlab.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"hessianlab.{info.name}.{name}"
+
+
+def test_no_unused_import():
+    # no linter ships with the project: a top-level import that a module
+    # neither uses nor lists in __all__ fails here (iter_modules skips
+    # __init__, which only re-exports)
+    unused = []
+    for info in pkgutil.iter_modules(hessianlab.__path__):
+        module = importlib.import_module(f"hessianlab.{info.name}")
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(getattr(module, "__all__", ()))
+        unused += [f"{info.name}.{name}" for name in imported
+                   if name not in used and name not in exported]
+    assert not unused, unused

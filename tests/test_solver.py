@@ -17,7 +17,6 @@ from hessianlab.hessop import (
     sigma_m,
 )
 from hessianlab.solver import (
-    KrylovInfo,
     SolveReport,
     SolverConfig,
     _spectral_preconditioner,
@@ -41,62 +40,83 @@ class TestKrylovSolve:
     def test_zero_rhs(self):
         grid, omega = flat()
         lin = linearize(ScalarField.zeros(grid), omega, 1, 1.0)
-        v, info = krylov_solve(lin, ScalarField.zeros(grid), 1e-10)
-        assert np.all(v.data == 0.0)
-        assert info.iterations == 0
+        v, iters, relres = krylov_solve(lin, np.zeros(grid.shape), 1e-10)
+        assert v.shape == grid.shape and np.all(v == 0.0)
+        assert (iters, relres) == (0, 0.0)
 
     def test_fourier_symbol_oracle(self):
         # constant-coefficient m=1 operator: L cos(x1) = sym * cos(x1)
         grid, omega = flat(2, 16)
         lin = linearize(ScalarField.zeros(grid), omega, 1, 1.0)
-        rhs = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)])
-        v, info = krylov_solve(lin, rhs, 1e-10)
+        rhs = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)]).data
+        v, _, _ = krylov_solve(lin, rhs, 1e-10)
         ch = (2 - 2 * np.cos(grid.h)) / grid.h**2
         sym_disc = -(ch / (4 * grid.n)) - 1.0
-        assert np.max(np.abs(v.data - rhs.data / sym_disc)) < 1e-9
+        assert np.max(np.abs(v - rhs / sym_disc)) < 1e-9
         sym_cont = -(1 / (4 * grid.n)) - 1.0
-        assert np.max(np.abs(v.data - rhs.data / sym_cont)) < 0.1 * grid.h**2
+        assert np.max(np.abs(v - rhs / sym_cont)) < 0.1 * grid.h**2
 
     def test_residual_contract_matches_recomputation(self):
         grid, omega = flat()
         u = make_field(grid, [((1, 0, 0, 0), 0.4, 0.0)])
         lin = linearize(u, omega, 2, 1.0)
-        rhs = make_field(grid, [((0, 1, 0, 0), 0.0, 1.0), ((1, 0, 1, 0), 0.5, 0.0)])
-        v, info = krylov_solve(lin, rhs, 1e-10)
-        res = apply_linearization_array(lin, v.data) - rhs.data
-        relres = float(np.linalg.norm(res) / np.linalg.norm(rhs.data))
-        assert relres <= 1e-10
-        assert abs(relres - info.relres) < 1e-12
+        rhs = make_field(grid, [((0, 1, 0, 0), 0.0, 1.0), ((1, 0, 1, 0), 0.5, 0.0)]).data
+        v, _, relres = krylov_solve(lin, rhs, 1e-10)
+        res = apply_linearization_array(lin, v) - rhs
+        recomputed = float(np.linalg.norm(res) / np.linalg.norm(rhs))
+        assert recomputed <= 1e-10
+        assert abs(recomputed - relres) < 1e-12
 
-    def test_grid_mismatch(self):
-        grid, omega = flat()
-        lin = linearize(ScalarField.zeros(grid), omega, 1, 1.0)
-        with pytest.raises(InputError):
-            krylov_solve(lin, ScalarField.zeros(TorusGrid(2, 16)), 1e-10)
-
-    def test_rhs_is_not_written(self):
-        # gmres_raw gets a view of rhs.data, not a copy
+    def test_returns_gmres_raw_triple(self, monkeypatch):
+        # the very triple gmres_raw returns, x reshaped to the grid
         grid, omega = flat()
         u = make_field(grid, [((1, 0, 0, 0), 0.4, 0.0)])
         lin = linearize(u, omega, 2, 1.0)
-        rhs = make_field(grid, [((0, 1, 0, 0), 0.0, 1.0), ((1, 0, 1, 0), 0.5, 0.0)])
-        before = rhs.data.copy()
-        _, info = krylov_solve(lin, rhs, 1e-10)
-        assert info.iterations > 0
-        assert np.array_equal(rhs.data, before)
+        rhs = make_field(grid, [((0, 1, 0, 0), 0.0, 1.0), ((1, 0, 1, 0), 0.5, 0.0)]).data
+        gmres_raw, raw = solver.gmres_raw, []
+
+        def recorded(*args, **kwargs):
+            raw.append(gmres_raw(*args, **kwargs))
+            return raw[-1]
+
+        monkeypatch.setattr(solver, "gmres_raw", recorded)
+        v, iters, relres = krylov_solve(lin, rhs, 1e-6)
+        (x, raw_iters, raw_relres), = raw
+        assert np.array_equal(v, x.reshape(grid.shape))
+        assert (iters, relres) == (raw_iters, raw_relres)
+        assert type(iters) is int and type(relres) is float
+
+    def test_grid_mismatch(self):
+        # another grid's shape, another rank, or the flat vector gmres_raw sees
+        grid, omega = flat()
+        lin = linearize(ScalarField.zeros(grid), omega, 1, 1.0)
+        for shape in (TorusGrid(2, 16).shape, (8, 8, 8), (grid.points,)):
+            with pytest.raises(InputError, match="shape"):
+                krylov_solve(lin, np.zeros(shape), 1e-10)
+
+    def test_rhs_is_not_written(self):
+        # gmres_raw gets a view of rhs, not a copy
+        grid, omega = flat()
+        u = make_field(grid, [((1, 0, 0, 0), 0.4, 0.0)])
+        lin = linearize(u, omega, 2, 1.0)
+        rhs = make_field(grid, [((0, 1, 0, 0), 0.0, 1.0), ((1, 0, 1, 0), 0.5, 0.0)]).data
+        before = rhs.copy()
+        _, iters, _ = krylov_solve(lin, rhs, 1e-10)
+        assert iters > 0
+        assert np.array_equal(rhs, before)
 
     def test_cap_returns_best_iterate(self):
         # a zero tolerance is never met, so GMRES stops at the _KRYLOV_MAX cap
         # and hands back its iterate and true residual instead of raising
         grid, omega = flat()
         lin = linearize(ScalarField.zeros(grid), omega, 1, 1.0)
-        rhs = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0), ((0, 1, 1, 0), 0.0, 0.5)])
-        v, info = krylov_solve(lin, rhs, 0.0)
-        assert info.iterations == solver._KRYLOV_MAX
-        res = apply_linearization_array(lin, v.data) - rhs.data
-        relres = float(np.linalg.norm(res) / np.linalg.norm(rhs.data))
-        assert 0.0 < info.relres < 1e-10
-        assert abs(relres - info.relres) < 1e-14
+        rhs = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0), ((0, 1, 1, 0), 0.0, 0.5)]).data
+        v, iters, relres = krylov_solve(lin, rhs, 0.0)
+        assert iters == solver._KRYLOV_MAX
+        res = apply_linearization_array(lin, v) - rhs
+        recomputed = float(np.linalg.norm(res) / np.linalg.norm(rhs))
+        assert 0.0 < relres < 1e-10
+        assert abs(recomputed - relres) < 1e-14
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_diagonal_preconditioner_is_operator_diagonal(self, n):
@@ -162,9 +182,9 @@ class TestKrylovSolve:
         omega = MetricField.conformal(grid, np.eye(2), metric_terms)
         u = make_field(grid, [((1, 0, 0, 0), 0.1, 0.0), ((0, 1, 1, 0), 0.0, 0.05)])
         lin = linearize(u, omega, 2, 1.0)
-        rhs = ScalarField(grid, np.random.default_rng(0).standard_normal(grid.shape))
-        _, info = krylov_solve(lin, rhs, 1e-10)
-        assert info.iterations <= 24
+        rhs = np.random.default_rng(0).standard_normal(grid.shape)
+        _, iters, _ = krylov_solve(lin, rhs, 1e-10)
+        assert iters <= 24
 
 
 class TestGmresRaw:
@@ -301,7 +321,7 @@ class TestSolveExponential:
         calls = []
 
         def recorded(lin, rhs, tol):
-            calls.append((tol, float(np.max(np.abs(rhs.data)))))
+            calls.append((tol, float(np.max(np.abs(rhs)))))
             return krylov_solve(lin, rhs, tol)
 
         monkeypatch.setattr(solver, "krylov_solve", recorded)
@@ -344,19 +364,19 @@ class TestSolveExponential:
         calls = []
 
         def capped_last(lin, rhs, tol, **kwargs):
-            out, info = krylov_solve(lin, rhs, tol, **kwargs)
-            calls.append(info)
+            out, iters, relres = krylov_solve(lin, rhs, tol, **kwargs)
+            calls.append((iters, relres))
             if len(calls) < steps:
-                return out, info
-            return out, KrylovInfo(info.iterations + 1000, info.relres)
+                return out, iters, relres
+            return out, iters + 1000, relres
 
         monkeypatch.setattr(solver, "krylov_solve", capped_last)
         _, rep = solve_exponential(H, omega, 1, FAST)
         first, *rest = rep.trace
         assert (first.krylov_iters, first.krylov_relres) == (0, None)
         assert len(rest) == steps == len(calls)
-        want = [(c.iterations, c.relres) for c in calls]
-        want[-1] = (calls[-1].iterations + 1000, calls[-1].relres)
+        want = list(calls)
+        want[-1] = (calls[-1][0] + 1000, calls[-1][1])
         assert [(r.krylov_iters, r.krylov_relres) for r in rest] == want
         assert all(i >= 1 for i, _ in want)
 
@@ -453,7 +473,7 @@ class TestNestedStart:
             if lin.grid.N == 16:
                 fine_calls.append(tol)
                 if len(fine_calls) == 1:
-                    return ScalarField.zeros(lin.grid), KrylovInfo(7, 0.5)
+                    return np.zeros(lin.grid.shape), 7, 0.5
             return krylov_solve(lin, rhs, tol)
 
         monkeypatch.setattr(solver, "krylov_solve", stall_first_fine)
@@ -644,11 +664,19 @@ class TestSolveNormalized:
         with pytest.raises(InputError):
             solve_normalized(f, omega, 1, [1.0, 0.3])
 
-    def test_rejects_bad_schedule(self):
+    def test_rejects_bad_schedule(self, monkeypatch):
+        # NaN fails both `e <= 0` and `b >= a`: a NaN eps must still be refused,
+        # and every schedule is refused before its first Newton step
+        def newton(*args):
+            raise AssertionError("a Newton step ran before the schedule check")
+
+        monkeypatch.setattr(solver, "_newton", newton)
         grid, omega = flat()
-        f = ScalarField(grid, np.ones(grid.shape))
-        with pytest.raises(InputError):
-            solve_normalized(f, omega, 1, [0.1, 0.3])
+        f = make_field(grid, [((0, 0, 0, 0), 1.0, 0.0), ((1, 0, 0, 0), 0.3, 0.0)])
+        nan, inf = float("nan"), float("inf")
+        for schedule in ([0.1, 0.3], [1.0, nan], [nan], [inf, 1.0]):
+            with pytest.raises(InputError, match="eps schedule must .*finite"):
+                solve_normalized(f, omega, 1, schedule, FAST)
 
     def test_rejects_empty_schedule(self):
         grid, omega = flat()

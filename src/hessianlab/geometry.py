@@ -510,21 +510,19 @@ def read_field(path, memory_cap=2 << 30):
             raise InputError(
                 f"field header in {path} is not a line of at most {_HEADER_LIMIT} bytes"
             )
-        payload = fh.read()
-    try:
-        meta = json.loads(header.decode("ascii"))
-    except ValueError as exc:
-        raise InputError(f"malformed field header in {path}") from exc
-    if not (isinstance(meta, dict) and "kind" in meta
-            and all(type(meta.get(key)) is int for key in ("n", "N"))):
-        raise InputError(f"field header in {path} needs integer n, N and a kind")
-    n, N, kind = meta["n"], meta["N"], str(meta["kind"])
-    grid = TorusGrid(n, N, memory_cap=memory_cap)
-    expected = grid.points * 8
+        try:
+            meta = json.loads(header.decode("ascii"))
+        except ValueError as exc:
+            raise InputError(f"malformed field header in {path}") from exc
+        if not (isinstance(meta, dict) and "kind" in meta
+                and all(type(meta.get(key)) is int for key in ("n", "N"))):
+            raise InputError(f"field header in {path} needs integer n, N and a kind")
+        n, N, kind = meta["n"], meta["N"], str(meta["kind"])
+        grid = TorusGrid(n, N, memory_cap=memory_cap)
+        expected = grid.points * 8
+        payload = fh.read(expected + 1)  # one byte past the grid shows an oversized payload
     if len(payload) != expected:
-        raise InputError(
-            f"field payload has {len(payload)} bytes, expected {expected}"
-        )
+        raise InputError(f"field payload in {path} is not the {expected} bytes of its grid")
     data = np.frombuffer(payload, dtype="<f8").reshape(grid.shape, order="F")
     if not np.all(np.isfinite(data)):
         raise InputError(f"field values in {path} must be finite")

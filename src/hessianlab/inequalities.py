@@ -36,7 +36,9 @@ __all__ = [
 
 
 def lp_norm(u, p):
-    """Discrete L^p norm with h^{2n} quadrature weights."""
+    """Discrete L^p norm with h^{2n} quadrature weights, 0 < p < inf."""
+    if not 0 < p < math.inf:
+        raise InputError(f"p={p} must be finite and positive")
     h = u.grid.h
     weight = h ** (2 * u.grid.n)
     return float((np.sum(np.abs(u.data) ** p) * weight) ** (1.0 / p))
@@ -51,6 +53,8 @@ class MaxPrincipleReport:
 
 def check_max_principle(u, H, tol):
     """sup u <= -inf H and inf u >= -sup H, with slack tol."""
+    if u.grid != H.grid:
+        raise InputError("u and H live on different grids")
     upper = (-H.inf()) - u.sup()
     lower = u.inf() - (-H.sup())
     return MaxPrincipleReport(
@@ -145,16 +149,21 @@ def sublevel_volume_decay(phi, t_list, omega, m, tol=1e-9):
 
     Requires sup phi = 0 and phi m-subharmonic (closed cone).  The product
     t * fraction must stay within a factor 10 of its maximum over the
-    sublist t <= 1, the discrete echo of the C/t sublevel decay.
+    sublist t <= 1, the discrete echo of the C/t sublevel decay.  The t
+    values, phi's grid and its finiteness are checked before any evaluation.
     """
+    t_list = sorted(float(t) for t in t_list)
+    if not t_list or not all(0 < t < math.inf for t in t_list):
+        raise InputError("t values must be finite and positive")
+    if phi.grid != omega.grid:
+        raise InputError("phi and omega live on different grids")
+    if not np.all(np.isfinite(phi.data)):
+        raise InputError("phi values must be finite")
     if abs(phi.sup()) > tol:
         raise InputError("phi must be normalized to sup phi = 0")
     table = sk_table_of_state(state_matrices(phi.data, omega), omega, m)
     if float(np.min(table[..., 1 : m + 1])) < -tol:
         raise InputError("phi is not (omega,m)-subharmonic on the grid")
-    t_list = sorted(float(t) for t in t_list)
-    if not t_list or not all(0 < t < math.inf for t in t_list):
-        raise InputError("t values must be finite and positive")
     rows = []
     for t in t_list:
         frac = float(np.mean(phi.data < -t))

@@ -140,9 +140,21 @@ class ConeSuiteReport:
         return all(r.fails == 0 for r in self.results.values())
 
 
-def _result(slack, rows, tol):
-    """Result of per-sample slacks: a sample passes when its slack is >= -tol,
-    and the witness is the row of the worst slack."""
+def _slack(lhs, rhs):
+    """Relative slack of lhs <= rhs, (rhs - lhs) / max(1, |lhs|, |rhs|): S_k
+    spans many orders of magnitude, so an absolute tolerance would be
+    meaningless."""
+    return (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
+def _result(slacks, rows, tol):
+    """Result of the per-sample minimum over an iterable of slack arrays: a
+    sample passes when it is >= -tol, and the witness is the row of the
+    worst one.  With no slack array the check is vacuous and every row
+    passes."""
+    slack = reduce(np.minimum, slacks, np.inf)
+    if np.ndim(slack) == 0:
+        return InequalityResult(passes=rows.shape[0])
     worst = int(np.argmin(slack))
     fails = int(np.count_nonzero(slack < -tol))
     return InequalityResult(
@@ -153,27 +165,18 @@ def _result(slack, rows, tol):
     )
 
 
-def _slack_result(lhs, rhs, lam, tol):
-    """Result for lhs <= rhs checked with relative slack.
-
-    Slack is (rhs - lhs) / max(1, |lhs|, |rhs|); S_k spans many orders of
-    magnitude so an absolute tolerance would be meaningless.
-    """
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return _result((rhs - lhs) / scale, lam, tol)
-
-
-def _reduced_tables(lam, kmax):
-    """Stack of S_{k;i} tables: shape (batch, n, kmax+1)."""
-    n = lam.shape[-1]
-    out = np.empty(lam.shape[:-1] + (n, kmax + 1), dtype=float)
-    for i in range(n):
+def _reduced_tables(lam, kmax, first=None):
+    """Stack of the S_{k;i} tables for i < first (default n): shape
+    (batch, first, kmax+1)."""
+    first = lam.shape[-1] if first is None else first
+    out = np.empty(lam.shape[:-1] + (first, kmax + 1), dtype=float)
+    for i in range(first):
         rest = np.delete(lam, i, axis=-1)
         out[..., i, :] = elementary_symmetric_table(rest, kmax)
     return out
 
 
-def _block_checks(n, m, count, seed, tol):
+def _block_checks(n, m, count, seed, tol, theta):
     rng = np.random.default_rng(seed)
     lam = sample_cone(rng, n, m, count)
     mu = sample_cone(rng, n, m, count)
@@ -184,103 +187,80 @@ def _block_checks(n, m, count, seed, tol):
     table = elementary_symmetric_table(lam, m)
     table_s = elementary_symmetric_table(ls, m)
     red = _reduced_tables(lam, m)
-    red_s = _reduced_tables(ls, m)
+    red_s = _reduced_tables(ls, m, m)  # the m largest entries deleted one at a time
     s_m = table[:, m]
-    theta_explicit = 1.0 / ((n - m) ** m * math.comb(n, m))
 
     results: dict[str, InequalityResult] = {}
 
     # (1) monotonicity of S_m along the cone: S_m(lam) <= S_m(lam + mu).
-    results["monotonicity"] = _slack_result(
-        s_m, elementary_symmetric_table(lam + mu, m)[:, m], lam, tol
+    results["monotonicity"] = _result(
+        [_slack(s_m, elementary_symmetric_table(lam + mu, m)[:, m])], lam, tol
     )
 
-    # (2) positivity of every reduced function S_{k;I} with k + |I| <= m.
-    if m >= 2:
-        best = np.full(count, np.inf)
+    # (2) positivity of every reduced function S_{k;I} with k + |I| <= m;
+    #     the tables with one index deleted are the rows of red.
+    def restricted():
         for t in range(1, m):
             for subset in combinations(range(n), t):
-                rest = np.delete(lam, subset, axis=-1)
-                tab = elementary_symmetric_table(rest, m - t)
-                for k in range(1, m - t + 1):
-                    val = tab[:, k]
-                    scale = np.maximum(1.0, np.abs(val))
-                    best = np.minimum(best, val / scale)
-        results["restricted_positivity"] = _result(best, lam, tol)
-    else:
-        results["restricted_positivity"] = InequalityResult(passes=count)
+                tab = red[:, subset[0]] if t == 1 else elementary_symmetric_table(
+                    np.delete(lam, subset, axis=-1), m - t)
+                yield from (_slack(0.0, tab[:, k]) for k in range(1, m - t + 1))
+
+    results["restricted_positivity"] = _result(restricted(), lam, tol)
 
     # (3) expansion identity S_k = S_{k;i} + lam_i S_{k-1;i} for all i, k <= m,
-    #     plus the full cascade down to the bare product on sorted entries.
-    diff = np.zeros(count)
+    #     plus the full cascade down to the bare product on sorted entries; an
+    #     identity's slack is -|lhs - rhs| / max(1, |lhs|, |rhs|).
+    slacks = []
     for k in range(1, m + 1):
-        lhs = table[:, k][:, None]
         rhs = red[:, :, k] + lam * red[:, :, k - 1]
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        diff = np.maximum(diff, np.max(np.abs(lhs - rhs) / scale, axis=-1))
+        slacks.append(-np.max(np.abs(_slack(table[:, k][:, None], rhs)), axis=-1))
     cascade = np.zeros(count)
     prefix = np.ones(count)
     for j in range(m - 1):
-        rest = np.delete(ls, range(j + 1), axis=-1)
-        cascade += prefix * elementary_symmetric_table(rest, m - 1 - j)[:, m - 1 - j]
+        rest = red_s[:, 0] if j == 0 else elementary_symmetric_table(ls[:, j + 1:], m - 1 - j)
+        cascade += prefix * rest[:, m - 1 - j]
         prefix = prefix * ls[:, j]
     cascade += prefix  # final term lam_1 ... lam_{m-1}
-    lhs = table_s[:, m - 1]
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(cascade)))
-    diff = np.maximum(diff, np.abs(lhs - cascade) / scale)
-    results["expansion_identity"] = _result(-diff, lam, tol)
+    slacks.append(-np.abs(_slack(table_s[:, m - 1], cascade)))
+    results["expansion_identity"] = _result(slacks, lam, tol)
 
     # (4) S_{m-1}(lam) >= lam_1 ... lam_{m-1} on sorted entries.
-    prod_top = np.prod(ls[:, : m - 1], axis=-1) if m >= 2 else np.ones(count)
-    results["product_lower_bound"] = _slack_result(
-        prod_top, table_s[:, m - 1], lam, tol
+    results["product_lower_bound"] = _result(
+        [_slack(np.prod(ls[:, : m - 1], axis=-1), table_s[:, m - 1])], lam, tol
     )
 
     # (5) |lam_{i_1} ... lam_{i_k}| <= (n-k)^k S_k for k <= m-1; the worst
     #     subset is the product of the k largest magnitudes.
-    if m >= 2:
-        mag = np.sort(np.abs(lam), axis=-1)[:, ::-1]
-        best = np.full(count, np.inf)
-        for k in range(1, m):
-            lhs = np.prod(mag[:, :k], axis=-1)
-            rhs = (n - k) ** k * table[:, k]
-            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-            best = np.minimum(best, (rhs - lhs) / scale)
-        results["product_bound"] = _result(best, lam, tol)
-    else:
-        results["product_bound"] = InequalityResult(passes=count)
+    mag = np.sort(np.abs(lam), axis=-1)[:, ::-1]
+    slacks = [_slack(np.prod(mag[:, :k], axis=-1), (n - k) ** k * table[:, k])
+              for k in range(1, m)]
+    results["product_bound"] = _result(slacks, lam, tol)
 
     # (6) lam_j S_{m-1;j} >= theta S_m for j <= m.  The existence proof gives
     #     theta = 1 on the branch S_{m;j} <= 0 and 1/((n-m)^m C(n,m)) otherwise;
     #     we check the branch-wise explicit bound and record the empirical
     #     infimum theta_hat.
-    ratios = np.empty((count, m))
-    best = np.full(count, np.inf)
     sm_sorted = table_s[:, m]
-    for j in range(m):
-        smj = red_s[:, j, : m + 1]
-        lhs_j = ls[:, j] * smj[:, m - 1]
-        ratios[:, j] = lhs_j / sm_sorted
-        bound = np.where(smj[:, m] <= 0.0, 1.0, theta_explicit)
-        rhs_j = bound * sm_sorted
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs_j), np.abs(rhs_j)))
-        best = np.minimum(best, (lhs_j - rhs_j) / scale)
-    results["gradient_lower_bound"] = _result(best, ls, tol)
-    theta_hat = float(np.min(ratios))
+    lhs = ls[:, :m] * red_s[:, :, m - 1]
+    bound = np.where(red_s[:, :, m] <= 0.0, 1.0, theta)
+    results["gradient_lower_bound"] = _result(
+        [_slack(bound[:, j] * sm_sorted, lhs[:, j]) for j in range(m)], ls, tol
+    )
+    theta_hat = float(np.min(lhs / sm_sorted[:, None]))
 
     # (7) weighted Cauchy-Schwarz bound:
     #     (n S_1 / S_m) sum a_i^2 S_{m-1;i} >= theta sum a_i^2.
-    grad = red[:, :, m - 1]
-    lhs = (n * table[:, 1] / s_m) * np.sum(avec**2 * grad, axis=-1)
-    rhs = theta_explicit * np.sum(avec**2, axis=-1)
-    results["weighted_cauchy_schwarz"] = _slack_result(rhs, lhs, lam, tol)
+    lhs = (n * table[:, 1] / s_m) * np.sum(avec**2 * red[:, :, m - 1], axis=-1)
+    rhs = theta * np.sum(avec**2, axis=-1)
+    results["weighted_cauchy_schwarz"] = _result([_slack(rhs, lhs)], lam, tol)
 
     # (8) Maclaurin-type mixed inequality on Gamma_n:
     #     (S_m / C(n,m))^{1/m} >= S_n^{1/n}.
     tab_n = elementary_symmetric_table(lam_gn, n)
     lhs = tab_n[:, n] ** (1.0 / n)
     rhs = (tab_n[:, m] / math.comb(n, m)) ** (1.0 / m)
-    results["maclaurin"] = _slack_result(lhs, rhs, lam_gn, tol)
+    results["maclaurin"] = _result([_slack(lhs, rhs)], lam_gn, tol)
 
     return results, theta_hat
 
@@ -302,12 +282,13 @@ def verify_cone_inequalities(n, m, samples, seed, tol=1e-10):
         raise InputError(f"seed={seed} must be >= 0")
     if not (math.isfinite(tol) and tol >= 0):
         raise InputError(f"tol={tol} must be finite and >= 0")
+    theta = 1.0 / ((n - m) ** m * math.comb(n, m))
     blocks = -(-samples // _BLOCK)
     child_seeds = np.random.SeedSequence(seed).spawn(blocks)
 
     def run(i):
         count = min(_BLOCK, samples - i * _BLOCK)
-        return _block_checks(n, m, count, child_seeds[i], tol)
+        return _block_checks(n, m, count, child_seeds[i], tol, theta)
 
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as ex:
         partials = list(ex.map(run, range(blocks)))
@@ -319,13 +300,10 @@ def verify_cone_inequalities(n, m, samples, seed, tol=1e-10):
         seed=seed,
         tol=tol,
         theta_hat=math.inf,
-        theta_explicit=1.0 / ((n - m) ** m * math.comb(n, m)),
+        theta_explicit=theta,
     )
     for results, theta_hat in partials:  # merge in block order: deterministic
         report.theta_hat = min(report.theta_hat, theta_hat)
         for name, res in results.items():
-            if name in report.results:
-                report.results[name].merge(res)
-            else:
-                report.results[name] = res
+            report.results.setdefault(name, InequalityResult()).merge(res)
     return report

@@ -462,6 +462,24 @@ class TestFieldFiles:
         with pytest.raises(InputError):
             read_field(path)
 
+    def test_oversized_payload_is_not_read(self, tmp_path):
+        # an n=2 N=8 header (32 KiB of payload) before a sparse 64 MiB
+        # payload: reading it whole before the length check peaked at
+        # 128 MiB; the grid from the header bounds the read to 32 KiB + 1
+        path = tmp_path / "big.field"
+        with open(path, "wb") as fh:
+            fh.write(b'{"n": 2, "N": 8, "kind": "u"}\n')
+            fh.seek(64 << 20, 1)
+            fh.write(b"\x00")
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match="payload"):
+                read_field(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
     def test_header_validation(self, tmp_path):
         path = tmp_path / "bad2.field"
         path.write_bytes(b"not json\n")

@@ -57,6 +57,13 @@ class TestCheckMaxPrinciple:
         bad = ScalarField(grid, u.data + 1.0)
         assert not check_max_principle(bad, H, 1e-7).ok
 
+    def test_rejects_foreign_grid(self):
+        # u on N=8 and H on N=16 reported ok=True from the extrema alone
+        u = ScalarField.zeros(TorusGrid(2, 8))
+        H = ScalarField.zeros(TorusGrid(2, 16))
+        with pytest.raises(InputError, match="different grids"):
+            check_max_principle(u, H, 1e-7)
+
 
 class TestLaplacianGradientRatio:
     def test_zero_field(self):
@@ -148,6 +155,21 @@ class TestSublevelVolumeDecay:
         with pytest.raises(InputError, match="positive"):
             sublevel_volume_decay(ScalarField.zeros(grid), t_list, omega, 1)
 
+    def test_rejects_nan_phi(self):
+        # one NaN point passed the sup and the table checks: bounded=True
+        grid, omega = flat(2, 8)
+        data = np.zeros(grid.shape)
+        data[1, 2, 3, 4] = np.nan
+        with pytest.raises(InputError, match="finite"):
+            sublevel_volume_decay(ScalarField(grid, data), [0.5, 1.0], omega, 1)
+
+    def test_rejects_foreign_grid(self):
+        # phi on N=16 with omega on N=8 raised numpy's broadcast ValueError
+        _, omega = flat(2, 8)
+        phi = ScalarField.zeros(TorusGrid(2, 16))
+        with pytest.raises(InputError, match="different grids"):
+            sublevel_volume_decay(phi, [0.5, 1.0], omega, 1)
+
     def test_requires_subharmonic(self):
         grid, omega = flat(2, 16)
         phi = make_field(grid, [((1, 0, 0, 0), 12.0, 0.0)])
@@ -162,6 +184,13 @@ class TestLpNorm:
         u = ScalarField(grid, 2.0 * np.ones(grid.shape))
         want = 2.0 * (2 * np.pi) ** (4 / 3)  # (int 2^3 dV)^{1/3}
         assert lp_norm(u, 3) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0, -1, float("nan"), float("inf")])
+    def test_rejects_bad_p(self, p):
+        # p = 0 raised ZeroDivisionError and p = -1 returned 6.4e-4 on ones
+        grid, _ = flat(2, 8)
+        with pytest.raises(InputError, match="finite and positive"):
+            lp_norm(ScalarField(grid, np.ones(grid.shape)), p)
 
 
 @pytest.fixture(scope="module")

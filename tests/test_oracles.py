@@ -218,3 +218,33 @@ def test_no_unused_import():
         unused += [f"{info.name}.{name}" for name in imported
                    if name not in used and name not in exported]
     assert not unused, unused
+
+
+def test_no_dangling_private_name():
+    # a module-level _name that no code in src/hessianlab reads (by name, as
+    # an attribute or by import), its own module included, is dead code
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(hessianlab.__path__[0]).glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    dangling = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dangling += [f"{module}.{name}" for name in names
+                         if name.startswith("_") and not name.startswith("__")
+                         and name not in read]
+    assert not dangling, dangling

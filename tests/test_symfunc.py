@@ -56,6 +56,13 @@ finite_vecs = st.lists(
 )
 
 
+def report_sha256(n, m, samples, seed):
+    """sha256 of the suite's report written as indented JSON with sorted keys."""
+    doc = json.dumps(_doc(verify_cone_inequalities(n, m, samples, seed=seed)),
+                     indent=2, sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
 def sk(lam, k):
     """S_k of each vector from the table the solver and the suite use."""
     return elementary_symmetric_table(lam, k)[..., k]
@@ -278,11 +285,20 @@ class TestVerificationSuite:
 
     def test_single_block_report_pinned(self):
         # a run of at most one block (samples <= _BLOCK) writes these bytes
-        doc = json.dumps(_doc(verify_cone_inequalities(3, 2, 3000, seed=9)),
-                         indent=2, sort_keys=True)
-        assert hashlib.sha256(doc.encode()).hexdigest() == (
+        assert report_sha256(3, 2, 3000, 9) == (
             "856adfaededd07e97fc59d36a4759d325451344eca14f18e574610d5bb31615f"
         )
+
+    @pytest.mark.parametrize("n, m, samples, seed, digest", [
+        (2, 1, 3000, 1, "b8fcebbfc260c0689977306313535f265781b23c02a3344f08c1a71f3bd41d39"),
+        (4, 3, 20000, 3, "473f585816896840526962828c97e59e2be301059ce80086488ce55e9f8d4e4c"),
+        (3, 2, 40000, 7, "2322bb293ab85ffac30306dd162c919e4902d9e401849b05200248e0c4505d7e"),
+    ], ids=["vacuous-m1", "two-index-subsets", "three-blocks"])
+    def test_report_pinned(self, n, m, samples, seed, digest):
+        # the bytes the single-block pin does not reach: m = 1's vacuous
+        # results, inequality (2)'s subsets of two indices (m = 3), and a
+        # merge of three blocks
+        assert report_sha256(n, m, samples, seed) == digest
 
     def test_rejects_bad_range(self):
         with pytest.raises(InputError):

@@ -21,7 +21,7 @@ from .geometry import (
     gradient_sup,
 )
 from .hessop import check_degree, sk_table_of_state, state_matrices
-from .solver import SolverConfig, check_density, solve_normalized
+from .solver import SolverConfig, check_density, check_schedule, solve_normalized
 
 __all__ = [
     "MaxPrincipleReport",
@@ -74,7 +74,7 @@ class StabilityRecord:
     ratio: float
     legal: bool  # a < 1/(m+1) and p > n/m
     newton_steps: int  # accepted steps of this delta's solve (the base's for delta 0)
-    cold_walk: bool  # this delta's one-eps start failed and the schedule was walked cold
+    cold_walk: bool  # its one-eps solve (the base's for delta 0) failed; the schedule ran cold
     converged: bool  # the base solve and this delta's solve both converged
 
 
@@ -83,18 +83,20 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     """Perturb f along psi and record the stability ratios.
 
     Each delta solves the normalized equation for g = f (1 + delta psi); the
-    base solve for f is shared.  m (check_degree), psi's grid, and f and
-    every g (solve_normalized's positivity rule, check_density) are checked
-    before the base solve, so bad input costs no Newton step.  A ratio
-    reads only the solution at the last schedule eps, so each perturbed
-    density is solved there alone, by Newton from the base's raw
-    v = u + log(c) / eps, which is O(delta) away (Allgower & Georg 1990);
-    if that solve fails, the full schedule is walked cold.
-    Each record carries the Newton steps of its solve's accepted path
-    (``NormalizedReport.newton_steps``) and whether the cold walk ran.
-    Illegal exponents are allowed for exploratory runs and are just
-    flagged on the records, and so are unconverged solves, whose ratios
-    mean nothing.
+    base solve for f is shared.  m (check_degree), the eps schedule
+    (check_schedule), psi's grid, and f and every g (solve_normalized's
+    positivity rule, check_density) are checked before the base solve, so
+    bad input costs no Newton step.  A ratio reads only the solutions at the
+    last schedule eps, so every density is solved there alone: the base f
+    cold (_solve's nested start or continuity in t), each perturbed density
+    by Newton from the base's raw v = u + log(c) / eps, which is O(delta)
+    away (Allgower & Georg 1990).  If such a one-eps solve fails, the full
+    schedule is walked cold; the schedule's earlier entries serve only that
+    fallback.  Each record carries the Newton steps of its solve's accepted
+    path (``NormalizedReport.newton_steps``; the base's for delta 0) and
+    whether the cold walk ran.  Illegal exponents are allowed for
+    exploratory runs and are just flagged on the records, and so are
+    unconverged solves, whose ratios mean nothing.
     """
     cfg = cfg or SolverConfig()
     if not (0 < p < math.inf and 0 < a < math.inf):
@@ -104,6 +106,8 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     n = omega.grid.n
     check_degree(m, n)
     legal = (a < 1.0 / (m + 1)) and (p > n / m)
+    schedule = check_schedule(eps_schedule)
+    eps_last = schedule[-1]
     if psi.grid != f.grid:
         raise InputError("f and psi live on different grids")
     fdata = f.data
@@ -112,20 +116,21 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     for delta, gdata in zip(deltas, gs):
         check_density(gdata, f"the perturbed density at delta={delta}")
 
-    u_base, c_base, base = solve_normalized(f, omega, m, eps_schedule, cfg)
-    eps_last = eps_schedule[-1]
+    u_base, c_base, base = solve_normalized(f, omega, m, (eps_last,), cfg)
+    base_walk = not base.converged and len(schedule) > 1
+    if base_walk:
+        u_base, c_base, base = solve_normalized(f, omega, m, schedule, cfg)
     v_base = u_base.data + math.log(c_base) / eps_last
     records = []
     for delta, gdata in zip(deltas, gs):
-        cold_walk = False
         if delta == 0:  # g = f: v is the base solution, the ratio 0
-            v, rep = u_base, base
+            v, rep, cold_walk = u_base, base, base_walk
         else:
             g = ScalarField(f.grid, gdata)
             v, _, rep = solve_normalized(g, omega, m, (eps_last,), cfg, v0=v_base)
-            if not rep.converged:
-                cold_walk = True
-                v, _, rep = solve_normalized(g, omega, m, eps_schedule, cfg)
+            cold_walk = not rep.converged
+            if cold_walk:
+                v, _, rep = solve_normalized(g, omega, m, schedule, cfg)
         lhs = float(np.max(np.abs(u_base.data - v.data)))
         rhs = lp_norm(ScalarField(f.grid, fdata - gdata), p) ** a
         ratio = lhs / rhs if rhs > 0 else 0.0

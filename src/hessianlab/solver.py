@@ -82,6 +82,7 @@ __all__ = [
     "solve_exponential",
     "solve_normalized",
     "check_density",
+    "check_schedule",
 ]
 
 
@@ -495,11 +496,7 @@ def _walk_schedule(omega, m, schedule, q_of, harr_of, cfg, u0=None):
     hit the resolution wall (sigma below stencil noise) and more midpoints
     only burn iterations.  The walk ends after the first failed report.
     """
-    schedule = [float(e) for e in schedule]
-    if not schedule or not all(0 < e < math.inf for e in schedule) or any(
-        b >= a for a, b in zip(schedule, schedule[1:])
-    ):
-        raise InputError("eps schedule must be non-empty, finite, positive, strictly decreasing")
+    schedule = check_schedule(schedule)
     pending = list(schedule)
     u, eps_prev = u0, None
     insertions = 0
@@ -530,6 +527,19 @@ def solve_exponential(H, omega, m, cfg=None):
         raise InputError("field and metric live on different grids")
     u, report = _solve(_Equation(omega, m, q=1.0), H.data, cfg)
     return ScalarField(omega.grid, u), report
+
+
+def check_schedule(schedule):
+    """Return the eps schedule as a list of floats, or raise InputError
+    unless it is non-empty, finite, positive and strictly decreasing: the
+    rule of every schedule walk, so that a caller can check a schedule
+    before it starts one."""
+    schedule = [float(e) for e in schedule]
+    if not schedule or not all(0 < e < math.inf for e in schedule) or any(
+        b >= a for a, b in zip(schedule, schedule[1:])
+    ):
+        raise InputError("eps schedule must be non-empty, finite, positive, strictly decreasing")
+    return schedule
 
 
 def check_density(data, name="f"):

@@ -209,13 +209,18 @@ class TestListFlags:
          "--eps-schedule", "1,0.3", "--deltas", "0.1,x"],
         ["stability-sweep", "--n", "2", "--m", "1", "--N", "8", "--p", "4", "--a", "0.3",
          "--eps-schedule", "1,0.3", "--deltas", ","],
+        ["stability-sweep", "--n", "2", "--m", "1", "--N", "8", "--p", "4", "--a", "0.3",
+         "--eps-schedule", ",", "--deltas", "0.1"],
+        ["stability-sweep", "--n", "2", "--m", "1", "--N", "8", "--p", "4", "--a", "0.3",
+         "--eps-schedule", "0.3,1", "--deltas", "0.1"],
         ["mms", "--n", "2", "--m", "1", "--N-list", "8,x"],
         ["mms", "--n", "2", "--m", "1", "--N-list", ","],
         ["decay", "--n", "2", "--m", "1", "--N", "16", "--phi", "cos:1,0,0,0:1",
          "--t-list", "0.1,y"],
         ["decay", "--n", "2", "--m", "1", "--N", "16", "--phi", "cos:1,0,0,0:1",
          "--t-list", "0.5,nan"],
-    ], ids=["eps-word", "eps-nan", "deltas-word", "deltas-empty", "N-list-word",
+    ], ids=["eps-word", "eps-nan", "deltas-word", "deltas-empty", "sweep-eps-empty",
+            "sweep-eps-increasing", "N-list-word",
             "N-list-empty", "t-list-word", "t-list-nan"])
     def test_bad_or_empty_list_exit_2(self, tmp_path, argv):
         assert main(argv + ["--out", str(tmp_path / "x")]) == 2

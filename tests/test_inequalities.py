@@ -235,7 +235,7 @@ class TestStabilitySweep:
         assert all(r.legal for r in sweep)
 
     def test_warm_started_deltas_take_fewer_newton_steps(self, sweep):
-        # measured: 13 steps for the base (delta 0), 3 and 2 from its raw v
+        # measured: 4 steps for the base (delta 0, one cold eps), 3 and 2 from its raw v
         assert all(r.newton_steps < sweep[0].newton_steps for r in sweep[1:])
 
     def test_no_cold_walk(self, sweep):
@@ -264,12 +264,43 @@ class TestStabilitySweep:
         records = stability_sweep(f, psi, [0.0, 0.99], p=4.0, a=0.3, omega=omega, m=1,
                                   cfg=SolverConfig(max_newton=5), eps_schedule=sched)
         assert calls == [
-            (sched, False, [None] * 4),  # the base walk
+            (sched[-1:], False, [None]),  # the base, cold at the last eps
             (sched[-1:], True, ["Newton iteration cap"]),  # the one-eps start
             (sched, False, [None] * 4),  # the cold walk
         ]
         assert all(r.converged for r in records)
         assert [r.cold_walk for r in records] == [False, True]
+
+    def test_rejected_base_solve_walks_the_schedule(self, monkeypatch):
+        # the base's one-eps solve runs at max_newton=1 and stalls on its
+        # continuity path; the sweep then walks the schedule cold for f
+        import hessianlab.inequalities as inequalities
+
+        calls = []
+        inner = inequalities.solve_normalized
+
+        def solve(g, omega, m, eps_schedule, cfg, v0=None):
+            if not calls:
+                cfg = SolverConfig(max_newton=1)
+            out = inner(g, omega, m, eps_schedule, cfg, v0=v0)
+            failures = [r.failure for _, r in out[2].eps_path]
+            calls.append((tuple(eps_schedule), v0 is not None, failures))
+            return out
+
+        monkeypatch.setattr(inequalities, "solve_normalized", solve)
+        grid, omega = flat(2, 8)
+        f = make_field(grid, default_density_terms(2))
+        psi = make_field(grid, default_direction_terms(2))
+        sched = (1.0, 0.3, 0.1, 0.03)
+        records = stability_sweep(f, psi, [0.0, 0.1], p=4.0, a=0.3, omega=omega, m=1,
+                                  eps_schedule=sched)
+        assert calls == [
+            (sched[-1:], False, ["continuity stalled at t=1.000000: Newton iteration cap"]),
+            (sched, False, [None] * 4),  # the base's cold walk
+            (sched[-1:], True, [None]),  # delta 0.1 from the walked base's raw v
+        ]
+        assert all(r.converged for r in records)
+        assert [r.cold_walk for r in records] == [True, False]
 
     def test_nan_delta_rejected(self, no_solve):
         # a NaN g passes min(g) <= 0; it is rejected before the base solve
@@ -313,9 +344,11 @@ class TestStabilitySweep:
             stability_sweep(f, psi, [0.1], p=4.0, a=0.3, omega=omega, m=m)
 
     @pytest.mark.parametrize("sched", [(1.0, 0.3, float("nan")), (float("nan"),),
-                                       (float("inf"), 1.0)], ids=["nan-last", "nan", "inf"])
+                                       (float("inf"), 1.0), (), (0.3, 1.0)],
+                             ids=["nan-last", "nan", "inf", "empty", "increasing"])
     def test_nonfinite_schedule_rejected(self, monkeypatch, sched):
-        # the base solve's schedule walker refuses it before any Newton step
+        # the sweep applies the schedule walker's rule before any Newton step;
+        # the base solve reads only the last eps, so nothing else would catch it
         import hessianlab.solver as solver
 
         def newton(*args):
@@ -368,6 +401,64 @@ class TestStabilitySweep:
         psi = make_field(grid, [((1, 0, 0, 0), 1.0, 0.0)])
         with pytest.raises(InputError):
             stability_sweep(f, psi, [0.1], p=p, a=a, omega=omega, m=1)
+
+
+EPS_SCHEDULE = (1.0, 0.3, 0.1, 0.03)
+
+
+@pytest.fixture(scope="module")
+def base_routes():
+    """Criterion 8's m = n = 2, N = 16 sweep run twice: as is, and with the
+    base's one-eps cold solve replaced by the walk down the whole schedule.
+    Each run's solve_normalized calls are recorded."""
+    import hessianlab.inequalities as inequalities
+
+    grid, omega = flat(2, 16)
+    f = make_field(grid, [((0, 0, 0, 0), 1.0, 0.0), ((1, 0, 0, 0), 0.3, 0.0)])
+    psi = make_field(grid, [((1, 0, 0, 1), 1.0, 0.0)])
+    inner = inequalities.solve_normalized
+    runs = {}
+    for route in ("one-eps", "walk"):
+        calls = []
+
+        def solve(g, omega, m, eps_schedule, cfg, v0=None):
+            if route == "walk" and v0 is None and len(eps_schedule) == 1:
+                eps_schedule = EPS_SCHEDULE
+            out = inner(g, omega, m, eps_schedule, cfg, v0=v0)
+            calls.append((tuple(eps_schedule), v0 is not None, out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(inequalities, "solve_normalized", solve)
+            records = stability_sweep(
+                f, psi, [0.0, 1e-1, 1e-2, 1e-3], p=2.0, a=0.25, omega=omega, m=2,
+                cfg=SolverConfig(t_steps=2), eps_schedule=EPS_SCHEDULE,
+            )
+        runs[route] = (records, calls)
+    return runs
+
+
+class TestStabilitySweepBase:
+    def test_one_solve_per_density(self, base_routes):
+        records, calls = base_routes["one-eps"]
+        assert [(sched, warm) for sched, warm, _ in calls] == [
+            (EPS_SCHEDULE[-1:], False),  # the base, cold at the last eps
+            *[(EPS_SCHEDULE[-1:], True)] * 3,  # each delta from the base's raw v
+        ]
+        assert all(r.converged and not r.cold_walk for r in records)
+        # measured: 3 steps at the last eps alone; the schedule walk takes 11
+        assert records[0].newton_steps <= 3
+
+    def test_routes_reach_one_discrete_pair(self, base_routes):
+        one_records, one_calls = base_routes["one-eps"]
+        walk_records, walk_calls = base_routes["walk"]
+        assert walk_calls[0][0] == EPS_SCHEDULE  # the walk route walked
+        (u_one, c_one, _), (u_walk, c_walk, _) = one_calls[0][2], walk_calls[0][2]
+        # measured: sup|u| apart 1.6e-10, c apart 1.4e-11, ratios 4.3e-8 relative
+        assert np.max(np.abs(u_one.data - u_walk.data)) <= 10 * 1.6e-10
+        assert abs(c_one - c_walk) <= 10 * 1.4e-11
+        for one, walk in zip(one_records[1:], walk_records[1:]):
+            assert one.ratio == pytest.approx(walk.ratio, rel=10 * 4.3e-8, abs=0)
 
 
 class TestMonotoneComparisonOfDensities:

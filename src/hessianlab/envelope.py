@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import ScalarField
 from .hessop import sigma_m
-from .solver import SolverConfig, _walk_schedule
+from .solver import SolverConfig, _walk_schedule, check_schedule
 
 __all__ = ["EnvelopeReport", "msh_envelope", "contact_set"]
 
@@ -56,15 +56,16 @@ def _complementarity_sup(sigma, h_data, w_data, hscale):
 def msh_envelope(h, omega, m, eps_schedule, cfg=None):
     """Envelope of the obstacle h via the decreasing penalization schedule.
 
-    Returns the final iterate and an EnvelopeReport.  A Newton failure at
-    some eps yields a partial report flagged not converged, carrying the
-    last eps that did converge.
+    The schedule is checked (check_schedule, then the start at 1) before
+    the obstacle is evaluated.  Returns the final iterate and an
+    EnvelopeReport.  A Newton failure at some eps yields a partial report
+    flagged not converged, carrying the last eps that did converge.
     """
     cfg = cfg or SolverConfig()
     if h.grid != omega.grid:
         raise InputError("obstacle and metric live on different grids")
-    eps_schedule = [float(e) for e in eps_schedule]
-    if not eps_schedule or abs(eps_schedule[0] - 1.0) > 1e-12:
+    eps_schedule = check_schedule(eps_schedule)
+    if abs(eps_schedule[0] - 1.0) > 1e-12:
         raise InputError("eps schedule must start at 1")
 
     start = time.perf_counter()

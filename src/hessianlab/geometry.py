@@ -12,13 +12,14 @@ differences and periodic wrap:
 
 Mixed derivatives use the standard 4-point cross stencil.  A step of one
 along axis a is a flat offset of N^(2n-1-a) elements of the C-order field,
-so every shift and difference is one contiguous copy or subtraction and a
-strided rewrite of the wrapped face, with no padded copy.  _stencils makes
-them, and the Krylov matvec (hessop) runs it on its vector too, so dd^c
-is written once, straight into the Hermitian layout that every per-point
-matrix field shares: real, shape (n, n) + grid.shape, with M_jj on [j, j]
-and, for j < k, Re M_kj on [k, j] and Im M_kj on [j, k].  The complex
-grid.shape + (n, n) field is built from it only for tests and diagnostics.
+so every neighbour sum v(+1) + v(-1) and difference v(+1) - v(-1) is one
+contiguous add or subtraction (_difference) and a strided rewrite of the
+wrapped faces, with no padded copy.  _stencils makes them, and the Krylov
+matvec (hessop) runs it on its vector too, so dd^c is written once,
+straight into the Hermitian layout that every per-point matrix field
+shares: real, shape (n, n) + grid.shape, with M_jj on [j, j] and, for
+j < k, Re M_kj on [k, j] and Im M_kj on [j, k].  The complex grid.shape +
+(n, n) field is built from it only for tests and diagnostics.
 
 Every grid kernel, here and in hessop, runs over slabs of whole rows along
 axis 0 (_slabs), so that a slab's temporaries stay in cache.  A slab is one
@@ -254,14 +255,18 @@ def _check_hermitian_forms(form, name="metric"):
 def _cholesky_inverse_layout(form):
     """L^{-1} for form = L L^* (L lower triangular, positive diagonal), stacked
     on leading axes, in the Hermitian layout.  Written out per entry, which on
-    fields of 2x2 or 3x3 forms beats LAPACK's one call per point."""
+    fields of 2x2 or 3x3 forms beats LAPACK's one call per point.  Raises
+    InputError unless every squared pivot exceeds 1e-12 tr(form) / n at its
+    own point, the floor of check_positive_definite: a squared pivot is
+    never below the least eigenvalue, so a form that check admits passes."""
     n = form.shape[-1]
+    floor = 1e-12 * sum(form[..., i, i].real for i in range(n)) / n
     chol, inv = {}, {}
     out = np.empty((n, n) + form.shape[:-2])
     for i in range(n):
         for j in range(i + 1):
             s = form[..., i, j] - sum(chol[i, k] * chol[j, k].conj() for k in range(j))
-            if i == j and not np.all(s.real > 0.0):
+            if i == j and not np.all(s.real > floor):
                 raise InputError("metric is not positive definite")
             chol[i, j] = np.sqrt(s.real) if i == j else s / chol[j, j]
         inv[i, i] = out[i, i] = 1.0 / chol[i, i]
@@ -290,76 +295,40 @@ def _faces(a, axis):
     return a.reshape(-1, a.shape[axis], math.prod(a.shape[axis + 1:]))
 
 
-def _shifted(data, axis, s, out, rows=slice(None)):
-    """data at the neighbour s = +1 or -1 along ``axis`` on the rows ``rows``
-    of axis 0, written into out.  Along axis 0: one copy of the row view
-    rows + s, then the one row that wraps, if any.  Along another axis: one
-    flat copy of the block data[rows] offset by the axis stride, then the
-    wrapped face."""
-    if axis == 0:
-        r0, r1, _ = rows.indices(data.shape[0])
-        lo, hi = max(r0 + s, 0), min(r1 + s, data.shape[0])
-        out[lo - r0 - s : hi - r0 - s] = data[lo:hi]
-        if r0 + s < 0:
-            out[0] = data[-1]
-        elif r1 + s > data.shape[0]:
-            out[-1] = data[0]
-        return out
-    data = data[rows]
-    step = math.prod(data.shape[axis + 1:])
-    flat, dst = data.reshape(-1), out.reshape(-1)
-    faces, dst_faces = _faces(data, axis), _faces(out, axis)
-    if s > 0:
-        dst[:-step] = flat[step:]
-        dst_faces[:, -1] = faces[:, 0]
-    else:
-        dst[step:] = flat[:-step]
-        dst_faces[:, 0] = faces[:, -1]
-    return out
-
-
-def _difference(data, axis, out=None, rows=slice(None)):
-    """Undivided central difference data(+1) - data(-1) along ``axis`` on the
-    rows ``rows`` of axis 0.  Along axis 0: one subtraction of the row views
-    rows + 1 and rows - 1 where neither wraps, then the wrapped first and
-    last rows.  Along another axis: one flat subtraction in the block
-    data[rows] offset by twice the axis stride, then both wrapped faces."""
+def _difference(data, axis, out=None, rows=slice(None), op=np.subtract):
+    """Undivided central difference op(data(+1), data(-1)) along ``axis`` on
+    the rows ``rows`` of axis 0; with op=np.add it is the neighbour sum.
+    Along axis 0: one op on the row views rows + 1 and rows - 1 where
+    neither wraps, then the wrapped first and last rows.  Along another
+    axis: one flat op in the block data[rows] offset by twice the axis
+    stride, then both wrapped faces."""
     r0, r1, _ = rows.indices(data.shape[0])
     out = np.empty((r1 - r0,) + data.shape[1:]) if out is None else out
     if axis == 0:
         lo, hi = max(r0, 1), min(r1, data.shape[0] - 1)
-        np.subtract(data[lo + 1 : hi + 1], data[lo - 1 : hi - 1], out=out[lo - r0 : hi - r0])
+        op(data[lo + 1 : hi + 1], data[lo - 1 : hi - 1], out=out[lo - r0 : hi - r0])
         if r0 == 0:
-            np.subtract(data[1], data[-1], out=out[0])
+            op(data[1], data[-1], out=out[0])
         if r1 == data.shape[0]:
-            np.subtract(data[0], data[-2], out=out[-1])
+            op(data[0], data[-2], out=out[-1])
         return out
     data = data[rows]
     step = math.prod(data.shape[axis + 1:])
     flat, dst = data.reshape(-1), out.reshape(-1)
-    np.subtract(flat[2 * step:], flat[:-2 * step], out=dst[step:-step])
+    op(flat[2 * step:], flat[:-2 * step], out=dst[step:-step])
     faces, dst_faces = _faces(data, axis), _faces(out, axis)
-    np.subtract(faces[:, 1], faces[:, -1], out=dst_faces[:, 0])
-    np.subtract(faces[:, 0], faces[:, -2], out=dst_faces[:, -1])
+    op(faces[:, 1], faces[:, -1], out=dst_faces[:, 0])
+    op(faces[:, 0], faces[:, -2], out=dst_faces[:, -1])
     return out
-
-
-def _ring(data, xj, yj, tmp, rows):
-    """-4 v + v(+x_j) + v(-x_j) + v(+y_j) + v(-y_j) on the rows ``rows``,
-    summed in that order."""
-    ring = -4.0 * data[rows]
-    for a in (xj, yj):
-        ring += _shifted(data, a, 1, tmp, rows)
-        ring += _shifted(data, a, -1, tmp, rows)
-    return ring
 
 
 def _stencils(data, pairs=None, rows=slice(None)):
     """The undivided differences that make up dd^c of ``data``, a field of
     2n axes, on the rows ``rows`` of axis 0.
 
-    Yields (j, j, ring, None) with ring = -4 v + v(+x_j) + v(-x_j) + v(+y_j)
-    + v(-y_j), the 5-point Laplacian of the (x_j, y_j) plane, and for j < k
+    Yields (j, j, ring, None) with ring = -4 v + (v(+x_j) + v(-x_j))
+    + (v(+y_j) + v(-y_j)), the 5-point Laplacian of the (x_j, y_j) plane
+    summed in that order, each bracket one neighbour sum, and for j < k
     (j, k, re, im) with re = X_{x_j x_k} + X_{y_j y_k} and im = X_{x_j y_k}
     - X_{y_j x_k}, X_ab the 4-point cross stencil, the difference along b of
     the difference along a; so u_{j jbar} = ring / (4 h^2) and u_{j kbar} =
@@ -369,15 +338,19 @@ def _stencils(data, pairs=None, rows=slice(None)):
     shaped like data[rows]; the caller may overwrite it.
 
     Only axis 0 reads rows outside ``rows``, and along axis 0 a stencil only
-    shifts v or takes its first difference, since j < k; the second
-    differences run on the block of rows already taken.
+    takes the neighbour sum of v or its first difference, since j < k; the
+    second differences run on the block of rows already taken.
     """
     data = np.ascontiguousarray(data)
     n = data.ndim // 2
-    tmp = np.empty(data[rows].shape)  # scratch for one shifted copy or difference
+    tmp = np.empty(data[rows].shape)  # scratch for one neighbour sum or difference
     for j in range(n):
         xj, yj = 2 * j, 2 * j + 1
-        yield j, j, _ring(data, xj, yj, tmp, rows), None
+        ring = -4.0 * data[rows]
+        for a in (xj, yj):
+            ring += _difference(data, a, tmp, rows, op=np.add)
+        yield j, j, ring, None
+        del ring  # the caller's now: keep no second full-size array alive
         ks = [k for k in range(j + 1, n) if pairs is None or (j, k) in pairs]
         if not ks:
             continue

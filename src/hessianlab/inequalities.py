@@ -94,8 +94,10 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     schedule is walked cold; the schedule's earlier entries serve only that
     fallback.  Each record carries the Newton steps of its solve's accepted
     path (``NormalizedReport.newton_steps``; the base's for delta 0) and
-    whether the cold walk ran.  Illegal exponents are allowed for
-    exploratory runs and are just flagged on the records, and so are
+    whether the cold walk ran.  If the base fails both ways, no nonzero
+    delta is solved: its record has lhs = ratio = nan, its rhs, no Newton
+    step, no cold walk and converged False.  Illegal exponents are allowed
+    for exploratory runs and are just flagged on the records, and so are
     unconverged solves, whose ratios mean nothing.
     """
     cfg = cfg or SolverConfig()
@@ -123,8 +125,15 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     v_base = u_base.data + math.log(c_base) / eps_last
     records = []
     for delta, gdata in zip(deltas, gs):
+        rhs = lp_norm(ScalarField(f.grid, fdata - gdata), p) ** a
         if delta == 0:  # g = f: v is the base solution, the ratio 0
             v, rep, cold_walk = u_base, base, base_walk
+        elif not base.converged:  # no ratio can be read off a failed base
+            records.append(StabilityRecord(delta=float(delta), p=p, a=a, lhs=math.nan,
+                                           rhs=rhs, ratio=math.nan, legal=legal,
+                                           newton_steps=0, cold_walk=False,
+                                           converged=False))
+            continue
         else:
             g = ScalarField(f.grid, gdata)
             v, _, rep = solve_normalized(g, omega, m, (eps_last,), cfg, v0=v_base)
@@ -132,7 +141,6 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
             if cold_walk:
                 v, _, rep = solve_normalized(g, omega, m, schedule, cfg)
         lhs = float(np.max(np.abs(u_base.data - v.data)))
-        rhs = lp_norm(ScalarField(f.grid, fdata - gdata), p) ** a
         ratio = lhs / rhs if rhs > 0 else 0.0
         records.append(StabilityRecord(delta=float(delta), p=p, a=a, lhs=lhs,
                                        rhs=rhs, ratio=ratio, legal=legal,

@@ -40,6 +40,22 @@ def test_every_workload_builds(seed):
                 assert np.all(np.isfinite(data)), cls.name
 
 
+def test_every_workload_passes_its_checks():
+    # one build/solve/check per workload at the default seed: the accuracy
+    # bounds and work counts that a benchmark run checks, such as
+    # conformal-n2's sup_error and sweep-n2's one solve per density, fail
+    # here rather than as incorrect outputs in a benchmark run
+    workloads = _load("workloads")
+    failures = {}
+    for cls in workloads.WORKLOADS.values():
+        workload = cls(workloads.DEFAULT_SEED)
+        inputs = workload.build()
+        _, failed = workload.check(inputs, workload.solve(inputs))
+        if failed:
+            failures[cls.name] = failed
+    assert failures == {}
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_manufactured_inputs_match_reference_route(seed):
     # the manufactured workloads' inputs are bit-identical to those built on

@@ -233,13 +233,19 @@ class TestValidation:
                                        [1.0, 0.3, float("nan")]],
                              ids=["nan-after-one", "nan", "nan-last"])
     def test_schedule_must_be_finite(self, monkeypatch, sched):
-        # abs(nan - 1) > 1e-12 is False, so only the walker's rule stops a NaN
+        # abs(nan - 1) > 1e-12 is False, so only the one schedule rule
+        # (check_schedule) stops a NaN, and it runs before sigma_m(h)
+        import hessianlab.envelope as envelope
         import hessianlab.solver as solver
 
         def newton(*args):
             raise AssertionError("a Newton step ran before the schedule check")
 
+        def sigma(*args):
+            raise AssertionError("the obstacle was evaluated before the schedule check")
+
         monkeypatch.setattr(solver, "_newton", newton)
+        monkeypatch.setattr(envelope, "sigma_m", sigma)
         grid, omega = flat(2, 8)
         h = make_field(grid, [((1, 0, 0, 0), 0.5, 0.0)])
         with pytest.raises(InputError, match="eps schedule must .*finite"):

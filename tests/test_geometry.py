@@ -287,16 +287,16 @@ class TestSubGridTerms:
 
 def _roll_stencils(v, n):
     """_stencils from np.roll, with the same association order: ring =
-    -4v + v(+x) + v(-x) + v(+y) + v(-y), cross = difference along x_k of
-    the difference along x_j."""
+    -4v + (v(+x) + v(-x)) + (v(+y) + v(-y)), cross = difference along x_k
+    of the difference along x_j."""
 
     def diff(x, a):
         return np.roll(x, -1, axis=a) - np.roll(x, 1, axis=a)
 
     for j in range(n):
         xj, yj = 2 * j, 2 * j + 1
-        yield j, j, (-4.0 * v + np.roll(v, -1, axis=xj) + np.roll(v, 1, axis=xj)
-                     + np.roll(v, -1, axis=yj) + np.roll(v, 1, axis=yj)), None
+        yield j, j, (-4.0 * v + (np.roll(v, -1, axis=xj) + np.roll(v, 1, axis=xj))
+                     + (np.roll(v, -1, axis=yj) + np.roll(v, 1, axis=yj))), None
         for k in range(j + 1, n):
             xk, yk = 2 * k, 2 * k + 1
             yield (j, k, diff(diff(v, xj), xk) + diff(diff(v, yj), yk),
@@ -306,7 +306,10 @@ def _roll_stencils(v, n):
 class TestFlatOffsets:
     """The periodic differences taken from flat offsets of the field are
     bit-identical to np.roll ones in the same association order, so a
-    change of order fails here instead of moving every output by round-off."""
+    change of order fails here instead of moving every output by round-off.
+    The ring's order was changed here on purpose once, from
+    (((-4v + a) + b) + c) + d to (-4v + (a + b)) + (c + d), when each
+    neighbour sum a + b began to come from _difference with np.add."""
 
     CASES = [(2, 8), (2, 10), (3, 8)]
 

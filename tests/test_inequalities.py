@@ -302,6 +302,36 @@ class TestStabilitySweep:
         assert all(r.converged for r in records)
         assert [r.cold_walk for r in records] == [True, False]
 
+    def test_failed_base_solves_no_delta(self, monkeypatch):
+        # at max_newton=1 the base fails its one-eps solve and its walk; no
+        # ratio can be read off it, so no perturbed density is solved
+        import hessianlab.inequalities as inequalities
+
+        calls = []
+        inner = inequalities.solve_normalized
+
+        def solve(g, omega, m, eps_schedule, cfg, v0=None):
+            calls.append((tuple(eps_schedule), v0 is not None))
+            return inner(g, omega, m, eps_schedule, cfg, v0=v0)
+
+        monkeypatch.setattr(inequalities, "solve_normalized", solve)
+        grid, omega = flat(2, 8)
+        f = make_field(grid, default_density_terms(2))
+        psi = make_field(grid, default_direction_terms(2))
+        sched = (1.0, 0.3, 0.1, 0.03)
+        deltas = [0.0, 0.1, 0.01, 0.001]
+        records = stability_sweep(f, psi, deltas, p=2.0, a=0.25, omega=omega, m=2,
+                                  cfg=SolverConfig(max_newton=1), eps_schedule=sched)
+        assert calls == [(sched[-1:], False), (sched, False)]
+        assert [r.delta for r in records] == deltas
+        assert not any(r.converged for r in records)
+        assert records[0].lhs == 0.0 and records[0].cold_walk
+        for rec, delta in zip(records[1:], deltas[1:]):
+            assert np.isnan(rec.lhs) and np.isnan(rec.ratio)
+            g = f.data * (1.0 + delta * psi.data)
+            assert rec.rhs == lp_norm(ScalarField(grid, f.data - g), 2.0) ** 0.25
+            assert rec.newton_steps == 0 and not rec.cold_walk
+
     def test_nan_delta_rejected(self, no_solve):
         # a NaN g passes min(g) <= 0; it is rejected before the base solve
         grid, omega = flat(2, 8)

@@ -490,8 +490,8 @@ class TestNestedStart:
         assert rest == cold_rep.trace
 
     @pytest.mark.parametrize("N, digest", [
-        (8, "ab820ebbf145f0b7d107a1a08c3ec4279886c885e9de838539d4f821ac23a49c"),
-        (12, "cf062d259f9a2641b90f5220736e80b5a4f8120ea7e1d4c2fe251348c307f7c4"),
+        (8, "4a29c00d605328a0f8553837405fe6d2a73c96260a4ddb65e9f06194cb909a63"),
+        (12, "f9219080db09264733df166a1f419339699d7a9a5dae98a35cf2feb71e73b123"),
     ])
     def test_no_companion_below_the_rule(self, N, digest):
         # N/2 odd or below 8: the cold solve of the code before the nested

@@ -13,8 +13,6 @@ from .geometry import (
     MetricField,
     ScalarField,
     TorusGrid,
-    analytic_complex_hessian,
-    complex_hessian,
     gradient_sup,
     make_field,
     read_field,

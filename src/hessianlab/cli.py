@@ -96,10 +96,14 @@ def _parse_list(text, kind):
     return values
 
 
+def _given(args, **dests):
+    """The set dests as keyword=dest; an unset one keeps the callee's own default."""
+    return {key: getattr(args, dest) for key, dest in dests.items()
+            if getattr(args, dest) is not None}
+
+
 def _solver_config(args):
-    return SolverConfig(**{name: getattr(args, name)
-                           for name in ("newton_tol", "max_newton", "t_steps")
-                           if getattr(args, name) is not None})
+    return SolverConfig(**_given(args, newton_tol="newton_tol", t_steps="t_steps"))
 
 
 def _echo_config(args, outdir):
@@ -142,10 +146,8 @@ def _doc(value):
 
 
 def _grid_metric(args):
-    cap = 2 << 30 if args.memory_cap is None else args.memory_cap
-    scale = 1.0 if args.metric_scale is None else args.metric_scale
-    grid = TorusGrid(args.n, args.N, memory_cap=cap)
-    return grid, MetricField.flat(grid, scale=scale)
+    grid = TorusGrid(args.n, args.N, **_given(args, memory_cap="memory_cap"))
+    return grid, MetricField.flat(grid, **_given(args, scale="metric_scale"))
 
 
 def _write_trace(outdir, reports):
@@ -289,7 +291,6 @@ def build_parser():
 
     def solver_flags(p):
         p.add_argument("--newton-tol", dest="newton_tol", type=float, default=None)
-        p.add_argument("--max-newton", dest="max_newton", type=int, default=None)
         p.add_argument("--t-steps", dest="t_steps", type=int, default=None)
 
     p = command("verify-cone", help="randomized cone inequality suite")

@@ -48,11 +48,6 @@ def contact_set(w, h, tol):
     return (h.data - w.data) <= tol
 
 
-def _complementarity_sup(sigma, h_data, w_data, hscale):
-    gap = (h_data - w_data) / hscale
-    return float(np.max(np.minimum(sigma, gap)))
-
-
 def msh_envelope(h, omega, m, eps_schedule, cfg=None):
     """Envelope of the obstacle h via the decreasing penalization schedule.
 
@@ -94,7 +89,7 @@ def msh_envelope(h, omega, m, eps_schedule, cfg=None):
         w = w_eps
         excess = max(excess, float(np.max(w - h.data)))
         sig = sigma_m(ScalarField(grid, w), omega, m).sigma.data
-        comp_path.append((eps, _complementarity_sup(sig, h.data, w, hscale)))
+        comp_path.append((eps, float(np.max(np.minimum(sig, (h.data - w) / hscale)))))
 
     contact_tol = max(100.0 * cfg.newton_tol, eps_schedule[-1] ** 2)
     w_field = ScalarField(grid, w)

@@ -131,13 +131,13 @@ def mms_study(n, m, N_list, amplitude=0.25, cfg=None):
     return rows, orders
 
 
-def random_bandlimited_terms(rng, n, count=5, amplitude=0.4, max_freq=1):
-    """Random trigonometric data with 1/(1+|k|^2) spectral damping."""
+def random_bandlimited_terms(rng, n, count=5, amplitude=0.4):
+    """Random trigonometric data, each frequency in {-1, 0, 1}, damped by 1/(1+|k|^2)."""
     terms = []
     axes = 2 * n
     for _ in range(count):
         while True:
-            kvec = tuple(int(k) for k in rng.integers(-max_freq, max_freq + 1, size=axes))
+            kvec = tuple(int(k) for k in rng.integers(-1, 2, size=axes))
             if any(kvec):
                 break
         damp = 1.0 / (1.0 + sum(k * k for k in kvec))

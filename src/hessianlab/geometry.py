@@ -54,6 +54,9 @@ __all__ = [
     "check_positive_definite",
 ]
 
+_MEMORY_CAP = 2 << 30  # bytes: every grid's default guard, read_field's too
+
+
 def _bytes_per_point(n):
     # Rough per-point footprint of a solve, a guess not fitted to measurement:
     # 16 n^2 bytes of matrix fields plus Krylov basis headroom.
@@ -66,7 +69,7 @@ class TorusGrid:
 
     n: int
     N: int
-    memory_cap: int = field(default=2 << 30, compare=False)  # a guard, not part of the grid
+    memory_cap: int = field(default=_MEMORY_CAP, compare=False)  # a guard, not part of the grid
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -476,7 +479,7 @@ def write_field(path, u, kind="scalar"):
 _HEADER_LIMIT = 1024
 
 
-def read_field(path, memory_cap=2 << 30):
+def read_field(path, memory_cap=_MEMORY_CAP):
     with open(path, "rb") as fh:
         header = fh.readline(_HEADER_LIMIT)
         if not header.endswith(b"\n"):

@@ -157,7 +157,10 @@ class DecayReport:
     bound_ratio: float
 
 
-def sublevel_volume_decay(phi, t_list, omega, m, tol=1e-9):
+_DECAY_TOL = 1e-9  # slack of sublevel_volume_decay's sup, cone and bound checks
+
+
+def sublevel_volume_decay(phi, t_list, omega, m):
     """Grid-measure fraction of {phi < -t} and the t * fraction diagnostic.
 
     Requires sup phi = 0 and phi m-subharmonic (closed cone).  The product
@@ -172,10 +175,10 @@ def sublevel_volume_decay(phi, t_list, omega, m, tol=1e-9):
         raise InputError("phi and omega live on different grids")
     if not np.all(np.isfinite(phi.data)):
         raise InputError("phi values must be finite")
-    if abs(phi.sup()) > tol:
+    if abs(phi.sup()) > _DECAY_TOL:
         raise InputError("phi must be normalized to sup phi = 0")
     table = sk_table_of_state(state_matrices(phi.data, omega), omega, m)
-    if float(np.min(table[..., 1 : m + 1])) < -tol:
+    if float(np.min(table[..., 1 : m + 1])) < -_DECAY_TOL:
         raise InputError("phi is not (omega,m)-subharmonic on the grid")
     rows = []
     for t in t_list:
@@ -185,7 +188,7 @@ def sublevel_volume_decay(phi, t_list, omega, m, tol=1e-9):
         t <= 1.0 for t, _, _ in rows
     ) else max(tf for _, _, tf in rows)
     worst = max(tf for _, _, tf in rows)
-    bounded = worst <= 10.0 * reference + tol
+    bounded = worst <= 10.0 * reference + _DECAY_TOL
     ratio = worst / reference if reference > 0 else (0.0 if worst == 0 else math.inf)
     return DecayReport(rows=rows, bounded=bounded, bound_ratio=ratio)
 

@@ -50,8 +50,8 @@ any candidate outside the cone, so each accepted iterate is strictly
 elliptic and has S_m > 0.
 
 SolverConfig holds only what callers set; the line search (step halved down
-to 2^-20), the Krylov cap, the cap of 12 t-step halvings and the path
-tolerance 0.1 are constants.
+to 2^-20), the cap of 50 Newton steps per solve, the Krylov cap, the cap of
+12 t-step halvings and the path tolerance 0.1 are constants.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ __all__ = [
 
 _DAMPING = 0.5  # line-search step factor
 _MIN_STEP = 2.0**-20  # line-search floor
+_MAX_NEWTON = 50  # Newton steps per _newton call before giving up
 _KRYLOV_MAX = 60  # GMRES iterations per solve, the basis size
 _MAX_T_HALVINGS = 12  # continuity step halvings before giving up
 _PATH_TOL = 0.1  # residual target at the continuity points t < 1
@@ -95,14 +96,16 @@ _PATH_TOL = 0.1  # residual target at the continuity points t < 1
 
 @dataclass
 class SolverConfig:
+    """What callers set; the caps are constants: _MAX_NEWTON Newton steps, _KRYLOV_MAX
+    GMRES iterations, _MAX_T_HALVINGS t-step halvings, the line-search floor _MIN_STEP."""
+
     newton_tol: float = 1e-9  # sup-norm residual target
-    max_newton: int = 50
     t_steps: int = 4  # initial continuity step count, halved adaptively
 
     def __post_init__(self):
         if not 0 < self.newton_tol < math.inf:
             raise InputError("newton_tol must be finite and positive")
-        if self.max_newton < 1 or self.t_steps < 1:
+        if self.t_steps < 1:
             raise InputError("iteration counts must be >= 1")
 
 
@@ -352,7 +355,7 @@ def _newton(eq, u0, harr, cfg, t_label, trace):
     trace.append(NewtonRecord(t_label, 0, state.res_sup, 0.0, state.margin))
     iters = 0
     while state.res_sup > cfg.newton_tol:
-        if iters >= cfg.max_newton:
+        if iters >= _MAX_NEWTON:
             return state, iters, "Newton iteration cap"
         # every admitted state is strictly inside the cone, as linearization needs
         lin = linearization(state.b, state.table, eq.metric, eq.m, eq.q)
@@ -574,17 +577,14 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None, v0=None):
     start = time.perf_counter()
     logf = np.log(fdata)
     eps_path = []
-    c_estimates = []
     v = None
     for eps, v_eps, rep in _walk_schedule(
         omega, m, eps_schedule, lambda eps: eps, lambda eps: logf, cfg, v0
     ):
         eps_path.append((eps, rep))
-        if rep.converged:
+        if rep.converged or v is None:  # a stalled first eps is handed back all the same
             v = v_eps
-            c_estimates.append(float(math.exp(eps * np.max(v))))
-        elif v is None:
-            v = v_eps  # best effort: hand back the stalled iterate
+    c_estimates = [math.exp(eps * rep.sup_u) for eps, rep in eps_path if rep.converged]
 
     u = v - np.max(v)
     c = c_estimates[-1] if c_estimates else math.nan

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import hessianlab
+from hessianlab import solver
 from hessianlab.cli import _SUBCOMMANDS, _UNWRITTEN, build_parser, main, parse_field_spec
 from hessianlab.envelope import EnvelopeReport
 from hessianlab.errors import InputError
@@ -262,19 +263,22 @@ class TestSolveCommand:
         assert code == 2
 
     @pytest.mark.parametrize("flag", [["--newton-tol", "nan"], ["--no-cone-guard"],
-                                      ["--krylov-tol", "1e-10"]],
-                             ids=["nan-tol", "removed-switch", "removed-krylov-tol"])
+                                      ["--krylov-tol", "1e-10"], ["--max-newton", "50"]],
+                             ids=["nan-tol", "removed-switch", "removed-krylov-tol",
+                                  "removed-max-newton"])
     def test_bad_solver_flag_exit_2(self, tmp_path, flag):
         # Newton admits only iterates in Gamma_m, and no switch turns that off;
-        # the GMRES tolerance follows newton_tol, and no flag sets it
+        # the GMRES tolerance follows newton_tol, and no flag sets it or the
+        # Newton cap
         code = main(["solve", "--n", "2", "--m", "2", "--N", "8",
                      "--H", "cos:1,0,0,0:0.4", "--out", str(tmp_path / "x")] + flag)
         assert code == 2
 
-    def test_convergence_failure_exit_1(self, tmp_path):
+    def test_convergence_failure_exit_1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_NEWTON", 2)
         code = main(["solve", "--n", "2", "--m", "1", "--N", "8",
                      "--H", "cos:1,0,0,0:50", "--t-steps", "1",
-                     "--max-newton", "2", "--out", str(tmp_path / "x")])
+                     "--out", str(tmp_path / "x")])
         assert code == 1
 
     @pytest.mark.parametrize("where", ["file", "under-file"])
@@ -354,11 +358,12 @@ class TestConfigFile:
         {"t_steps": None},
         {"no_cone_guard": True},
         {"krylov_tol": 1e-10},
+        {"max_newton": 50},
         [1, 2],
         None,
     ], ids=["abbreviated-key", "list-value", "true-on-valued", "false-on-valued",
-            "null-value", "true-on-removed-switch", "removed-krylov-tol", "not-an-object",
-            "missing-file"])
+            "null-value", "true-on-removed-switch", "removed-krylov-tol",
+            "removed-max-newton", "not-an-object", "missing-file"])
     def test_config_fault_exit_2(self, tmp_path, doc):
         # the argv runs without the file; the file alone makes it a fault
         cfgfile = tmp_path / "cfg.json"
@@ -501,13 +506,14 @@ class TestOtherCommands:
         assert files
         assert [rel for rel in files if b"\r" in (out / rel).read_bytes()] == []
 
-    def test_stability_sweep_unconverged_exits_1(self, tmp_path):
+    def test_stability_sweep_unconverged_exits_1(self, tmp_path, monkeypatch):
         # one Newton step per solve stalls the continuity path, so the
         # ratio is meaningless: flagged in both outputs, and exit 1
+        monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
         out = tmp_path / "sweep"
         code = main(["stability-sweep", "--n", "2", "--m", "2", "--N", "8",
                      "--p", "2", "--a", "0.25", "--deltas", "0.1",
-                     "--max-newton", "1", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 1
         doc = json.loads((out / "summary.json").read_text())
         assert [rec["converged"] for rec in doc["records"]] == [False]
@@ -608,20 +614,20 @@ def _strict_json(text):
 class TestNonFiniteOutput:
     """A failed run writes a non-finite float as null, in every output file."""
 
-    @pytest.mark.parametrize("argv, nulls, newton_fails", [
+    @pytest.mark.parametrize("argv, max_newton, nulls, newton_fails", [
         # every continuity point fails, so no cone margin is recorded: a
         # loose t < 1 point would otherwise be accepted after a halving
-        (["solve", "--N", "8", "--m", "2", "--H", "cos:1,0,0,0:3",
-          "--max-newton", "1", "--t-steps", "1"], ["cone_margin_min"], True),
+        (["solve", "--N", "8", "--m", "2", "--H", "cos:1,0,0,0:3", "--t-steps", "1"],
+         1, ["cone_margin_min"], True),
         (["normalized", "--N", "8", "--m", "2", "--f", "cos:0,0,0,0:1+cos:1,0,0,0:0.9",
-          "--max-newton", "1", "--t-steps", "1"], ["c", "final_mismatch"], False),
-        (["envelope", "--N", "16", "--m", "1", "--h", "cos:1,0,0,0:8.5",
-          "--max-newton", "2"], ["complementarity_sup"], False),
+          "--t-steps", "1"], 1, ["c", "final_mismatch"], False),
+        (["envelope", "--N", "16", "--m", "1", "--h", "cos:1,0,0,0:8.5"],
+         2, ["complementarity_sup"], False),
     ], ids=["solve", "normalized", "envelope"])
-    def test_written_as_null(self, tmp_path, monkeypatch, argv, nulls, newton_fails):
+    def test_written_as_null(self, tmp_path, monkeypatch, argv, max_newton, nulls,
+                             newton_fails):
+        monkeypatch.setattr(solver, "_MAX_NEWTON", max_newton)
         if newton_fails:
-            import hessianlab.solver as solver
-
             real_newton = solver._newton
 
             def failing_newton(eq, u0, harr, cfg, t_label, trace):

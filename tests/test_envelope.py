@@ -217,6 +217,30 @@ class TestPartialReport:
         # contact tolerance max(100 newton_tol, eps_last^2) = 0.09 around w = 0
         assert rep.contact_fraction == float(np.mean(h.data <= 0.09))
 
+    def test_failed_later_eps_returns_the_last_converged(self, monkeypatch):
+        # every eps below 0.3 fails, midpoints included: w is that of eps = 0.3,
+        # as from a schedule that stops there
+        import hessianlab.solver as solver
+
+        grid, omega = flat(2, 8)
+        h = make_field(grid, [((1, 0, 0, 0), 2.0, 0.0)])
+        cfg = SolverConfig(t_steps=1)
+        head, head_rep = msh_envelope(h, omega, 1, [1.0, 0.3], cfg)
+        real_newton = solver._newton
+
+        def failing_newton(eq, u0, harr, cfg, t_label, trace):
+            state, iters, failure = real_newton(eq, u0, harr, cfg, t_label, trace)
+            if eq.q > 1.0 / 0.3:  # q = 1/eps; the failed state is off u0
+                return state, iters, "forced failure"
+            return state, iters, failure
+
+        monkeypatch.setattr(solver, "_newton", failing_newton)
+        w, rep = msh_envelope(h, omega, 1, [1.0, 0.3, 0.1], cfg)
+        assert not rep.converged and rep.eps_path[-1][1].failure == "forced failure"
+        assert [eps for eps, r in rep.eps_path if r.converged] == [1.0, 0.3]
+        np.testing.assert_array_equal(w.data, head.data)
+        assert rep.complementarity_path == head_rep.complementarity_path
+
 
 class TestValidation:
     def test_schedule_must_start_at_one(self):

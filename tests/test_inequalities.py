@@ -243,10 +243,12 @@ class TestStabilitySweep:
         assert not any(r.cold_walk for r in sweep)
 
     def test_rejected_first_warm_start_still_converges(self, monkeypatch):
-        # at max_newton=5 the one-eps solve of delta 0.99 from the base's raw
-        # v hits the Newton cap; the sweep then walks the schedule cold
+        # at a Newton cap of 5 the one-eps solve of delta 0.99 from the base's
+        # raw v hits the cap; the sweep then walks the schedule cold
         import hessianlab.inequalities as inequalities
+        import hessianlab.solver as solver
 
+        monkeypatch.setattr(solver, "_MAX_NEWTON", 5)
         calls = []
         inner = inequalities.solve_normalized
 
@@ -262,7 +264,7 @@ class TestStabilitySweep:
         psi = make_field(grid, default_direction_terms(2))
         sched = (1.0, 0.3, 0.1, 0.03)
         records = stability_sweep(f, psi, [0.0, 0.99], p=4.0, a=0.3, omega=omega, m=1,
-                                  cfg=SolverConfig(max_newton=5), eps_schedule=sched)
+                                  eps_schedule=sched)
         assert calls == [
             (sched[-1:], False, [None]),  # the base, cold at the last eps
             (sched[-1:], True, ["Newton iteration cap"]),  # the one-eps start
@@ -272,17 +274,19 @@ class TestStabilitySweep:
         assert [r.cold_walk for r in records] == [False, True]
 
     def test_rejected_base_solve_walks_the_schedule(self, monkeypatch):
-        # the base's one-eps solve runs at max_newton=1 and stalls on its
-        # continuity path; the sweep then walks the schedule cold for f
+        # the base's one-eps solve alone runs at a Newton cap of 1 and stalls
+        # on its continuity path; the sweep then walks the schedule cold for f
         import hessianlab.inequalities as inequalities
+        import hessianlab.solver as solver
 
         calls = []
         inner = inequalities.solve_normalized
 
         def solve(g, omega, m, eps_schedule, cfg, v0=None):
-            if not calls:
-                cfg = SolverConfig(max_newton=1)
-            out = inner(g, omega, m, eps_schedule, cfg, v0=v0)
+            with monkeypatch.context() as capped:
+                if not calls:
+                    capped.setattr(solver, "_MAX_NEWTON", 1)
+                out = inner(g, omega, m, eps_schedule, cfg, v0=v0)
             failures = [r.failure for _, r in out[2].eps_path]
             calls.append((tuple(eps_schedule), v0 is not None, failures))
             return out
@@ -303,10 +307,12 @@ class TestStabilitySweep:
         assert [r.cold_walk for r in records] == [True, False]
 
     def test_failed_base_solves_no_delta(self, monkeypatch):
-        # at max_newton=1 the base fails its one-eps solve and its walk; no
-        # ratio can be read off it, so no perturbed density is solved
+        # at a Newton cap of 1 the base fails its one-eps solve and its walk;
+        # no ratio can be read off it, so no perturbed density is solved
         import hessianlab.inequalities as inequalities
+        import hessianlab.solver as solver
 
+        monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
         calls = []
         inner = inequalities.solve_normalized
 
@@ -321,7 +327,7 @@ class TestStabilitySweep:
         sched = (1.0, 0.3, 0.1, 0.03)
         deltas = [0.0, 0.1, 0.01, 0.001]
         records = stability_sweep(f, psi, deltas, p=2.0, a=0.25, omega=omega, m=2,
-                                  cfg=SolverConfig(max_newton=1), eps_schedule=sched)
+                                  eps_schedule=sched)
         assert calls == [(sched[-1:], False), (sched, False)]
         assert [r.delta for r in records] == deltas
         assert not any(r.converged for r in records)

@@ -492,7 +492,7 @@ class TestNestedStart:
     @pytest.mark.parametrize("N, digest", [
         (8, "4a29c00d605328a0f8553837405fe6d2a73c96260a4ddb65e9f06194cb909a63"),
         (12, "f9219080db09264733df166a1f419339699d7a9a5dae98a35cf2feb71e73b123"),
-    ])
+    ], ids=["N8", "N12"])
     def test_no_companion_below_the_rule(self, N, digest):
         # N/2 odd or below 8: the cold solve of the code before the nested
         # start, byte for byte (for a fixed BLAS build and thread count)
@@ -521,14 +521,14 @@ class TestNestedStart:
         assert [rep.start, rep.coarse.start, rep.coarse.coarse.start] == [
             "nested", "nested", "continuity"]
 
-    def test_failed_companion_falls_back(self):
-        # the companion fails at max_newton=1, so the cold path runs and no
-        # estimate is reported
+    def test_failed_companion_falls_back(self, monkeypatch):
+        # the companion fails at a Newton cap of 1, so the cold path runs and
+        # no estimate is reported
+        monkeypatch.setattr(solver, "_MAX_NEWTON", 1)
         grid, omega = flat(2, 16)
         _, H, _ = manufactured_problem(grid, 2, 0.25)
-        cfg = SolverConfig(t_steps=1, max_newton=1)
-        u, rep = solve_exponential(H, omega, 2, cfg)
-        cold, cold_rep = _cold(H, omega, 2, cfg)
+        u, rep = solve_exponential(H, omega, 2, FAST)
+        cold, cold_rep = _cold(H, omega, 2, FAST)
         assert not rep.coarse.converged and rep.start == "continuity"
         assert np.array_equal(u.data, cold) and rep.trace == cold_rep.trace
         assert rep.resolution_estimate is None
@@ -557,11 +557,11 @@ class TestVariableMetricSolve:
 
 
 class TestFailureReporting:
-    def test_unreachable_data_yields_failure_report(self):
+    def test_unreachable_data_yields_failure_report(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_NEWTON", 2)
         grid, omega = flat()
         H = make_field(grid, [((1, 0, 0, 0), 50.0, 0.0)])
-        cfg = SolverConfig(t_steps=1, max_newton=2)
-        u, rep = solve_exponential(H, omega, 1, cfg)
+        u, rep = solve_exponential(H, omega, 1, FAST)
         assert not rep.converged
         assert rep.failure.startswith("continuity stalled")
         assert np.all(np.isfinite(u.data))  # last iterate still returned
@@ -657,6 +657,27 @@ class TestSolveNormalized:
         assert len(rep.c_estimates) == len(sched) + 1
         assert c == rep.c_estimates[-1]
         assert rep.c_gaps[-1] > 0.0
+
+    def test_failed_later_eps_returns_the_last_converged(self, monkeypatch):
+        # every eps below 0.3 fails, midpoints included: u and c are those of
+        # eps = 0.3, as from a schedule that stops there
+        grid, omega = flat()
+        f = make_field(grid, [((0, 0, 0, 0), 1.0, 0.0), ((1, 0, 0, 0), 0.3, 0.0)])
+        head, c_head, _ = solve_normalized(f, omega, 1, [1.0, 0.3], FAST)
+        real_newton = solver._newton
+
+        def failing_newton(eq, u0, harr, cfg, t_label, trace):
+            state, iters, failure = real_newton(eq, u0, harr, cfg, t_label, trace)
+            if eq.q < 0.3:  # q = eps; the failed state is off u0
+                return state, iters, "forced failure"
+            return state, iters, failure
+
+        monkeypatch.setattr(solver, "_newton", failing_newton)
+        u, c, rep = solve_normalized(f, omega, 1, [1.0, 0.3, 0.1], FAST)
+        assert not rep.converged and rep.eps_path[-1][1].failure == "forced failure"
+        assert [eps for eps, r in rep.eps_path if r.converged] == [1.0, 0.3]
+        np.testing.assert_array_equal(u.data, head.data)
+        assert len(rep.c_estimates) == 2 and c == rep.c_estimates[-1] == c_head
 
     def test_rejects_nonpositive_f(self):
         grid, omega = flat()
@@ -821,7 +842,7 @@ class TestSolverConfigValidation:
             SolverConfig(newton_tol=0.0)
 
     @pytest.mark.parametrize("value", [0, -1])
-    @pytest.mark.parametrize("name", ["max_newton", "t_steps"])
+    @pytest.mark.parametrize("name", ["t_steps"])
     def test_rejects_nonpositive_counts(self, name, value):
         with pytest.raises(InputError, match="iteration counts"):
             SolverConfig(**{name: value})

@@ -31,11 +31,14 @@ Inner solves are one GMRES cycle of at most 60 iterations, with no restart
 (a stalled cycle only stalls again; Embree, SIAM Rev. 45, 2003),
 right-preconditioned so the stopping rule is on the true residual; each
 iteration solves min |beta e_1 - H y| on its Hessenberg H with lstsq.  The
-preconditioner is a constant-coefficient spectral solve, its DFT applied as
-one BLAS GEMM per axis, scaled pointwise by the operator diagonal (Concus &
-Golub, SIAM J. Numer. Anal. 10, 1973): it is exact at the flat continuity
-start and follows coefficients that vary by orders of magnitude across the
-torus, such as a conformal factor.
+preconditioner is a constant-coefficient solve scaled pointwise by the
+operator diagonal (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  It keeps
+the mean diagonal weights alone, so each axis's orthonormal real
+cosine/sine basis diagonalizes it (Lynch, Rice & Thomas, Numer. Math. 6,
+1964), applied as one real BLAS GEMM per axis.  It is exact wherever the
+weights are a scalar field times constant diagonal weights and q = 0: at the
+flat continuity start and under a conformal factor that varies by orders of
+magnitude across the torus.
 The relative residual asked of the inner solve follows the inexact-Newton
 forcing rule min(3e-2, 0.3 |F|) (|F| the outer sup residual), which keeps
 the quadratic tail, but never asks for less than 0.5 newton_tol / |F|,
@@ -197,39 +200,17 @@ def gmres_raw(matvec, b, tol, psolve):
     return x, j + 1, float(np.linalg.norm(b - matvec(x))) / bnorm
 
 
-def _spectral_symbol(grid, wbar, q):
-    """Fourier symbol of the operator with the constant weights wbar, on the
-    half spectrum that _spectral_preconditioner's GEMMs make: axis 0 holds
-    the frequencies 0..N/2, every other axis all N in DFT order.
-
-    On exp(i k.x) an undivided second difference along axis a acts as
-    c_a = 2 cos(k_a h) - 2 and a 4-point cross stencil on (a, b) as
-    -e_a e_b with e_a = 2 sin(k_a h).
-    """
-    dims = 2 * grid.n
-    N, h = grid.N, grid.h
-
-    def axis_freq(a):
-        if a == 0:
-            k = np.arange(N // 2 + 1, dtype=float)
-        else:  # 0, 1, ..., N/2 - 1, -N/2, ..., -1
-            k = ((np.arange(N) + N // 2) % N - N // 2).astype(float)
-        shape = [1] * dims
-        shape[a] = k.size
-        return k.reshape(shape)
-
-    c = [2.0 * np.cos(axis_freq(a) * h) - 2.0 for a in range(dims)]
-    e = [2.0 * np.sin(axis_freq(a) * h) for a in range(dims)]
-    sym = -q
-    for j in range(grid.n):
-        xj, yj = 2 * j, 2 * j + 1
-        sym = sym + wbar[j, j] * (c[xj] + c[yj])
-        for k in range(j + 1, grid.n):
-            xk, yk = 2 * k, 2 * k + 1
-            sym = sym - wbar[k, j] * (e[xj] * e[xk] + e[yj] * e[yk])
-            sym = sym - wbar[j, k] * (e[yj] * e[xk] - e[xj] * e[yk])
-    sym[sym == 0.0] = -1.0  # leave an exactly-null mode untouched
-    return sym
+def _axis_basis(N):
+    """The orthonormal real eigenbasis of the periodic second difference on N
+    points, one basis vector a row (cos k x for k = 0..N/2, then sin k x for
+    k = 1..N/2 - 1, at x = jh, h = 2 pi / N), and its eigenvalues
+    2 cos(k h) - 2."""
+    h = 2.0 * np.pi / N
+    k = np.r_[np.arange(N // 2 + 1), np.arange(1, N // 2)]
+    angle = h * (np.outer(k, np.arange(N)) % N)  # jk reduced mod N: exact angles
+    basis = np.where((np.arange(N) <= N // 2)[:, None], np.cos(angle), np.sin(angle))
+    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+    return basis, 2.0 * np.cos(k * h) - 2.0
 
 
 def _spectral_preconditioner(lin):
@@ -238,49 +219,45 @@ def _spectral_preconditioner(lin):
     its grid mean (each plane Laplacian puts -4 times its weight on the
     centre point, the cross stencils put nothing there).
 
-    C has weights mean(w / s) and zeroth-order term q mean(1 / s), so P = s C
-    equals the operator wherever w / s is constant and q = 0.  1/s is the
-    only per-point array, built in place.
+    C has the diagonal weights mean(w_jj / s) and zeroth-order term
+    q mean(1 / s); the mean cross weights are left out, so C is a sum of
+    one-axis second differences, which each axis's orthonormal real
+    cosine/sine basis diagonalizes: the fast diagonalization method (Lynch,
+    Rice & Thomas, Numer. Math. 6, 1964).  P = s C equals the operator
+    wherever the weights are a scalar field times constant diagonal weights
+    and q = 0.  1/s is the only per-point array, built in place.
 
-    C is inverted in Fourier space, the 2n-axis DFT applied as one BLAS GEMM
-    per axis (a Kronecker product of N x N DFT matrices; Van Loan,
-    Computational Frameworks for the FFT, 1992).  Each GEMM transforms the
-    leading axis of the C-order field and rotates it to the back, so no
-    transpose is copied: a real GEMM takes axis 0 to its half spectrum
-    0..N/2, viewed as complex, then 2n - 1 complex GEMMs take the other
-    axes.  The inverse runs the same way from the last axis, 2n - 1 complex
-    GEMMs and one real GEMM with the Hermitian weights 1, 2, ..., 2, 1 of
-    the half spectrum, which writes the field back in its own axis order.
-    The 1/N^{2n} of the inverse is folded into the symbol.
+    The transform is one real GEMM per axis, each taking the leading axis of
+    the C-order field to its basis and rotating it to the back, so no
+    transpose is copied and 2n GEMMs leave the axes in their own order; the
+    inverse runs the same way with the transposed basis.
     """
-    grid = lin.grid
-    n, N = grid.n, grid.N
+    n, N = lin.grid.n, lin.grid.N
     inv_s = np.trace(lin.weights)
     inv_s *= 4.0
     inv_s += lin.q
     np.divide(np.mean(inv_s), inv_s, out=inv_s)
-    wbar = np.tensordot(lin.weights.reshape(n, n, -1), inv_s.reshape(-1), axes=(2, 0))
-    wbar /= inv_s.size
-    sym = _spectral_symbol(grid, wbar, lin.q * np.mean(inv_s)).reshape(-1)
-    inv_sym = 1.0 / (sym * grid.points)
-    idx = np.arange(N)
-    f = np.exp((-2j * np.pi / N) * (np.outer(idx, idx) % N))  # the DFT matrix
-    f_inv = f.conj()
-    # columns 0..N/2 of f as interleaved [Re | Im] real pairs; weighted by the
-    # Hermitian c_k, they give Re sum_k c_k X_k exp(2 pi i jk / N)
-    half = np.ascontiguousarray(f[:, : N // 2 + 1]).view(float)
-    half_inv = half * np.repeat(np.r_[1.0, np.full(N // 2 - 1, 2.0), 1.0], 2)
     flat_s = inv_s.reshape(-1)
+    wdiag = [np.dot(lin.weights[j, j].reshape(-1), flat_s) / flat_s.size for j in range(n)]
+    basis, lam = _axis_basis(N)
+    basis_t = np.ascontiguousarray(basis.T)
+    inv_sym = wdiag[0] * lam - lin.q * np.mean(inv_s)
+    for a in range(1, 2 * n):
+        inv_sym = np.add.outer(inv_sym, wdiag[a // 2] * lam)
+    inv_sym = inv_sym.reshape(-1)
+    if inv_sym[0] == 0.0:  # the constant mode is null at q = 0: keep it, signed like the rest
+        inv_sym[0] = -1.0
+    np.divide(1.0, inv_sym, out=inv_sym)
 
     def psolve(v):
-        a = ((v * flat_s).reshape(N, -1).T @ half).view(complex)
-        for _ in range(2 * n - 1):
-            a = a.reshape(N, -1).T @ f
+        a = v * flat_s
+        for _ in range(2 * n):
+            a = a.reshape(N, -1).T @ basis_t
         a = a.reshape(-1)
         a *= inv_sym
-        for _ in range(2 * n - 1):
-            a = f_inv @ a.reshape(-1, N).T
-        return (half_inv @ a.view(float).reshape(-1, N + 2).T).reshape(-1)
+        for _ in range(2 * n):
+            a = a.reshape(N, -1).T @ basis
+        return a.reshape(-1)
 
     return psolve
 
@@ -583,10 +560,10 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None, v0=None):
     ):
         eps_path.append((eps, rep))
         if rep.converged or v is None:  # a stalled first eps is handed back all the same
-            v = v_eps
+            v, kept = v_eps, rep
     c_estimates = [math.exp(eps * rep.sup_u) for eps, rep in eps_path if rep.converged]
 
-    u = v - np.max(v)
+    u = v - kept.sup_u  # kept.sup_u is max(v)
     c = c_estimates[-1] if c_estimates else math.nan
     gaps = [abs(b - a) for a, b in zip(c_estimates, c_estimates[1:])]
 
@@ -599,8 +576,8 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None, v0=None):
         c_estimates=c_estimates,
         c_gaps=gaps,
         final_mismatch=final_mismatch,
-        sup_u=float(np.max(u)),
-        inf_u=float(np.min(u)),
+        sup_u=0.0,
+        inf_u=kept.inf_u - kept.sup_u,  # min(v - max v): rounding is monotone
         wallclock=time.perf_counter() - start,
     )
     return ScalarField(omega.grid, u), c, report

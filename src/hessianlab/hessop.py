@@ -18,7 +18,8 @@ T_{m-1}(B') = sum_j (-1)^j S_{m-1-j} B'^j (Reilly, Michigan Math. J. 20,
 1973), so A = L^{-*} T_{m-1}(B') L^{-1} / S_m is a polynomial in B' built
 from the same S_k table.  The grid path solves no eigenproblem at all: the
 caller hands linearization the B' and S_k table it already evaluated and
-found strictly inside Gamma_m (solver._newton admits no other state).  Only
+found strictly inside Gamma_m (solver._newton admits no other state), and
+linearization writes the weights over that B', which it consumes.  Only
 sigma_of_form, for one pair of forms, reduces det(gamma - lambda omega) = 0
 by the Cholesky factor of omega to one Hermitian eigenproblem, and
 mixed_product polarizes it: the mixed form of m arguments is an
@@ -33,7 +34,7 @@ zero; it never forms the complex Hessian of v.
 
 B', its S_k table, the linearization and the matvec each run over
 geometry's slabs of rows, writing each slab straight into one full-size
-output, so dd^c u is never held whole.
+output (for the linearization, B' itself), so dd^c u is never held whole.
 """
 
 from __future__ import annotations
@@ -258,18 +259,25 @@ def _newton_tensor(b, table, m, out):
 def linearization(b, table, omega, m, q):
     """Stencil weights of the linearized operator at the state B' = ``b``
     (state_matrices) with its S_0..S_m ``table`` (sk_table_of_state), which
-    the caller has found strictly inside Gamma_m; no eigensolve.  Each slab
-    of rows is written straight into the weights."""
+    the caller has found strictly inside Gamma_m; no eigensolve.
+
+    B' is consumed: the weights are written over it, and the returned
+    field's ``weights`` is ``b`` itself.  Each slab of rows is built in one
+    slab-sized scratch, since the Newton tensor's product reads B' while it
+    writes T for m >= 3, then copied over that slab of B'."""
     grid = omega.grid
-    weights = np.empty_like(b)
-    for rows in _slabs(grid.shape):
-        a = _newton_tensor(b[:, :, rows], table[rows], m, weights[:, :, rows])
+    slabs = _slabs(grid.shape)
+    scratch = np.empty_like(b[:, :, slabs[0]])  # the first slab is the largest
+    for rows in slabs:
+        x = b[:, :, rows]
+        a = _newton_tensor(x, table[rows], m, scratch[:, :, :rows.stop - rows.start])
         _congruence(_rows(omega.factor, rows), a, adjoint=True)
         # weights: A_jj / (4 h^2) on the diagonal, A / (8 h^2) off it
         a *= 0.125 / (grid.h * grid.h * table[rows][..., m])
         for j in range(grid.n):
             a[j, j] *= 2.0
-    return LinearizationField(grid=grid, weights=weights, q=q)
+        x[...] = a
+    return LinearizationField(grid=grid, weights=b, q=q)
 
 
 def apply_linearization_array(lin, v_data):

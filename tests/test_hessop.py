@@ -454,12 +454,13 @@ class TestSlabs:
         couples every pair (j, k) and lies inside every Gamma_m."""
         grid = omega.grid
         u = TestZeroWeightPairs._generic_state(grid).data
-        b = state_matrices(u, omega)
-        out = {"hessian": complex_hessian_layout(u, grid), "state": b}
+        out = {"hessian": complex_hessian_layout(u, grid), "state": state_matrices(u, omega)}
         for m in range(1, grid.n + 1):
+            b = state_matrices(u, omega)  # fresh: linearization writes over it
             table = sk_table_of_state(b, omega, m)
             assert np.all(table[..., 1 : m + 1] > 0.0)
             lin = linearization(b, table, omega, m, 0.7)
+            assert np.shares_memory(lin.weights, b)
             out["table", m], out["weights", m] = table, lin.weights
             out["matvec", m] = apply_linearization_array(lin, v)
         return out
@@ -488,10 +489,13 @@ class TestSlabs:
     # (n=2 N=24 conformal) and 8.0, 16.1 and 11.0 (n=3 N=8 flat); slabs of
     # 2^15 points measured 1.5, 10.0 and 5.2, and 1.9, 15.0 and 9.25.  The
     # outputs alone are 1, 8 (B' 4, table 3, residual 1) and 4 at n=2, and
-    # 1, 13 and 9 at n=3.
+    # 1, 13 and 9 at n=3.  Written over the B' it is given, the linearization
+    # has no output and peaks at 1.50 and 1.38: its slab scratch (1/3 and
+    # 9/8) and the slab temporaries of the congruence and the scaling.  Its
+    # bounds are these plus half a grid array.
     @pytest.mark.parametrize("n, N, kind, bounds", [
-        (2, 24, "conformal", (2.0, 10.5, 5.5)),
-        (3, 8, "flat", (2.5, 15.5, 9.75)),
+        (2, 24, "conformal", (2.0, 10.5, 2.0)),
+        (3, 8, "flat", (2.5, 15.5, 1.875)),
     ], ids=["n2-conformal", "n3-flat"])
     def test_transient_memory(self, n, N, kind, bounds):
         grid = TorusGrid(n, N)
@@ -501,20 +505,23 @@ class TestSlabs:
         u, harr = _cone_state(grid).data, np.zeros(grid.shape)
         state = eq.evaluate(u, harr)
         assert state.in_cone
+        b = state.b.copy()
         lin = linearization(state.b, state.table, omega, 2, 1.0)
         v = np.random.default_rng(0).normal(size=grid.shape)
+        fresh = []  # linearization writes over the B' it is given
         calls = (lambda: apply_linearization_array(lin, v),
                  lambda: eq.evaluate(u, harr),
-                 lambda: linearization(state.b, state.table, omega, 2, 1.0))
+                 lambda: linearization(fresh.pop(), state.table, omega, 2, 1.0))
         peaks = []
         for call in calls:
+            fresh[:] = [b.copy()]  # made before tracing starts
             tracemalloc.start()
             try:
                 call()
                 peaks.append(tracemalloc.get_traced_memory()[1] / (8 * grid.points))
             finally:
                 tracemalloc.stop()
-        assert all(p <= b for p, b in zip(peaks, bounds)), peaks
+        assert all(p <= bound for p, bound in zip(peaks, bounds)), peaks
 
 
 class TestMixedProduct:

@@ -15,10 +15,11 @@ dataclass, through dicts, lists and tuples, but those named in _UNWRITTEN,
 so wall-clock timings are printed and never written; newton_trace.jsonl is
 one _doc line per Newton record.  A non-finite float is written as null,
 so every file is strict JSON (RFC 8259).  The echoed resolved_config.json
-omits the subcommand and the output path, so it is itself a valid --config
-and it reproduces every output file bit-exactly.  Only verify-cone draws
-random numbers, so only it takes --seed; it has no thread setting, and
-its report is the same on any core count.
+holds every setting with a value (one whose default the library writes is
+absent unless given), not the subcommand and the output path, so it is
+itself a valid --config and it reproduces every output file bit-exactly.
+Only verify-cone draws random numbers, so only it takes --seed; it has no
+thread setting, and its report is the same on any core count.
 
 Exit codes: 0 success, 1 convergence failure, 2 input error (an --out that
 cannot be made a directory among them).
@@ -159,7 +160,7 @@ def _write_trace(outdir, reports):
 
 
 def _cmd_verify_cone(args, outdir):
-    report = verify_cone_inequalities(args.n, args.m, args.samples, args.seed, tol=args.tol)
+    report = verify_cone_inequalities(args.n, args.m, args.samples, args.seed)
     _write_json(outdir, "report.json", report)
     ok = report.all_pass()
     print(f"verify-cone n={args.n} m={args.m}: "
@@ -213,7 +214,7 @@ def _cmd_envelope(args, outdir):
 def _cmd_mms(args, outdir):
     rows, orders = mms_study(
         args.n, args.m, _parse_list(args.N_list, int),
-        amplitude=args.amplitude, cfg=_solver_config(args),
+        cfg=_solver_config(args), **_given(args, amplitude="amplitude"),
     )
     _write_json(outdir, "report.json", {"rows": rows, "observed_orders": orders})
     for r in rows:
@@ -299,7 +300,6 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_verify_cone)
 
     p = command("solve", help="exponential-type equation log sigma = u + H")
@@ -326,7 +326,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--N-list", dest="N_list", default="8,16")
-    p.add_argument("--amplitude", type=float, default=0.25)
+    p.add_argument("--amplitude", type=float, default=None)
     p.set_defaults(func=_cmd_mms)
 
     p = command("stability-sweep", help="perturbation stability ratios")

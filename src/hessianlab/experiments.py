@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .geometry import MetricField, ScalarField, TorusGrid, analytic_hessian_layout, make_field
 from .hessop import sk_table_of_state
-from .solver import SolverConfig, solve_exponential
+from .solver import solve_exponential
 from .symfunc import table_margin
 
 __all__ = [
@@ -102,11 +102,11 @@ def mms_study(n, m, N_list, amplitude=0.25, cfg=None):
     """Manufactured-solution errors across grids, plus observed orders.
 
     Returns (rows, orders) where orders[i] = log2(e_i / e_{i+1}) between
-    consecutive grid refinements.
+    consecutive grid refinements.  Every grid is solved with ``cfg``, which
+    solve_exponential reads (None: SolverConfig()'s defaults).
     """
     if not N_list:
         raise InputError("N list is empty")
-    cfg = cfg or SolverConfig(t_steps=1)
     rows = []
     for N in N_list:
         grid = TorusGrid(n, N)

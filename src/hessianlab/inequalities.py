@@ -21,7 +21,7 @@ from .geometry import (
     gradient_sup,
 )
 from .hessop import check_degree, sk_table_of_state, state_matrices
-from .solver import SolverConfig, check_density, check_schedule, solve_normalized
+from .solver import check_density, check_schedule, solve_normalized
 
 __all__ = [
     "MaxPrincipleReport",
@@ -91,16 +91,16 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     cold (_solve's nested start or continuity in t), each perturbed density
     by Newton from the base's raw v = u + log(c) / eps, which is O(delta)
     away (Allgower & Georg 1990).  If such a one-eps solve fails, the full
-    schedule is walked cold; the schedule's earlier entries serve only that
-    fallback.  Each record carries the Newton steps of its solve's accepted
-    path (``NormalizedReport.newton_steps``; the base's for delta 0) and
-    whether the cold walk ran.  If the base fails both ways, no nonzero
+    schedule is walked cold, unless that walk is the solve that failed (a
+    cold f on a one-eps schedule); the earlier eps serve only that fallback.
+    One local rule routes f and every g this way.  Each record carries the
+    Newton steps of its solve's accepted path (``NormalizedReport.newton_steps``;
+    the base's for delta 0) and whether the cold walk ran.  If the base fails both ways, no nonzero
     delta is solved: its record has lhs = ratio = nan, its rhs, no Newton
     step, no cold walk and converged False.  Illegal exponents are allowed
     for exploratory runs and are just flagged on the records, and so are
     unconverged solves, whose ratios mean nothing.
     """
-    cfg = cfg or SolverConfig()
     if not (0 < p < math.inf and 0 < a < math.inf):
         raise InputError("exponents must be finite and positive")
     if not deltas:
@@ -118,35 +118,31 @@ def stability_sweep(f, psi, deltas, p, a, omega, m, cfg=None,
     for delta, gdata in zip(deltas, gs):
         check_density(gdata, f"the perturbed density at delta={delta}")
 
-    u_base, c_base, base = solve_normalized(f, omega, m, (eps_last,), cfg)
-    base_walk = not base.converged and len(schedule) > 1
-    if base_walk:
-        u_base, c_base, base = solve_normalized(f, omega, m, schedule, cfg)
+    def solve(density, v0):  # the route rule above; v0 None solves cold
+        v, c, rep = solve_normalized(density, omega, m, (eps_last,), cfg, v0=v0)
+        walk = not rep.converged and (v0 is not None or len(schedule) > 1)
+        if walk:
+            v, c, rep = solve_normalized(density, omega, m, schedule, cfg)
+        return v, c, rep, walk
+
+    u_base, c_base, base, base_walk = solve(f, None)
     v_base = u_base.data + math.log(c_base) / eps_last
     records = []
     for delta, gdata in zip(deltas, gs):
         rhs = lp_norm(ScalarField(f.grid, fdata - gdata), p) ** a
         if delta == 0:  # g = f: v is the base solution, the ratio 0
-            v, rep, cold_walk = u_base, base, base_walk
-        elif not base.converged:  # no ratio can be read off a failed base
-            records.append(StabilityRecord(delta=float(delta), p=p, a=a, lhs=math.nan,
-                                           rhs=rhs, ratio=math.nan, legal=legal,
-                                           newton_steps=0, cold_walk=False,
-                                           converged=False))
-            continue
-        else:
-            g = ScalarField(f.grid, gdata)
-            v, _, rep = solve_normalized(g, omega, m, (eps_last,), cfg, v0=v_base)
-            cold_walk = not rep.converged
-            if cold_walk:
-                v, _, rep = solve_normalized(g, omega, m, schedule, cfg)
-        lhs = float(np.max(np.abs(u_base.data - v.data)))
-        ratio = lhs / rhs if rhs > 0 else 0.0
-        records.append(StabilityRecord(delta=float(delta), p=p, a=a, lhs=lhs,
-                                       rhs=rhs, ratio=ratio, legal=legal,
-                                       newton_steps=rep.newton_steps,
-                                       cold_walk=cold_walk,
-                                       converged=base.converged and rep.converged))
+            v, rep, walk = u_base, base, base_walk
+        elif base.converged:
+            v, _, rep, walk = solve(ScalarField(f.grid, gdata), v_base)
+        else:  # no ratio can be read off a failed base, so nothing is solved
+            v, rep, walk = None, None, False
+        lhs = math.nan if v is None else float(np.max(np.abs(u_base.data - v.data)))
+        records.append(StabilityRecord(
+            delta=float(delta), p=p, a=a, lhs=lhs, rhs=rhs,
+            ratio=lhs / rhs if rhs > 0 else 0.0 * lhs,  # nan when nothing was solved
+            legal=legal, newton_steps=0 if rep is None else rep.newton_steps,
+            cold_walk=walk, converged=rep is not None and rep.converged,
+        ))
     return records
 
 

@@ -106,6 +106,7 @@ def sample_cone(rng, n, m, count):
 # --------------------------------------------------------------------------
 
 _BLOCK = 1 << 14  # samples per block: bounds a block's memory and fixes the report
+_TOL = 1e-10  # a sample passes when its relative slack is >= -_TOL
 
 
 @dataclass
@@ -147,16 +148,16 @@ def _slack(lhs, rhs):
     return (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
-def _result(slacks, rows, tol):
+def _result(slacks, rows):
     """Result of the per-sample minimum over an iterable of slack arrays: a
-    sample passes when it is >= -tol, and the witness is the row of the
+    sample passes when it is >= -_TOL, and the witness is the row of the
     worst one.  With no slack array the check is vacuous and every row
     passes."""
     slack = reduce(np.minimum, slacks, np.inf)
     if np.ndim(slack) == 0:
         return InequalityResult(passes=rows.shape[0])
     worst = int(np.argmin(slack))
-    fails = int(np.count_nonzero(slack < -tol))
+    fails = int(np.count_nonzero(slack < -_TOL))
     return InequalityResult(
         passes=slack.shape[0] - fails,
         fails=fails,
@@ -176,7 +177,7 @@ def _reduced_tables(lam, kmax, first=None):
     return out
 
 
-def _block_checks(n, m, count, seed, tol, theta):
+def _block_checks(n, m, count, seed, theta):
     rng = np.random.default_rng(seed)
     lam = sample_cone(rng, n, m, count)
     mu = sample_cone(rng, n, m, count)
@@ -194,7 +195,7 @@ def _block_checks(n, m, count, seed, tol, theta):
 
     # (1) monotonicity of S_m along the cone: S_m(lam) <= S_m(lam + mu).
     results["monotonicity"] = _result(
-        [_slack(s_m, elementary_symmetric_table(lam + mu, m)[:, m])], lam, tol
+        [_slack(s_m, elementary_symmetric_table(lam + mu, m)[:, m])], lam
     )
 
     # (2) positivity of every reduced function S_{k;I} with k + |I| <= m;
@@ -206,7 +207,7 @@ def _block_checks(n, m, count, seed, tol, theta):
                     np.delete(lam, subset, axis=-1), m - t)
                 yield from (_slack(0.0, tab[:, k]) for k in range(1, m - t + 1))
 
-    results["restricted_positivity"] = _result(restricted(), lam, tol)
+    results["restricted_positivity"] = _result(restricted(), lam)
 
     # (3) expansion identity S_k = S_{k;i} + lam_i S_{k-1;i} for all i, k <= m,
     #     plus the full cascade down to the bare product on sorted entries; an
@@ -223,11 +224,11 @@ def _block_checks(n, m, count, seed, tol, theta):
         prefix = prefix * ls[:, j]
     cascade += prefix  # final term lam_1 ... lam_{m-1}
     slacks.append(-np.abs(_slack(table_s[:, m - 1], cascade)))
-    results["expansion_identity"] = _result(slacks, lam, tol)
+    results["expansion_identity"] = _result(slacks, lam)
 
     # (4) S_{m-1}(lam) >= lam_1 ... lam_{m-1} on sorted entries.
     results["product_lower_bound"] = _result(
-        [_slack(np.prod(ls[:, : m - 1], axis=-1), table_s[:, m - 1])], lam, tol
+        [_slack(np.prod(ls[:, : m - 1], axis=-1), table_s[:, m - 1])], lam
     )
 
     # (5) |lam_{i_1} ... lam_{i_k}| <= (n-k)^k S_k for k <= m-1; the worst
@@ -235,7 +236,7 @@ def _block_checks(n, m, count, seed, tol, theta):
     mag = np.sort(np.abs(lam), axis=-1)[:, ::-1]
     slacks = [_slack(np.prod(mag[:, :k], axis=-1), (n - k) ** k * table[:, k])
               for k in range(1, m)]
-    results["product_bound"] = _result(slacks, lam, tol)
+    results["product_bound"] = _result(slacks, lam)
 
     # (6) lam_j S_{m-1;j} >= theta S_m for j <= m.  The existence proof gives
     #     theta = 1 on the branch S_{m;j} <= 0 and 1/((n-m)^m C(n,m)) otherwise;
@@ -245,7 +246,7 @@ def _block_checks(n, m, count, seed, tol, theta):
     lhs = ls[:, :m] * red_s[:, :, m - 1]
     bound = np.where(red_s[:, :, m] <= 0.0, 1.0, theta)
     results["gradient_lower_bound"] = _result(
-        [_slack(bound[:, j] * sm_sorted, lhs[:, j]) for j in range(m)], ls, tol
+        [_slack(bound[:, j] * sm_sorted, lhs[:, j]) for j in range(m)], ls
     )
     theta_hat = float(np.min(lhs / sm_sorted[:, None]))
 
@@ -253,23 +254,23 @@ def _block_checks(n, m, count, seed, tol, theta):
     #     (n S_1 / S_m) sum a_i^2 S_{m-1;i} >= theta sum a_i^2.
     lhs = (n * table[:, 1] / s_m) * np.sum(avec**2 * red[:, :, m - 1], axis=-1)
     rhs = theta * np.sum(avec**2, axis=-1)
-    results["weighted_cauchy_schwarz"] = _result([_slack(rhs, lhs)], lam, tol)
+    results["weighted_cauchy_schwarz"] = _result([_slack(rhs, lhs)], lam)
 
     # (8) Maclaurin-type mixed inequality on Gamma_n:
     #     (S_m / C(n,m))^{1/m} >= S_n^{1/n}.
     tab_n = elementary_symmetric_table(lam_gn, n)
     lhs = tab_n[:, n] ** (1.0 / n)
     rhs = (tab_n[:, m] / math.comb(n, m)) ** (1.0 / m)
-    results["maclaurin"] = _result([_slack(lhs, rhs)], lam_gn, tol)
+    results["maclaurin"] = _result([_slack(lhs, rhs)], lam_gn)
 
     return results, theta_hat
 
 
-def verify_cone_inequalities(n, m, samples, seed, tol=1e-10):
+def verify_cone_inequalities(n, m, samples, seed):
     """Sample Gamma_m and check every pointwise inequality of the cone algebra.
 
     Returns a :class:`ConeSuiteReport`; every inequality must hold with
-    relative slack >= -tol.  The samples come in blocks of at most
+    relative slack >= -_TOL.  The samples come in blocks of at most
     ``_BLOCK``, block i drawn from child seed i of ``SeedSequence(seed)``;
     up to ``os.cpu_count()`` threads run the blocks and their results merge
     in block order, so the report depends only on the arguments.
@@ -280,15 +281,13 @@ def verify_cone_inequalities(n, m, samples, seed, tol=1e-10):
         raise InputError("samples must be >= 1")
     if seed < 0:
         raise InputError(f"seed={seed} must be >= 0")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise InputError(f"tol={tol} must be finite and >= 0")
     theta = 1.0 / ((n - m) ** m * math.comb(n, m))
     blocks = -(-samples // _BLOCK)
     child_seeds = np.random.SeedSequence(seed).spawn(blocks)
 
     def run(i):
         count = min(_BLOCK, samples - i * _BLOCK)
-        return _block_checks(n, m, count, child_seeds[i], tol, theta)
+        return _block_checks(n, m, count, child_seeds[i], theta)
 
     with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as ex:
         partials = list(ex.map(run, range(blocks)))
@@ -298,7 +297,7 @@ def verify_cone_inequalities(n, m, samples, seed, tol=1e-10):
         m=m,
         samples=samples,
         seed=seed,
-        tol=tol,
+        tol=_TOL,
         theta_hat=math.inf,
         theta_explicit=theta,
     )

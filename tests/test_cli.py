@@ -15,10 +15,10 @@ import pytest
 
 import hessianlab
 from hessianlab import solver
-from hessianlab.cli import _SUBCOMMANDS, _UNWRITTEN, build_parser, main, parse_field_spec
+from hessianlab.cli import _SUBCOMMANDS, _UNWRITTEN, _doc, build_parser, main, parse_field_spec
 from hessianlab.envelope import EnvelopeReport
 from hessianlab.errors import InputError
-from hessianlab.experiments import MmsRow
+from hessianlab.experiments import MmsRow, mms_study
 from hessianlab.geometry import read_field
 from hessianlab.inequalities import DecayReport, StabilityRecord
 from hessianlab.solver import NewtonRecord, NormalizedReport, SolveReport
@@ -88,7 +88,8 @@ class TestVerifyConeCommand:
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-3"])
     def test_bad_tol_exit_2(self, tmp_path, tol):
-        # every slack < -nan is False, so a nan tol would pass everything
+        # verify-cone takes no tol: the slack a sample must clear is the
+        # constant symfunc._TOL, so --tol is unknown whatever its value
         assert main(["verify-cone", "--n", "3", "--m", "2", "--samples", "100",
                      f"--tol={tol}", "--out", str(tmp_path / "x")]) == 2
 
@@ -97,6 +98,20 @@ class TestVerifyConeCommand:
         assert main(["verify-cone", "--n", "3", "--m", "2", "--samples", "10",
                      "--seed", "-1", "--out", str(tmp_path / "x")]) == 2
         assert "seed=-1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["flag", "config"], ids=["removed-tol-flag",
+                                                           "removed-tol-config"])
+    def test_removed_tol_exit_2(self, tmp_path, how):
+        # an old bundle's tol, the former default included, is refused
+        argv = ["verify-cone", "--n", "3", "--m", "2", "--samples", "10",
+                "--out", str(tmp_path / "x")]
+        if how == "flag":
+            argv += ["--tol", "1e-10"]
+        else:
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps({"tol": 1e-10}))
+            argv += ["--config", str(cfgfile)]
+        assert main(argv) == 2
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_thread_setting_exit_2(self, tmp_path, how):
@@ -170,6 +185,24 @@ class TestSettings:
             cfgfile.write_text(json.dumps({"seed": 3}))
             argv += ["--config", str(cfgfile)]
         assert main(argv) == 2
+
+    def test_settable_values(self):
+        # every setting of every subcommand, pinned: a new one is an edit here
+        dests = {command: set(vars(build_parser().parse_args(argv))) - {"command", "func"}
+                 for command, argv in QUICK_RUNS.items()}
+        grid = {"n", "m", "N", "metric_scale", "memory_cap", "out", "config"}
+        solver_flags = {"newton_tol", "t_steps"}
+        assert dests == {
+            "verify-cone": {"n", "m", "samples", "seed", "out", "config"},
+            "solve": grid | solver_flags | {"H"},
+            "normalized": grid | solver_flags | {"f", "eps_schedule"},
+            "envelope": grid | solver_flags | {"h", "eps_schedule"},
+            "mms": solver_flags | {"n", "m", "N_list", "amplitude", "out", "config"},
+            "stability-sweep": grid | solver_flags | {"f", "psi", "deltas", "p", "a",
+                                                      "eps_schedule"},
+            "decay": grid | {"phi", "t_list"},
+        }
+        assert sum(map(len, dests.values())) == 70
 
     def test_every_setting_is_read(self, tmp_path, monkeypatch):
         # a setting that no subcommand reads changes nothing: each dest of
@@ -460,6 +493,18 @@ class TestOtherCommands:
         assert code == 0
         doc = json.loads((out / "report.json").read_text())
         assert doc["observed_orders"][0] >= 1.8
+
+    def test_mms_runs_the_library_defaults(self, tmp_path):
+        # with no solver flag the command solves as mms_study with no cfg does
+        # (SolverConfig()'s 4 t-steps), so both write the same rows
+        out = tmp_path / "mms"
+        assert main(["mms", "--n", "2", "--m", "2", "--N-list", "8",
+                     "--out", str(out)]) == 0
+        rows, _ = mms_study(2, 2, [8])
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["rows"] == _doc(rows)
+        assert json.loads((out / "resolved_config.json").read_text()) == {
+            "n": 2, "m": 2, "N_list": "8"}
 
     def test_decay(self, tmp_path):
         out = tmp_path / "decay"

@@ -200,11 +200,16 @@ def check_positive_definite(a, name="metric"):
 
 @dataclass
 class MetricField:
-    """Hermitian metric coefficient field; constant metrics stay compact."""
+    """Hermitian metric omega = exp_phi * base: a constant (n, n) or per-point
+    grid.shape + (n, n) base form times the positive conformal field e^phi
+    of grid.shape (None for 1), so a conformal metric holds one float per
+    point; ``form``, omega itself, is computed when read.  Every point of
+    omega meets the checks of a per-point form."""
 
     grid: TorusGrid
-    form: np.ndarray  # (n, n) when constant, grid.shape + (n, n) otherwise
-    # L^{-1} for form = L L^*, in the Hermitian layout; None for the identity
+    base: np.ndarray
+    exp_phi: np.ndarray | None = None
+    # L^{-1} for base = L L^*, in the Hermitian layout; None for the identity
     factor: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     @classmethod
@@ -217,25 +222,41 @@ class MetricField:
     def conformal(cls, grid, base_form, terms):
         """omega = exp(phi) * base_form with phi a truncated Fourier series."""
         base_form = check_positive_definite(check_hermitian(base_form, "metric"))
-        phi = make_field(grid, terms)
-        return cls(grid, np.exp(phi.data)[..., None, None] * base_form)
+        return cls(grid, base_form, np.exp(make_field(grid, terms).data))
 
     @property
     def constant(self):
-        return self.form.ndim == 2
+        return self.exp_phi is None and self.base.ndim == 2
+
+    @property
+    def form(self):
+        """omega: (n, n) when constant, grid.shape + (n, n) otherwise."""
+        return self.base if self.exp_phi is None else self.exp_phi[..., None, None] * self.base
 
     def __post_init__(self):
-        self.form = np.asarray(self.form, dtype=complex)
-        n = self.grid.n
-        shape = (n, n) if self.constant else self.grid.shape + (n, n)
-        if self.form.shape != shape:
-            raise InputError(f"metric shape {self.form.shape} does not fit complex "
+        self.base = np.asarray(self.base, dtype=complex)
+        n, grid = self.grid.n, self.grid
+        if self.exp_phi is not None:
+            self.exp_phi = ScalarField(grid, self.exp_phi).data  # checks its shape
+        shape = (n, n) if self.constant else grid.shape + (n, n)
+        got = self.base.shape  # omega's shape, as the message gives it
+        if self.exp_phi is not None and self.base.ndim == 2:
+            got = grid.shape + got
+        if got != shape:
+            raise InputError(f"metric shape {got} does not fit complex "
                              f"dimension {n}: want {shape}")
-        _check_hermitian_forms(self.form)
-        if self.constant:
-            check_positive_definite(self.form)
-        identity = self.constant and np.array_equal(self.form, np.eye(n))
-        self.factor = None if identity else _cholesky_inverse_layout(self.form)
+        _check_hermitian_forms(self.base)
+        if self.base.ndim == 2:
+            check_positive_definite(self.base)
+        identity = self.base.ndim == 2 and np.array_equal(self.base, np.eye(n))
+        self.factor = None if identity else _cholesky_inverse_layout(self.base)
+        if self.exp_phi is not None:
+            # omega's own checks on transient slabs of its forms, every form
+            # found finite before any pivot is taken, as for a per-point form
+            for check in (_check_hermitian_forms, _cholesky_inverse_layout):
+                for rows in _slabs(grid.shape):
+                    base = self.base if self.base.ndim == 2 else self.base[rows]
+                    check(self.exp_phi[rows][..., None, None] * base)
 
 
 def _check_hermitian_forms(form, name="metric"):

@@ -25,6 +25,10 @@ by the Cholesky factor of omega to one Hermitian eigenproblem, and
 mixed_product polarizes it: the mixed form of m arguments is an
 alternating sum of sigma_m over the 2^m - 1 nonempty sums of them.
 
+A metric e^phi omega_0 (geometry.MetricField) with omega_0 = L_0 L_0^* has
+L^{-1} = e^{-phi/2} L_0^{-1}: the congruence by the base's factor, then one
+division by e^phi, in B' and A alike.
+
 The linearized operator tr(A dd^c v) - q v is a real combination of second
 differences of v, so the Krylov matvec applies it from n^2 real stencil
 weights per point (see LinearizationField) on periodic differences of v
@@ -197,6 +201,15 @@ def _minor_sums(b, kmax, out):
     return out
 
 
+def _relative(x, metric, rows=slice(None)):
+    """L^{-1} X L^{-*} for omega = L L^* written over the Hermitian layout x
+    of the rows ``rows`` of X."""
+    _congruence(_rows(metric.factor, rows), x)
+    if metric.exp_phi is not None:
+        x /= metric.exp_phi[rows]
+    return x
+
+
 def state_matrices(u_data, metric):
     """B' = L^{-1} g L^{-*} for g = omega + dd^c u and omega = L L^*, in the
     Hermitian layout; L^{-1} omega L^{-*} = I, so B' = I + L^{-1} dd^c u L^{-*},
@@ -204,8 +217,7 @@ def state_matrices(u_data, metric):
     grid = metric.grid
     b = np.empty((grid.n, grid.n) + grid.shape)
     for rows in _slabs(grid.shape):
-        x = _hessian_rows(u_data, grid.h, rows, b[:, :, rows])
-        _congruence(_rows(metric.factor, rows), x)
+        x = _relative(_hessian_rows(u_data, grid.h, rows, b[:, :, rows]), metric, rows)
         for j in range(grid.n):
             x[j, j] += 1.0
     return b
@@ -221,7 +233,7 @@ def sk_table_of_state(state, metric, kmax):
     """Table of S_0..S_kmax of the relative eigenvalues at every grid point,
     from B' (state_matrices) or from a complex grid.shape + (n, n) field g."""
     if np.iscomplexobj(state):
-        state = _congruence(metric.factor, layout_of_complex(state))
+        state = _relative(layout_of_complex(state), metric)
     check_degree(kmax, state.shape[0])
     table = np.empty(state.shape[2:] + (kmax + 1,))
     for rows in _slabs(state.shape[2:]):
@@ -272,8 +284,12 @@ def linearization(b, table, omega, m, q):
         x = b[:, :, rows]
         a = _newton_tensor(x, table[rows], m, scratch[:, :, :rows.stop - rows.start])
         _congruence(_rows(omega.factor, rows), a, adjoint=True)
-        # weights: A_jj / (4 h^2) on the diagonal, A / (8 h^2) off it
-        a *= 0.125 / (grid.h * grid.h * table[rows][..., m])
+        # weights: A_jj / (4 h^2) on the diagonal, A / (8 h^2) off it, with
+        # omega = e^phi L_0 L_0^* dividing A by e^phi as well
+        s_m = table[rows][..., m]
+        if omega.exp_phi is not None:
+            s_m = s_m * omega.exp_phi[rows]
+        a *= 0.125 / (grid.h * grid.h * s_m)
         for j in range(grid.n):
             a[j, j] *= 2.0
         x[...] = a

@@ -427,17 +427,20 @@ def _companion_start(eq, harr, cfg, report):
     return the band-limited interpolant of its solution, or None when M is
     odd or below 8 or the companion did not converge.
 
-    Data and a variable metric are restricted by injection (every other
-    point along each axis); the companion report goes to ``report.coarse``.
+    The data, a per-point base form and a conformal field are restricted by
+    injection (every other point along each axis); the companion report
+    goes to ``report.coarse``.
     """
-    grid = eq.metric.grid
+    metric = eq.metric
+    grid = metric.grid
     M = grid.N // 2
     if M % 2 or M < 8:
         return None
     coarse = TorusGrid(grid.n, M, memory_cap=grid.memory_cap)
     every_other = (slice(None, None, 2),) * (2 * grid.n)
-    form = eq.metric.form if eq.metric.constant else eq.metric.form[every_other]
-    u, report.coarse = _solve(_Equation(MetricField(coarse, form), eq.m, eq.q),
+    base = metric.base if metric.base.ndim == 2 else metric.base[every_other]
+    exp_phi = None if metric.exp_phi is None else metric.exp_phi[every_other]
+    u, report.coarse = _solve(_Equation(MetricField(coarse, base, exp_phi), eq.m, eq.q),
                               harr[every_other], cfg)
     return _interpolate(u, grid) if report.coarse.converged else None
 

@@ -132,7 +132,6 @@ class ConeSuiteReport:
     m: int
     samples: int
     seed: int
-    tol: float
     theta_hat: float
     theta_explicit: float
     results: dict[str, InequalityResult] = field(default_factory=dict)
@@ -297,7 +296,6 @@ def verify_cone_inequalities(n, m, samples, seed):
         m=m,
         samples=samples,
         seed=seed,
-        tol=_TOL,
         theta_hat=math.inf,
         theta_explicit=theta,
     )

@@ -432,6 +432,30 @@ class TestMetricField:
         w = np.linalg.eigvalsh(om.form)
         assert np.min(w) > 0.0
 
+    @pytest.mark.parametrize("phi, match", [
+        (((0, 0, 0, 0), 800.0, 0.0), "^metric must be finite$"),
+        (((0, 0, 0, 0), -800.0, 0.0), "^metric is not positive definite$"),
+        (((1, 0, 0, 0), 800.0, 0.0), "^metric must be finite$"),
+    ], ids=["overflow", "underflow", "mixed"])
+    def test_conformal_rejects_what_its_form_fails(self, phi, match):
+        # e^phi is inf, 0, or both on one grid: omega's own checks reject it
+        # with the messages a per-point form gets, finiteness first
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(InputError, match=match):
+                MetricField.conformal(TorusGrid(2, 8), np.eye(2), [phi])
+
+    def test_conformal_holds_one_float_per_point(self):
+        # a skewed constant base and its factor, plus e^phi: no per-point form
+        g = TorusGrid(3, 8)
+        base = np.diag([2.0, 3.0, 4.0]).astype(complex)
+        base[0, 1], base[1, 0] = 0.4 + 0.3j, 0.4 - 0.3j
+        om = MetricField.conformal(g, base, [((1, 0, 0, 0, 0, 0), 0.3, 0.0)])
+        arrays = [v for v in vars(om).values() if isinstance(v, np.ndarray)]
+        assert om.factor is not None and om.exp_phi.shape == g.shape
+        assert sum(a.nbytes for a in arrays) <= 8 * g.points + 1024
+        assert om.form.shape == g.shape + (3, 3)
+
 
 class TestFieldFiles:
     def test_round_trip(self, tmp_path):

@@ -174,15 +174,18 @@ class TestLinearization:
 
 
 def _metric(kind, grid):
+    """flat; constant (a skewed constant form); conformal (e^phi I); or
+    skewed-conformal (e^phi times the constant kind's form)."""
     n = grid.n
     if kind == "flat":
         return MetricField.flat(grid)
+    form = np.eye(n, dtype=complex) * np.arange(2, n + 2)
+    form[0, 1], form[1, 0] = 0.4 + 0.3j, 0.4 - 0.3j
     if kind == "constant":
-        form = np.eye(n, dtype=complex) * np.arange(2, n + 2)
-        form[0, 1], form[1, 0] = 0.4 + 0.3j, 0.4 - 0.3j
         return MetricField(grid, form)
     x1 = (1,) + (0,) * (2 * n - 1)
-    return MetricField.conformal(grid, np.eye(n), [(x1, 0.3, 0.0)])
+    base = form if kind == "skewed-conformal" else np.eye(n)
+    return MetricField.conformal(grid, base, [(x1, 0.3, 0.0)])
 
 
 def _eigenframe_coefficients(lam, frame, m):
@@ -208,7 +211,7 @@ def _cone_state(grid):
 
 
 class TestNewtonTensorOracle:
-    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal"])
+    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal", "skewed-conformal"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_eigenframe_route(self, n, kind):
         grid = TorusGrid(n, 8)
@@ -224,12 +227,12 @@ class TestNewtonTensorOracle:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_identity_fast_path_bit_exact(self, n):
-        # the flat metric skips the congruence; a conformal metric with
-        # phi = 0 runs it with an identity factor, which changes no bit
+        # the flat metric takes no conformal field; a conformal metric with
+        # phi = 0 divides by its field of ones, which changes no bit
         grid = TorusGrid(n, 8)
         omega = MetricField.flat(grid)
         general = MetricField.conformal(grid, np.eye(n), [])
-        assert omega.factor is None and general.factor is not None
+        assert omega.exp_phi is None and general.exp_phi is not None
         u = make_field(grid, [((1,) + (0,) * (2 * n - 1), 0.5, 0.0)])
         b = state_matrices(u.data, omega)
         assert np.array_equal(b, state_matrices(u.data, general))
@@ -241,7 +244,7 @@ class TestNewtonTensorOracle:
 
 
 class TestHermitianLayout:
-    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal"])
+    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal", "skewed-conformal"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_sk_table_matches_eigenvalues(self, n, kind):
         # S_k from the layout, through B' and through a complex g, against
@@ -465,7 +468,7 @@ class TestSlabs:
             out["matvec", m] = apply_linearization_array(lin, v)
         return out
 
-    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal"])
+    @pytest.mark.parametrize("kind", ["flat", "constant", "conformal", "skewed-conformal"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_every_split_is_bit_identical(self, n, kind, monkeypatch):
         grid = TorusGrid(n, 8)

@@ -478,6 +478,27 @@ class TestNestedStart:
         assert np.max(np.abs(u.data - cold)) <= 10 * FAST.newton_tol
         assert rep.newton_steps < cold_rep.newton_steps
 
+    def test_companion_metric_is_the_injected_form(self, monkeypatch):
+        # the companion's conformal field is injected, so its omega is the
+        # fine omega at every other point, bit for bit
+        omega, H = _conformal(16)
+        solve = solver._solve
+
+        class Companion(Exception):
+            pass
+
+        def stop_at_companion(eq, harr, cfg, u0=None):
+            if eq.metric.grid.N == 8:
+                raise Companion(eq.metric)
+            return solve(eq, harr, cfg, u0)
+
+        monkeypatch.setattr(solver, "_solve", stop_at_companion)
+        with pytest.raises(Companion) as caught:
+            solve_exponential(H, omega, 2, FAST)
+        coarse = caught.value.args[0]
+        assert coarse.exp_phi is not None
+        assert np.array_equal(coarse.form, omega.form[::2, ::2, ::2, ::2])
+
     def test_fallback_is_the_cold_solve(self, monkeypatch):
         omega, H = _conformal(16)
         cold, cold_rep = _cold(H, omega, 2, SolverConfig())

@@ -293,13 +293,13 @@ class TestVerificationSuite:
     def test_single_block_report_pinned(self):
         # a run of at most one block (samples <= _BLOCK) writes these bytes
         assert report_sha256(3, 2, 3000, 9) == (
-            "856adfaededd07e97fc59d36a4759d325451344eca14f18e574610d5bb31615f"
+            "7803ea4472b3c97222a2c18f56d7c256c3038646c7b5e3adb4825f941a14ca09"
         )
 
     @pytest.mark.parametrize("n, m, samples, seed, digest", [
-        (2, 1, 3000, 1, "b8fcebbfc260c0689977306313535f265781b23c02a3344f08c1a71f3bd41d39"),
-        (4, 3, 20000, 3, "473f585816896840526962828c97e59e2be301059ce80086488ce55e9f8d4e4c"),
-        (3, 2, 40000, 7, "2322bb293ab85ffac30306dd162c919e4902d9e401849b05200248e0c4505d7e"),
+        (2, 1, 3000, 1, "e313c4a3da1bc435f90a74ff81d48bb6e12213718b97f19fcd0c8060489b466d"),
+        (4, 3, 20000, 3, "c4ff3e03bc08fd02a9b6386d893d3078efb11dfd526c9c91e7be9e44ddaf5b99"),
+        (3, 2, 40000, 7, "d6ff6c044d4abca0ac0483b78e3eae997f17a4bd284853370c8f6b92c225c888"),
     ], ids=["vacuous-m1", "two-index-subsets", "three-blocks"])
     def test_report_pinned(self, n, m, samples, seed, digest):
         # the bytes the single-block pin does not reach: m = 1's vacuous

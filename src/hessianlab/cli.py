@@ -233,10 +233,11 @@ def _cmd_stability_sweep(args, outdir):
                  else default_direction_terms(grid.n))
     f = make_field(grid, f_terms)
     psi = make_field(grid, psi_terms)
+    schedule = _given(args, eps_schedule="eps_schedule")  # unset: the sweep's own
     records = stability_sweep(
         f, psi, _parse_list(args.deltas, float), args.p, args.a,
         omega, args.m, _solver_config(args),
-        eps_schedule=tuple(_parse_list(args.eps_schedule, float)),
+        **{key: _parse_list(text, float) for key, text in schedule.items()},
     )
     _write_csv(outdir, "records.csv",
                [f.name for f in dataclasses.fields(StabilityRecord)],
@@ -336,7 +337,7 @@ def build_parser():
     p.add_argument("--deltas", default="0.1,0.01,0.001")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--eps-schedule", dest="eps_schedule", default="1,0.3,0.1,0.03")
+    p.add_argument("--eps-schedule", dest="eps_schedule", default=None)
     p.set_defaults(func=_cmd_stability_sweep)
 
     p = command("decay", help="sublevel volume decay table")

@@ -44,7 +44,6 @@ __all__ = [
     "ScalarField",
     "MetricField",
     "make_field",
-    "complex_hessian",
     "analytic_hessian_layout",
     "analytic_complex_hessian",
     "gradient_sup",
@@ -200,11 +199,11 @@ def check_positive_definite(a, name="metric"):
 
 @dataclass
 class MetricField:
-    """Hermitian metric omega = exp_phi * base: a constant (n, n) or per-point
-    grid.shape + (n, n) base form times the positive conformal field e^phi
-    of grid.shape (None for 1), so a conformal metric holds one float per
-    point; ``form``, omega itself, is computed when read.  Every point of
-    omega meets the checks of a per-point form."""
+    """Hermitian metric omega = exp_phi * base: a constant (n, n) base form
+    times the positive conformal field e^phi of grid.shape (None for 1), so
+    a conformal metric holds one float per point; ``form``, omega itself, is
+    computed when read.  Every point of omega meets the checks of a
+    constant form."""
 
     grid: TorusGrid
     base: np.ndarray
@@ -222,11 +221,13 @@ class MetricField:
     def conformal(cls, grid, base_form, terms):
         """omega = exp(phi) * base_form with phi a truncated Fourier series."""
         base_form = check_positive_definite(check_hermitian(base_form, "metric"))
-        return cls(grid, base_form, np.exp(make_field(grid, terms).data))
+        with np.errstate(over="ignore", invalid="ignore"):  # caught by omega's checks
+            exp_phi = np.exp(make_field(grid, terms).data)
+        return cls(grid, base_form, exp_phi)
 
     @property
     def constant(self):
-        return self.exp_phi is None and self.base.ndim == 2
+        return self.exp_phi is None
 
     @property
     def form(self):
@@ -238,25 +239,21 @@ class MetricField:
         n, grid = self.grid.n, self.grid
         if self.exp_phi is not None:
             self.exp_phi = ScalarField(grid, self.exp_phi).data  # checks its shape
-        shape = (n, n) if self.constant else grid.shape + (n, n)
-        got = self.base.shape  # omega's shape, as the message gives it
-        if self.exp_phi is not None and self.base.ndim == 2:
-            got = grid.shape + got
-        if got != shape:
-            raise InputError(f"metric shape {got} does not fit complex "
-                             f"dimension {n}: want {shape}")
+        if self.base.shape != (n, n):
+            raise InputError(f"metric shape {self.base.shape} does not fit complex "
+                             f"dimension {n}: want {(n, n)}")
         _check_hermitian_forms(self.base)
-        if self.base.ndim == 2:
-            check_positive_definite(self.base)
-        identity = self.base.ndim == 2 and np.array_equal(self.base, np.eye(n))
-        self.factor = None if identity else _cholesky_inverse_layout(self.base)
+        check_positive_definite(self.base)
+        self.factor = (None if np.array_equal(self.base, np.eye(n))
+                       else _cholesky_inverse_layout(self.base))
         if self.exp_phi is not None:
             # omega's own checks on transient slabs of its forms, every form
-            # found finite before any pivot is taken, as for a per-point form
-            for check in (_check_hermitian_forms, _cholesky_inverse_layout):
-                for rows in _slabs(grid.shape):
-                    base = self.base if self.base.ndim == 2 else self.base[rows]
-                    check(self.exp_phi[rows][..., None, None] * base)
+            # found finite before any pivot is taken; an overflowing product
+            # (inf, or inf * 0 = nan) is one that they reject
+            with np.errstate(over="ignore", invalid="ignore"):
+                for check in (_check_hermitian_forms, _cholesky_inverse_layout):
+                    for rows in _slabs(grid.shape):
+                        check(self.exp_phi[rows][..., None, None] * self.base)
 
 
 def _check_hermitian_forms(form, name="metric"):
@@ -427,12 +424,6 @@ def layout_of_complex(a):
     out = np.moveaxis(a.real, (-2, -1), (0, 1)).copy()
     out[j, k] = np.moveaxis(a.imag, (-2, -1), (0, 1))[k, j]
     return out
-
-
-def complex_hessian(u):
-    """Discrete u_{j kbar} at every grid point, a grid.shape + (n, n) complex
-    array; Hermitian by construction."""
-    return complex_of_layout(complex_hessian_layout(u.data, u.grid))
 
 
 def analytic_hessian_layout(grid, terms):

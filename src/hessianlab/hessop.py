@@ -174,12 +174,6 @@ def _congruence(f, x, adjoint=False):
     return _product(_product(p, _entries(x), n), p_adj, n, out=x)
 
 
-def _rows(x, rows):
-    """The rows ``rows`` of a per-point field in the Hermitian layout; a
-    constant (n, n) matrix or None stands for every row."""
-    return x if x is None or x.ndim == 2 else x[:, :, rows]
-
-
 def _minor_sums(b, kmax, out):
     """S_0..S_kmax of the spectrum of the Hermitian layout b, written into
     the shape + (kmax + 1,) table ``out``, from principal-minor sums."""
@@ -204,7 +198,7 @@ def _minor_sums(b, kmax, out):
 def _relative(x, metric, rows=slice(None)):
     """L^{-1} X L^{-*} for omega = L L^* written over the Hermitian layout x
     of the rows ``rows`` of X."""
-    _congruence(_rows(metric.factor, rows), x)
+    _congruence(metric.factor, x)
     if metric.exp_phi is not None:
         x /= metric.exp_phi[rows]
     return x
@@ -283,7 +277,7 @@ def linearization(b, table, omega, m, q):
     for rows in slabs:
         x = b[:, :, rows]
         a = _newton_tensor(x, table[rows], m, scratch[:, :, :rows.stop - rows.start])
-        _congruence(_rows(omega.factor, rows), a, adjoint=True)
+        _congruence(omega.factor, a, adjoint=True)
         # weights: A_jj / (4 h^2) on the diagonal, A / (8 h^2) off it, with
         # omega = e^phi L_0 L_0^* dividing A by e^phi as well
         s_m = table[rows][..., m]

@@ -152,8 +152,7 @@ class NormalizedReport:
     c_estimates: list
     c_gaps: list
     final_mismatch: float
-    sup_u: float
-    inf_u: float
+    inf_u: float  # min u; max u is 0 by construction
     wallclock: float
 
     @property
@@ -427,9 +426,9 @@ def _companion_start(eq, harr, cfg, report):
     return the band-limited interpolant of its solution, or None when M is
     odd or below 8 or the companion did not converge.
 
-    The data, a per-point base form and a conformal field are restricted by
-    injection (every other point along each axis); the companion report
-    goes to ``report.coarse``.
+    The companion keeps the metric's constant base form; the data and a
+    conformal field are restricted by injection (every other point along
+    each axis).  The companion report goes to ``report.coarse``.
     """
     metric = eq.metric
     grid = metric.grid
@@ -438,9 +437,8 @@ def _companion_start(eq, harr, cfg, report):
         return None
     coarse = TorusGrid(grid.n, M, memory_cap=grid.memory_cap)
     every_other = (slice(None, None, 2),) * (2 * grid.n)
-    base = metric.base if metric.base.ndim == 2 else metric.base[every_other]
     exp_phi = None if metric.exp_phi is None else metric.exp_phi[every_other]
-    u, report.coarse = _solve(_Equation(MetricField(coarse, base, exp_phi), eq.m, eq.q),
+    u, report.coarse = _solve(_Equation(MetricField(coarse, metric.base, exp_phi), eq.m, eq.q),
                               harr[every_other], cfg)
     return _interpolate(u, grid) if report.coarse.converged else None
 
@@ -597,7 +595,6 @@ def solve_normalized(f, omega, m, eps_schedule, cfg=None, v0=None):
         c_estimates=c_estimates,
         c_gaps=gaps,
         final_mismatch=final_mismatch,
-        sup_u=0.0,
         inf_u=kept.inf_u - kept.sup_u,  # min(v - max v): rounding is monotone
         wallclock=time.perf_counter() - start,
     )

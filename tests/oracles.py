@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from hessianlab.geometry import MetricField, complex_of_layout
+from hessianlab.geometry import MetricField, complex_hessian_layout, complex_of_layout
 from hessianlab.hessop import linearization, sk_table_of_state, state_matrices
 from hessianlab.symfunc import table_margin
 
@@ -26,6 +26,12 @@ def generalized_eigh(g, omega):
     lit = li.conj().swapaxes(-1, -2)
     w, v = np.linalg.eigh(li @ np.asarray(g, dtype=complex) @ lit)
     return w[..., ::-1], lit @ v[..., :, ::-1]
+
+
+def complex_hessian(u):
+    """Discrete u_{j kbar} at every grid point, a grid.shape + (n, n) complex
+    array; Hermitian by construction."""
+    return complex_of_layout(complex_hessian_layout(u.data, u.grid))
 
 
 def linearize(u, omega, m, q):

@@ -528,6 +528,21 @@ class TestOtherCommands:
         assert doc["max_ratio"] > 0
         assert all(rec["converged"] for rec in doc["records"])
 
+    def test_sweep_schedule_default_is_the_library_one(self, tmp_path, monkeypatch):
+        # with no --eps-schedule the command hands no schedule on, so
+        # stability_sweep's own (1, 0.3, 0.1, 0.03) applies; a given one is
+        # handed on as parsed
+        import hessianlab.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "stability_sweep", lambda *args, **kw: calls.append(kw) or [])
+        argv = ["stability-sweep", "--n", "2", "--m", "1", "--N", "8", "--p", "4", "--a", "0.3"]
+        assert main(argv + ["--out", str(tmp_path / "unset")]) == 0
+        assert main(argv + ["--eps-schedule", "1,0.3", "--out", str(tmp_path / "set")]) == 0
+        assert calls == [{}, {"eps_schedule": [1.0, 0.3]}]
+        resolved = json.loads((tmp_path / "unset" / "resolved_config.json").read_text())
+        assert "eps_schedule" not in resolved
+
     def test_csv_output(self, tmp_path):
         # records.csv: a header of the StabilityRecord fields, then one row
         # per delta with the values summary.json holds

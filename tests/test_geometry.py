@@ -16,7 +16,6 @@ from hessianlab.geometry import (
     _stencils,
     analytic_complex_hessian,
     analytic_hessian_layout,
-    complex_hessian,
     complex_hessian_layout,
     gradient_sup,
     layout_of_complex,
@@ -25,7 +24,13 @@ from hessianlab.geometry import (
     write_field,
 )
 from hessianlab.hessop import sigma_m
-from oracles import full_phase, mixed_terms, reference_complex_hessian, reference_field
+from oracles import (
+    complex_hessian,
+    full_phase,
+    mixed_terms,
+    reference_complex_hessian,
+    reference_field,
+)
 
 
 def grid2(N=16):
@@ -384,7 +389,8 @@ class TestGradientSup:
 
 
 def _one_point_skewed(g):
-    """A field of identity forms but one, whose upper entry is not mirrored."""
+    """A field of identity forms but one, whose upper entry is not mirrored;
+    like every per-point form, refused by its shape before any other check."""
     form = np.ones(g.shape + (2, 2)) * np.eye(2)
     form[1, 2, 3, 4, 0, 1] = 0.5
     return form
@@ -411,13 +417,13 @@ class TestMetricField:
         (lambda g: MetricField(g, np.ones(g.shape + (3, 3)) * np.eye(3)), "shape"),
         (lambda g: MetricField(g, np.ones(g.shape)), "shape"),
         (lambda g: MetricField(g, np.ones(g.shape + (2, 2)) * np.diag([1.0, -1.0])),
-         "positive definite"),
-        (lambda g: MetricField(g, np.ones(g.shape + (2, 2))), "positive definite"),
+         r"shape \(8, 8, 8, 8, 2, 2\)"),
+        (lambda g: MetricField(g, np.ones(g.shape + (2, 2))), "shape"),
         (lambda g: MetricField(g, np.eye(3)), "shape"),
         (lambda g: MetricField(g, [[1.0, 0.5], [0.0, 1.0]]), "Hermitian"),
         (lambda g: MetricField(g, [[1.0, 0.0], [0.0, 1.0 + 1e-9j]]), "Hermitian"),
         (lambda g: MetricField(g, [[1.0, np.nan], [0.0, 1.0]]), "finite"),
-        (lambda g: MetricField(g, _one_point_skewed(g)), "Hermitian"),
+        (lambda g: MetricField(g, _one_point_skewed(g)), "shape"),
     ], ids=["constant-3x3", "variable-3x3", "variable-scalar", "variable-indefinite",
             "variable-singular", "constructor-3x3", "constant-upper-only",
             "complex-diagonal", "nan-upper", "variable-one-point"])
@@ -439,9 +445,10 @@ class TestMetricField:
     ], ids=["overflow", "underflow", "mixed"])
     def test_conformal_rejects_what_its_form_fails(self, phi, match):
         # e^phi is inf, 0, or both on one grid: omega's own checks reject it
-        # with the messages a per-point form gets, finiteness first
+        # with the messages a constant form gets, finiteness first, and no
+        # numpy warning comes before the InputError
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             with pytest.raises(InputError, match=match):
                 MetricField.conformal(TorusGrid(2, 8), np.eye(2), [phi])
 

@@ -13,7 +13,6 @@ from hessianlab.geometry import (
     MetricField,
     ScalarField,
     TorusGrid,
-    complex_hessian,
     complex_hessian_layout,
     make_field,
 )
@@ -29,7 +28,7 @@ from hessianlab.hessop import (
 )
 from hessianlab.solver import _Equation
 from hessianlab.symfunc import cone_mask, elementary_symmetric_table
-from oracles import coefficient_matrices, generalized_eigh, linearize
+from oracles import coefficient_matrices, complex_hessian, generalized_eigh, linearize
 
 
 def flat(n=2, N=16):
@@ -78,7 +77,6 @@ class TestSigmaM:
         rng = np.random.default_rng(0)
         grid, omega = flat(2, 8)
         u = ScalarField(grid, 0.3 * rng.normal(size=grid.shape))
-        from hessianlab.geometry import complex_hessian
         from hessianlab.symfunc import elementary_symmetric_table
 
         got = sigma_m(u, omega, 2).sigma.data
@@ -160,8 +158,6 @@ class TestLinearization:
         grid, omega = flat()
         u = make_field(grid, [((1, 0, 0, 0), 0.4, 0.0), ((0, 1, 1, 0), 0.0, 0.3)])
         lin = linearize(u, omega, 2, 0.0)
-        from hessianlab.geometry import complex_hessian
-
         lam = np.linalg.eigvalsh(complex_hessian(u) + np.eye(2))[..., ::-1]
         got = np.sort(np.linalg.eigvalsh(coefficient_matrices(lin)), axis=-1)
         np.testing.assert_allclose(got, np.sort(1.0 / lam, axis=-1), rtol=1e-9)

@@ -11,7 +11,6 @@ from hessianlab.geometry import (
     ScalarField,
     TorusGrid,
     analytic_hessian_layout,
-    complex_hessian,
     complex_hessian_layout,
     complex_of_layout,
     gradient_sup,
@@ -26,6 +25,7 @@ from hessianlab.inequalities import (
     sublevel_volume_decay,
 )
 from hessianlab.solver import SolverConfig, solve_exponential
+from oracles import complex_hessian
 
 
 def flat(n=2, N=16):

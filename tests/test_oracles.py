@@ -190,17 +190,6 @@ class TestMetricChecks:
             MetricField(TorusGrid(2, 8), np.diag([1.0, 1e-13]))
         MetricField(TorusGrid(2, 8), np.diag([1.0, 1e-11]))
 
-    def test_variable_metric_has_the_same_floor(self):
-        # one point below the floor of its own trace is rejected, as the same
-        # constant form is; its factor would hold an entry of 1e7
-        grid = TorusGrid(2, 8)
-        form = np.broadcast_to(np.eye(2, dtype=complex), grid.shape + (2, 2)).copy()
-        form[1, 2, 3, 4] = np.diag([1.0, 1e-10])
-        MetricField(grid, form)
-        form[1, 2, 3, 4] = np.diag([1.0, 1e-14])
-        with pytest.raises(InputError, match="not positive definite"):
-            MetricField(grid, form)
-
 
 def test_every_export_resolves():
     for info in pkgutil.iter_modules(hessianlab.__path__):

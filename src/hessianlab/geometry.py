@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -177,21 +176,29 @@ _MAX_N = 8
 
 
 def check_hermitian(a, name="matrix"):
-    """``a`` as a complex square matrix of size at most _MAX_N, symmetrized;
-    raises InputError unless it is finite and Hermitian to 1e-13 relative."""
+    """``a`` as a complex square matrix of size at most _MAX_N, symmetrized
+    as 0.5 a + 0.5 a^H, which cannot overflow; raises InputError unless it
+    is finite and each entry is within 1e-13 of max(1, its largest entry)
+    of its mirror's conjugate."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise InputError(f"{name} must be square and non-empty, got shape {a.shape}")
     if a.shape[0] > _MAX_N:
         raise InputError(f"{name} larger than supported n <= {_MAX_N}")
-    _check_hermitian_forms(a, name)
-    return 0.5 * (a + a.conj().T)
+    if not np.all(np.isfinite(a)):
+        raise InputError(f"{name} must be finite")
+    dev = np.abs(a - a.conj().T)
+    if np.any(dev > 1e-13 * max(1.0, np.max(np.abs(a)))):
+        raise InputError(f"{name} is not Hermitian (deviation {np.max(dev):.3e})")
+    return 0.5 * a + 0.5 * a.conj().T
 
 
 def check_positive_definite(a, name="metric"):
     """``a`` itself; raises InputError unless its least eigenvalue exceeds
-    1e-12 of its mean eigenvalue tr(a) / n."""
-    floor = 1e-12 * np.trace(a).real / a.shape[-1]
+    1e-12 of its mean eigenvalue, taken as sum(a_jj / n), which cannot
+    overflow.  Both sides scale with a positive factor c, so c a passes
+    wherever a does and c a is finite and normal."""
+    floor = 1e-12 * np.sum(np.diagonal(a).real / a.shape[-1])
     if not np.linalg.eigvalsh(a)[0] > floor:
         raise InputError(f"{name} is not positive definite")
     return a
@@ -202,8 +209,15 @@ class MetricField:
     """Hermitian metric omega = exp_phi * base: a constant (n, n) base form
     times the positive conformal field e^phi of grid.shape (None for 1), so
     a conformal metric holds one float per point; ``form``, omega itself, is
-    computed when read.  Every point of omega meets the checks of a
-    constant form."""
+    computed when read.
+
+    The base is checked once as a constant form and kept symmetrized; e^phi
+    as a scalar, finite and positive at every point, with max(e^phi) times
+    the base's largest real or imaginary part finite.  Every point of omega
+    then meets the checks of a constant form, as both are scale-free: a real
+    factor keeps an exactly Hermitian base exactly Hermitian, and the least
+    eigenvalue and the floor of check_positive_definite scale alike (until
+    a product rounds into the subnormal range)."""
 
     grid: TorusGrid
     base: np.ndarray
@@ -219,19 +233,14 @@ class MetricField:
 
     @classmethod
     def conformal(cls, grid, base_form, terms):
-        """omega = exp(phi) * base_form with phi a truncated Fourier series."""
-        base_form = check_positive_definite(check_hermitian(base_form, "metric"))
-        with np.errstate(over="ignore", invalid="ignore"):  # caught by omega's checks
-            exp_phi = np.exp(make_field(grid, terms).data)
-        return cls(grid, base_form, exp_phi)
-
-    @property
-    def constant(self):
-        return self.exp_phi is None
+        """omega = exp(phi) * base_form with phi a truncated Fourier series;
+        an e^phi that overflows, or underflows to 0, fails the metric's check."""
+        with np.errstate(over="ignore"):
+            return cls(grid, base_form, np.exp(make_field(grid, terms).data))
 
     @property
     def form(self):
-        """omega: (n, n) when constant, grid.shape + (n, n) otherwise."""
+        """omega: (n, n) without a conformal field, grid.shape + (n, n) with one."""
         return self.base if self.exp_phi is None else self.exp_phi[..., None, None] * self.base
 
     def __post_init__(self):
@@ -242,59 +251,18 @@ class MetricField:
         if self.base.shape != (n, n):
             raise InputError(f"metric shape {self.base.shape} does not fit complex "
                              f"dimension {n}: want {(n, n)}")
-        _check_hermitian_forms(self.base)
-        check_positive_definite(self.base)
+        self.base = check_positive_definite(check_hermitian(self.base, "metric"))
         self.factor = (None if np.array_equal(self.base, np.eye(n))
-                       else _cholesky_inverse_layout(self.base))
+                       else layout_of_complex(np.linalg.inv(np.linalg.cholesky(self.base))))
         if self.exp_phi is not None:
-            # omega's own checks on transient slabs of its forms, every form
-            # found finite before any pivot is taken; an overflowing product
-            # (inf, or inf * 0 = nan) is one that they reject
-            with np.errstate(over="ignore", invalid="ignore"):
-                for check in (_check_hermitian_forms, _cholesky_inverse_layout):
-                    for rows in _slabs(grid.shape):
-                        check(self.exp_phi[rows][..., None, None] * self.base)
-
-
-def _check_hermitian_forms(form, name="metric"):
-    """Raise InputError unless every matrix on the last two axes is finite
-    and Hermitian to 1e-13 of max(1, its largest entry); each entry on or
-    below the diagonal is compared with its mirror's conjugate."""
-    if not np.all(np.isfinite(form)):
-        raise InputError(f"{name} must be finite")
-    n = form.shape[-1]
-    # entry by entry: a max over the two small trailing axes is several times slower
-    scale = reduce(np.maximum, (np.abs(form[..., i, j]) for i in range(n) for j in range(n)),
-                   1.0)
-    for i in range(n):
-        for j in range(i + 1):
-            dev = np.abs(form[..., i, j] - form[..., j, i].conj())
-            if np.any(dev > 1e-13 * scale):
-                raise InputError(f"{name} is not Hermitian (deviation {np.max(dev):.3e})")
-
-
-def _cholesky_inverse_layout(form):
-    """L^{-1} for form = L L^* (L lower triangular, positive diagonal), stacked
-    on leading axes, in the Hermitian layout.  Written out per entry, which on
-    fields of 2x2 or 3x3 forms beats LAPACK's one call per point.  Raises
-    InputError unless every squared pivot exceeds 1e-12 tr(form) / n at its
-    own point, the floor of check_positive_definite: a squared pivot is
-    never below the least eigenvalue, so a form that check admits passes."""
-    n = form.shape[-1]
-    floor = 1e-12 * sum(form[..., i, i].real for i in range(n)) / n
-    chol, inv = {}, {}
-    out = np.empty((n, n) + form.shape[:-2])
-    for i in range(n):
-        for j in range(i + 1):
-            s = form[..., i, j] - sum(chol[i, k] * chol[j, k].conj() for k in range(j))
-            if i == j and not np.all(s.real > floor):
+            # the base's largest real or imaginary part; a Python float
+            # product overflows to inf without a warning
+            peak = float(np.max(np.abs(self.base.view(float))))
+            if not (np.all(np.isfinite(self.exp_phi))
+                    and math.isfinite(float(np.max(self.exp_phi)) * peak)):
+                raise InputError("metric must be finite")
+            if not np.all(self.exp_phi > 0):
                 raise InputError("metric is not positive definite")
-            chol[i, j] = np.sqrt(s.real) if i == j else s / chol[j, j]
-        inv[i, i] = out[i, i] = 1.0 / chol[i, i]
-        for j in range(i):  # row i of L inv = 0 left of the diagonal
-            inv[i, j] = -sum(chol[i, k] * inv[k, j] for k in range(j, i)) / chol[i, i]
-            out[i, j], out[j, i] = inv[i, j].real, inv[i, j].imag
-    return out
 
 
 # Points per slab, so that the temporaries of one slab of a grid kernel stay

@@ -3,19 +3,19 @@ log sigma_m(u) = q u + H.
 
 A solve with no start iterate first solves the same equation on the
 companion grid M = N/2, when M is even and at least 8 (so N = 16, 20, 24,
-...; N = 8, 10, 12, 14, 18 and 22 have none), with the data and a variable
-metric restricted by injection and the caller's SolverConfig unchanged.
-That companion solve is this same procedure, so 32 runs 16, which runs 8.
-Newton at N then starts at t = 1 from the companion solution's band-limited
-interpolant (its DFT zero-padded, the coarse Nyquist mode dropped): the
-nested iteration of full multigrid (Brandt, Math. Comp. 31, 1977), which
-starts inside Newton's basin to O(h^2).  The two grids also give the
-Richardson estimate sup|u_N - I u_M| / ((N/M)^2 - 1) of the discretization
-error.  Where no companion runs, it fails, its interpolant leaves Gamma_m or
-Newton from it fails, the solve falls back to the continuity path below,
-bit for bit the solve that runs without a companion; the failed attempt's
-Newton records stay in the trace.  SolveReport.start says which start ran,
-SolveReport.coarse holds the companion's report.
+...; N = 8, 10, 12, 14, 18 and 22 have none), with the data and the
+conformal field restricted by injection and the caller's SolverConfig
+unchanged.  That companion solve is this same procedure, so 32 runs 16,
+which runs 8.  Newton at N then starts at t = 1 from the companion
+solution's band-limited interpolant (its DFT zero-padded, the coarse Nyquist
+mode dropped): the nested iteration of full multigrid (Brandt, Math. Comp.
+31, 1977), which starts inside Newton's basin to O(h^2).  The two grids also
+give the Richardson estimate sup|u_N - I u_M| / ((N/M)^2 - 1) of the
+discretization error.  Where no companion runs, it fails, its interpolant
+leaves Gamma_m or Newton from it fails, the solve falls back to the
+continuity path below, bit for bit the solve that runs without a companion;
+the failed attempt's Newton records stay in the trace.  SolveReport.start
+says which start ran, SolveReport.coarse holds the companion's report.
 
 The continuity path starts from the exact solution u = 0 at t = 0 and walks
 log sigma_m(u_t) = q u_t + t H to t = 1, halving a t-step whenever Newton

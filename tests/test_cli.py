@@ -295,6 +295,15 @@ class TestSolveCommand:
                      "--out", str(tmp_path / "x")] + flag)
         assert code == 2
 
+    def test_metric_scale_near_overflow_solves(self, tmp_path, capsys):
+        # 1e308 I is finite and positive definite though its trace is not:
+        # no check may sum it, nor warn
+        code = main(["solve", "--n", "2", "--m", "1", "--N", "8",
+                     "--H", "cos:1,0,0,0:0.1", "--metric-scale", "1e308",
+                     "--out", str(tmp_path / "x")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("flag", [["--newton-tol", "nan"], ["--no-cone-guard"],
                                       ["--krylov-tol", "1e-10"], ["--max-newton", "50"]],
                              ids=["nan-tol", "removed-switch", "removed-krylov-tol",

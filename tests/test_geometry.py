@@ -396,10 +396,16 @@ def _one_point_skewed(g):
     return form
 
 
+def _skewed_base():
+    base = np.diag([2.0, 3.0, 4.0]).astype(complex)
+    base[0, 1], base[1, 0] = 0.4 + 0.3j, 0.4 - 0.3j
+    return base
+
+
 class TestMetricField:
     def test_flat(self):
         om = MetricField.flat(grid2(), scale=2.0)
-        assert om.constant
+        assert om.exp_phi is None
         np.testing.assert_array_equal(om.form, 2.0 * np.eye(2))
 
     @pytest.mark.parametrize("scale", [-1.0, 0.0, np.nan, np.inf])
@@ -434,30 +440,54 @@ class TestMetricField:
     def test_conformal_positive_and_torsion(self):
         g = TorusGrid(2, 8)
         om = MetricField.conformal(g, np.eye(2), [((1, 0, 0, 0), 0.2, 0.0)])
-        assert not om.constant
+        assert om.exp_phi is not None
         w = np.linalg.eigvalsh(om.form)
         assert np.min(w) > 0.0
 
-    @pytest.mark.parametrize("phi, match", [
-        (((0, 0, 0, 0), 800.0, 0.0), "^metric must be finite$"),
-        (((0, 0, 0, 0), -800.0, 0.0), "^metric is not positive definite$"),
-        (((1, 0, 0, 0), 800.0, 0.0), "^metric must be finite$"),
-    ], ids=["overflow", "underflow", "mixed"])
-    def test_conformal_rejects_what_its_form_fails(self, phi, match):
-        # e^phi is inf, 0, or both on one grid: omega's own checks reject it
-        # with the messages a constant form gets, finiteness first, and no
-        # numpy warning comes before the InputError
+    @pytest.mark.parametrize("phi, scale, match", [
+        (((0, 0, 0, 0), 800.0, 0.0), 1.0, "^metric must be finite$"),
+        (((0, 0, 0, 0), -800.0, 0.0), 1.0, "^metric is not positive definite$"),
+        (((1, 0, 0, 0), 800.0, 0.0), 1.0, "^metric must be finite$"),
+        (((0, 0, 0, 0), 709.0, 0.0), 4.0, "^metric must be finite$"),
+    ], ids=["overflow", "underflow", "mixed", "product-overflow"])
+    def test_conformal_rejects_what_its_form_fails(self, phi, scale, match):
+        # e^phi is inf, 0, or both on one grid, or finite while e^phi 4 I is
+        # not: rejected with the messages a constant form gets, finiteness
+        # first, and no numpy warning comes before the InputError
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError, match=match):
-                MetricField.conformal(TorusGrid(2, 8), np.eye(2), [phi])
+                MetricField.conformal(TorusGrid(2, 8), scale * np.eye(2), [phi])
+
+    @pytest.mark.parametrize("make", [
+        lambda: MetricField.flat(TorusGrid(2, 8)),
+        lambda: MetricField.flat(TorusGrid(2, 8), scale=1e308),
+        lambda: MetricField(TorusGrid(3, 8), _skewed_base()),
+        lambda: MetricField.conformal(TorusGrid(3, 8), _skewed_base(),
+                                      [((1, 0, 0, 0, 0, 0), 0.3, 0.0)]),
+        lambda: MetricField.conformal(TorusGrid(2, 8), np.eye(2), [((0,) * 4, -745.0, 0.0)]),
+        lambda: MetricField.conformal(TorusGrid(2, 8), np.eye(2), [((0,) * 4, 709.5, 0.0)]),
+    ], ids=["flat", "flat-1e308", "skewed", "skewed-conformal", "subnormal",
+            "trace-overflow"])
+    def test_admitted_metric_is_checked_at_every_point(self, make):
+        # the metric is checked as its base and the scalar e^phi; every point
+        # of omega must still be finite, exactly Hermitian and above the
+        # floor 1e-12 sum(d / n) of its diagonal d, whose sum can overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            om = make()
+        n = om.grid.n
+        forms = np.reshape(om.form, (-1, n, n))
+        assert np.all(np.isfinite(forms))
+        np.testing.assert_array_equal(forms, np.conj(np.swapaxes(forms, -1, -2)))
+        diag = np.diagonal(forms, axis1=-2, axis2=-1).real
+        floor = 1e-12 * np.sum(diag / n, axis=-1)
+        assert np.all(np.linalg.eigvalsh(forms)[:, 0] > floor)
 
     def test_conformal_holds_one_float_per_point(self):
         # a skewed constant base and its factor, plus e^phi: no per-point form
         g = TorusGrid(3, 8)
-        base = np.diag([2.0, 3.0, 4.0]).astype(complex)
-        base[0, 1], base[1, 0] = 0.4 + 0.3j, 0.4 - 0.3j
-        om = MetricField.conformal(g, base, [((1, 0, 0, 0, 0, 0), 0.3, 0.0)])
+        om = MetricField.conformal(g, _skewed_base(), [((1, 0, 0, 0, 0, 0), 0.3, 0.0)])
         arrays = [v for v in vars(om).values() if isinstance(v, np.ndarray)]
         assert om.factor is not None and om.exp_phi.shape == g.shape
         assert sum(a.nbytes for a in arrays) <= 8 * g.points + 1024

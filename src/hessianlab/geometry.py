@@ -187,10 +187,14 @@ def check_hermitian(a, name="matrix"):
         raise InputError(f"{name} larger than supported n <= {_MAX_N}")
     if not np.all(np.isfinite(a)):
         raise InputError(f"{name} must be finite")
-    dev = np.abs(a - a.conj().T)
-    if np.any(dev > 1e-13 * max(1.0, np.max(np.abs(a)))):
-        raise InputError(f"{name} is not Hermitian (deviation {np.max(dev):.3e})")
-    return 0.5 * a + 0.5 * a.conj().T
+    # in halves, so that the scale cannot overflow and the deviation only
+    # near the float limit, where it is inf and rejected
+    half = 0.5 * a
+    with np.errstate(over="ignore"):
+        dev = np.abs(half - half.conj().T)
+    if np.any(dev > 1e-13 * max(0.5, np.max(np.abs(half)))):
+        raise InputError(f"{name} is not Hermitian (deviation {2.0 * float(np.max(dev)):.3e})")
+    return half + half.conj().T
 
 
 def check_positive_definite(a, name="metric"):
@@ -204,12 +208,24 @@ def check_positive_definite(a, name="metric"):
     return a
 
 
+def _congruence_map(p):
+    """X -> P X P^* on Hermitian X as a real (n^2, n^2) matrix acting on the
+    flattened Hermitian layout: column c is the layout of P E_c P^*, E_c the
+    matrix whose layout is the c-th unit vector."""
+    n = p.shape[0]
+    basis = complex_of_layout(np.eye(n * n).reshape(n, n, n * n))
+    return layout_of_complex(p @ basis @ p.conj().T).reshape(n * n, n * n)
+
+
 @dataclass
 class MetricField:
     """Hermitian metric omega = exp_phi * base: a constant (n, n) base form
     times the positive conformal field e^phi of grid.shape (None for 1), so
     a conformal metric holds one float per point; ``form``, omega itself, is
-    computed when read.
+    computed when read.  For base = L L^*, ``factor`` holds the congruences
+    X -> L^{-1} X L^{-*} (for B') and X -> L^{-*} X L^{-1} (for A) as real
+    maps of the Hermitian layout, built once from (n, n) complex matrices
+    (_congruence_map); it is None for the identity.
 
     The base is checked once as a constant form and kept symmetrized; e^phi
     as a scalar, finite and positive at every point, with max(e^phi) times
@@ -222,8 +238,7 @@ class MetricField:
     grid: TorusGrid
     base: np.ndarray
     exp_phi: np.ndarray | None = None
-    # L^{-1} for base = L L^*, in the Hermitian layout; None for the identity
-    factor: np.ndarray | None = field(init=False, repr=False, compare=False)
+    factor: tuple | None = field(init=False, repr=False, compare=False)
 
     @classmethod
     def flat(cls, grid, scale=1.0):
@@ -252,8 +267,13 @@ class MetricField:
             raise InputError(f"metric shape {self.base.shape} does not fit complex "
                              f"dimension {n}: want {(n, n)}")
         self.base = check_positive_definite(check_hermitian(self.base, "metric"))
-        self.factor = (None if np.array_equal(self.base, np.eye(n))
-                       else layout_of_complex(np.linalg.inv(np.linalg.cholesky(self.base))))
+        self.factor = None
+        if not np.array_equal(self.base, np.eye(n)):
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                p = np.linalg.inv(np.linalg.cholesky(self.base))
+                self.factor = (_congruence_map(p), _congruence_map(p.conj().T))
+            if not np.all(np.isfinite(self.factor)):  # 1 / lambda_min overflows
+                raise InputError("metric is not positive definite")
         if self.exp_phi is not None:
             # the base's largest real or imaginary part; a Python float
             # product overflows to inf without a warning

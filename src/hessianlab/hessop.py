@@ -16,18 +16,22 @@ principal minors of B', so sigma and the cone mask need no eigensolve; nor
 does the linearization: dS_m = tr(T_{m-1}(B') dB') with the Newton tensor
 T_{m-1}(B') = sum_j (-1)^j S_{m-1-j} B'^j (Reilly, Michigan Math. J. 20,
 1973), so A = L^{-*} T_{m-1}(B') L^{-1} / S_m is a polynomial in B' built
-from the same S_k table.  The grid path solves no eigenproblem at all: the
-caller hands linearization the B' and S_k table it already evaluated and
-found strictly inside Gamma_m (solver._newton admits no other state), and
-linearization writes the weights over that B', which it consumes.  Only
-sigma_of_form, for one pair of forms, reduces det(gamma - lambda omega) = 0
-by the Cholesky factor of omega to one Hermitian eigenproblem, and
-mixed_product polarizes it: the mixed form of m arguments is an
-alternating sum of sigma_m over the 2^m - 1 nonempty sums of them.
+from the same S_k table; for n <= 3 it is written out in closed form: I,
+S_1 I - B', and at m = n = 3 adj B', by Cayley-Hamilton.  The grid path
+solves no eigenproblem at all: the caller hands linearization the B' and
+S_k table it already evaluated and found strictly inside Gamma_m
+(solver._newton admits no other state), and linearization writes the
+weights over that B', which it consumes.  Only sigma_of_form, for one pair
+of forms, reduces det(gamma - lambda omega) = 0 by the Cholesky factor of
+omega to one Hermitian eigenproblem, and mixed_product polarizes it: the
+mixed form of m arguments is an alternating sum of sigma_m over the 2^m - 1
+nonempty sums of them.
 
 A metric e^phi omega_0 (geometry.MetricField) with omega_0 = L_0 L_0^* has
-L^{-1} = e^{-phi/2} L_0^{-1}: the congruence by the base's factor, then one
-division by e^phi, in B' and A alike.
+L^{-1} = e^{-phi/2} L_0^{-1}: the congruence by the constant L_0^{-1}, then
+one division by e^phi, in B' and A alike.  A congruence by a constant
+matrix is a constant real-linear map of the layout, so the metric holds it
+as one real (n^2, n^2) matrix per direction, skipped for the identity.
 
 The linearized operator tr(A dd^c v) - q v is a real combination of second
 differences of v, so the Krylov matvec applies it from n^2 real stencil
@@ -45,9 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations
-from operator import iadd
 
 import numpy as np
 
@@ -121,57 +123,23 @@ class LinearizationField:
                                if np.any(w[k, j]) or np.any(w[j, k]))
 
 
-def _entries(x, kind="hermitian"):
-    """Entries of a matrix held in the Hermitian layout x, as {(a, b): (re,
-    im)} with im None where it is zero: the Hermitian matrix, or for "lower"
-    and "upper" the lower-triangular matrix stored in x and its adjoint."""
-    out = {}
-    for a in range(x.shape[0]):
-        out[a, a] = (x[a, a], None)
-        for b in range(a):
-            if kind != "upper":
-                out[a, b] = (x[a, b], x[b, a])
-            if kind != "lower":
-                out[b, a] = (x[a, b], -x[b, a])
-    return out
-
-
-def _product(x, y, n, out=None):
-    """The product of two entry dicts as an entry dict or, for a product known
-    to be Hermitian, written into the Hermitian layout ``out`` (only its lower
-    triangle computed).  Every entry is computed before ``out`` is written,
-    so x and y may be views of it.  Written out per entry in real arithmetic:
-    on fields of 2x2 and 3x3 matrices that beats a batched product."""
-    entries = {}
-    for a in range(n):
-        for b in range(n if out is None else a + 1):
-            re, im = [], []
-            for (xr, xi), (yr, yi) in [(x[a, c], y[c, b]) for c in range(n)
-                                       if (a, c) in x and (c, b) in y]:
-                re.append(xr * yr if xi is None or yi is None else xr * yr - xi * yi)
-                im += [p * q for p, q in ((xr, yi), (xi, yr))
-                       if p is not None and q is not None]
-            # sums accumulate in place into their first, freshly made, term
-            entries[a, b] = tuple(reduce(iadd, v) if v else None for v in (re, im))
-    if out is None:
-        return entries
-    for (a, b), (re, im) in entries.items():
-        out[a, b] = re
-        if a != b:
-            out[b, a] = 0.0 if im is None else im
-    return out
-
-
-def _congruence(f, x, adjoint=False):
-    """P X P^* written over the Hermitian layout x of X, for P the
-    lower-triangular f (its adjoint when ``adjoint``); f None is the identity."""
-    if f is None:
-        return x
-    p, p_adj = _entries(f, "lower"), _entries(f, "upper")
-    if adjoint:
-        p, p_adj = p_adj, p
+def _congruence(k, x):
+    """The constant real-linear map k, a (n^2, n^2) matrix over the flattened
+    Hermitian layout (MetricField.factor), written over the layout x: each
+    output entry is summed over k's nonzero coefficients in column order, and
+    every entry is computed before x is written."""
     n = x.shape[0]
-    return _product(_product(p, _entries(x), n), p_adj, n, out=x)
+    entries = [divmod(c, n) for c in range(n * n)]
+    out = []
+    for row in k:
+        terms = [(w, x[entries[c]]) for c, w in enumerate(row) if w]
+        acc = terms[0][0] * terms[0][1]  # k is invertible: no row is zero
+        for w, v in terms[1:]:
+            acc += w * v
+        out.append(acc)
+    for e, acc in zip(entries, out):
+        x[e] = acc
+    return x
 
 
 def _minor_sums(b, kmax, out):
@@ -198,7 +166,8 @@ def _minor_sums(b, kmax, out):
 def _relative(x, metric, rows=slice(None)):
     """L^{-1} X L^{-*} for omega = L L^* written over the Hermitian layout x
     of the rows ``rows`` of X."""
-    _congruence(metric.factor, x)
+    if metric.factor is not None:
+        _congruence(metric.factor[0], x)
     if metric.exp_phi is not None:
         x /= metric.exp_phi[rows]
     return x
@@ -245,21 +214,33 @@ def sigma_m(u, omega, m):
     return OperatorValue(sigma=ScalarField(grid, sigma), cone_mask=table_in_cone(table, m))
 
 
-def _newton_tensor(b, table, m, out):
-    """T_{m-1}(B) written into the Hermitian layout ``out`` by T_0 = I,
-    T_k = S_k I - B T_{k-1}; B T_{k-1} is a polynomial in B, so Hermitian."""
+def _newton_tensor(b, table, m):
+    """T_{m-1}(B) written over the Hermitian layout b of B: I for m = 1,
+    S_1 I - B for m = 2, and for m = 3, which only n = 3 admits, adj B, since
+    B T_{n-1}(B) = S_n I (Cayley-Hamilton) for every B, singular or not."""
     n = b.shape[0]
-    # T_0 = I; T_1 = S_1 I - B, since B T_0 = B needs no product
     if m == 1:
-        out[...] = 0.0
-    else:
-        np.negative(b, out=out)
-    for k in range(0 if m == 1 else 1, m):
-        if k > 1:
-            np.negative(_product(_entries(b), _entries(out), n, out=out), out=out)
+        b[...] = 0.0
+        b[range(n), range(n)] = 1.0
+    elif m == 2:
+        np.negative(b, out=b)
         for j in range(n):
-            out[j, j] += table[..., k]
-    return out
+            b[j, j] += table[..., 1]
+    else:  # diagonal a, d, c and B_10 = p, B_20 = q, B_21 = r
+        a, d, c = b[0, 0], b[1, 1], b[2, 2]
+        pr, pi, qr, qi, rr, ri = b[1, 0], b[0, 1], b[2, 0], b[0, 2], b[2, 1], b[1, 2]
+        adj = {(0, 0): d * c - (rr ** 2 + ri ** 2),
+               (1, 1): a * c - (qr ** 2 + qi ** 2),
+               (2, 2): a * d - (pr ** 2 + pi ** 2),
+               (1, 0): qr * rr + qi * ri - c * pr,  # q conj(r) - c p
+               (0, 1): qi * rr - qr * ri - c * pi,
+               (2, 0): pr * rr - pi * ri - d * qr,  # p r - d q
+               (0, 2): pr * ri + pi * rr - d * qi,
+               (2, 1): pr * qr + pi * qi - a * rr,  # conj(p) q - a r
+               (1, 2): pr * qi - pi * qr - a * ri}
+        for e, v in adj.items():
+            b[e] = v
+    return b
 
 
 def linearization(b, table, omega, m, q):
@@ -267,17 +248,14 @@ def linearization(b, table, omega, m, q):
     (state_matrices) with its S_0..S_m ``table`` (sk_table_of_state), which
     the caller has found strictly inside Gamma_m; no eigensolve.
 
-    B' is consumed: the weights are written over it, and the returned
-    field's ``weights`` is ``b`` itself.  Each slab of rows is built in one
-    slab-sized scratch, since the Newton tensor's product reads B' while it
-    writes T for m >= 3, then copied over that slab of B'."""
+    B' is consumed: the Newton tensor, the congruence by L_0^{-*} and the
+    scaling are written over each slab of it in turn, and the returned
+    field's ``weights`` is ``b`` itself."""
     grid = omega.grid
-    slabs = _slabs(grid.shape)
-    scratch = np.empty_like(b[:, :, slabs[0]])  # the first slab is the largest
-    for rows in slabs:
-        x = b[:, :, rows]
-        a = _newton_tensor(x, table[rows], m, scratch[:, :, :rows.stop - rows.start])
-        _congruence(omega.factor, a, adjoint=True)
+    for rows in _slabs(grid.shape):
+        a = _newton_tensor(b[:, :, rows], table[rows], m)
+        if omega.factor is not None:
+            _congruence(omega.factor[1], a)
         # weights: A_jj / (4 h^2) on the diagonal, A / (8 h^2) off it, with
         # omega = e^phi L_0 L_0^* dividing A by e^phi as well
         s_m = table[rows][..., m]
@@ -286,7 +264,6 @@ def linearization(b, table, omega, m, q):
         a *= 0.125 / (grid.h * grid.h * s_m)
         for j in range(grid.n):
             a[j, j] *= 2.0
-        x[...] = a
     return LinearizationField(grid=grid, weights=b, q=q)
 
 

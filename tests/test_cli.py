@@ -286,8 +286,9 @@ class TestSolveCommand:
         assert code == 2
 
     @pytest.mark.parametrize("flag", [["--metric-scale", "-1"], ["--metric-scale", "0"],
-                                      ["--memory-cap", "0"]],
-                             ids=["negative-scale", "zero-scale", "zero-cap"])
+                                      ["--metric-scale", "1e-320"], ["--memory-cap", "0"]],
+                             ids=["negative-scale", "zero-scale", "subnormal-scale",
+                                  "zero-cap"])
     def test_metric_scale_and_memory_cap_faults_exit_2(self, tmp_path, flag):
         # a zero value is a fault, not a request for the default
         code = main(["solve", "--n", "2", "--m", "1", "--N", "8",

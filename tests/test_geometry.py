@@ -414,6 +414,15 @@ class TestMetricField:
         with pytest.raises(InputError):
             MetricField.flat(grid2(), scale=scale)
 
+    def test_flat_rejects_subnormal_scale(self):
+        # 1e-320 I clears the positive-definite floor, which underflows to 0,
+        # but its congruence maps, 1/scale, overflow: no warning, then the
+        # error an e^phi that underflows gets
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^metric is not positive definite$"):
+                MetricField.flat(grid2(), 1e-320)
+
     def test_constant_rejects_indefinite(self):
         with pytest.raises(InputError):
             MetricField(grid2(), np.diag([1.0, -1.0]))
@@ -430,9 +439,12 @@ class TestMetricField:
         (lambda g: MetricField(g, [[1.0, 0.0], [0.0, 1.0 + 1e-9j]]), "Hermitian"),
         (lambda g: MetricField(g, [[1.0, np.nan], [0.0, 1.0]]), "finite"),
         (lambda g: MetricField(g, _one_point_skewed(g)), "shape"),
+        (lambda g: MetricField(g, [[1.0, 1e308], [-1e308, 1.0]]), "Hermitian"),
+        (lambda g: MetricField(g, [[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]]), "Hermitian"),
     ], ids=["constant-3x3", "variable-3x3", "variable-scalar", "variable-indefinite",
             "variable-singular", "constructor-3x3", "constant-upper-only",
-            "complex-diagonal", "nan-upper", "variable-one-point"])
+            "complex-diagonal", "nan-upper", "variable-one-point",
+            "overflowing-deviation", "overflowing-diagonal"])
     def test_rejects_bad_form(self, make, match):
         with pytest.raises(InputError, match=match):
             make(TorusGrid(2, 8))

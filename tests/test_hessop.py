@@ -14,9 +14,13 @@ from hessianlab.geometry import (
     ScalarField,
     TorusGrid,
     complex_hessian_layout,
+    complex_of_layout,
+    layout_of_complex,
     make_field,
 )
 from hessianlab.hessop import (
+    _congruence,
+    _newton_tensor,
     apply_linearization_array,
     linearization,
     mixed_product,
@@ -237,6 +241,46 @@ class TestNewtonTensorOracle:
         for m in range(1, n + 1):
             assert np.array_equal(linearize(u, omega, m, 1.0).weights,
                                   linearize(u, general, m, 1.0).weights)
+
+
+class TestClosedForms:
+    """The Newton tensor and the congruence maps against complex numpy on
+    random Hermitian matrices out of the cone, where the eigenframe oracle
+    does not apply: indefinite ones and one singular rank-one one.
+    Relative to the largest entry, the largest errors measured are 3.9e-15
+    for T (at m = 3, where the reference polynomial cancels) and 1.6e-16
+    for the maps; the bounds are 2e-14 and 1e-15."""
+
+    @staticmethod
+    def _matrices(n):
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return np.stack([random_hermitian(rng, n) for _ in range(32)] + [np.outer(v, v.conj())])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_newton_tensor_is_reilly_polynomial(self, n):
+        x = self._matrices(n)
+        table = elementary_symmetric_table(np.linalg.eigvalsh(x), n)
+        assert np.any(table[:, 1] < 0) and np.any(table[:, n] < 0)  # indefinite
+        for m in range(1, n + 1):
+            want = sum((-1) ** j * table[:, m - 1 - j, None, None] * np.linalg.matrix_power(x, j)
+                       for j in range(m))
+            got = complex_of_layout(_newton_tensor(layout_of_complex(x), table, m))
+            assert np.max(np.abs(got - want)) <= 2e-14 * np.max(np.abs(want)), m
+
+    @pytest.mark.parametrize("kind", ["constant", "2I"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_congruence_maps(self, n, kind):
+        grid = TorusGrid(n, 8)
+        omega = _metric(kind, grid) if kind == "constant" else MetricField.flat(grid, 2.0)
+        p = np.linalg.inv(np.linalg.cholesky(omega.base))
+        x = self._matrices(n)
+        to_b, to_a = omega.factor
+        for k, want in ((to_b, p @ x @ p.conj().T), (to_a, p.conj().T @ x @ p)):
+            got = complex_of_layout(_congruence(k, layout_of_complex(x)))
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            if kind == "2I":  # one multiply per entry
+                assert all(np.count_nonzero(row) == 1 for row in k)
 
 
 class TestHermitianLayout:
@@ -488,17 +532,19 @@ class TestSlabs:
     # (n=2 N=24 conformal) and 8.0, 16.1 and 11.0 (n=3 N=8 flat); slabs of
     # 2^15 points measured 1.5, 10.0 and 5.2, and 1.9, 15.0 and 9.25.  The
     # outputs alone are 1, 8 (B' 4, table 3, residual 1) and 4 at n=2, and
-    # 1, 13 and 9 at n=3.  Written over the B' it is given, the linearization
-    # has no output and peaks at 1.50 and 1.38: its slab scratch (1/3 and
-    # 9/8) and the slab temporaries of the congruence and the scaling.  Its
-    # bounds are these plus half a grid array.
+    # 1, 13 and 9 at n=3.  Written over each slab of the B' it is given, the
+    # linearization has no output and peaks at 0.25 in both, the slab
+    # temporaries of the scaling.  On the skewed constant base at n=3 its
+    # congruence holds the slab's nine new entries before writing them:
+    # 1.13.  Its bounds are these plus half a grid array.
     @pytest.mark.parametrize("n, N, kind, bounds", [
-        (2, 24, "conformal", (2.0, 10.5, 2.0)),
-        (3, 8, "flat", (2.5, 15.5, 1.875)),
-    ], ids=["n2-conformal", "n3-flat"])
+        (2, 24, "conformal", (2.0, 10.5, 0.75)),
+        (3, 8, "flat", (2.5, 15.5, 0.75)),
+        (3, 8, "constant", (2.5, 15.5, 1.63)),
+    ], ids=["n2-conformal", "n3-flat", "n3-skewed"])
     def test_transient_memory(self, n, N, kind, bounds):
         grid = TorusGrid(n, N)
-        omega = (MetricField.flat(grid) if kind == "flat" else MetricField.conformal(
+        omega = (_metric(kind, grid) if kind != "conformal" else MetricField.conformal(
             grid, np.eye(n), [((1, 0, 0, 0), 1.2, 0.0), ((0, 0, 1, 1), 0.0, 0.6)]))
         eq = _Equation(omega, 2, 1.0)
         u, harr = _cone_state(grid).data, np.zeros(grid.shape)

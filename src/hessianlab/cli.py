@@ -31,6 +31,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -380,9 +381,11 @@ def _parse_args(argv):
 
 
 def main(argv=None):
+    created = []  # the directories main makes for --out, deepest first
     try:
         args = _parse_args(list(sys.argv[1:] if argv is None else argv))
         outdir = Path(args.out)
+        created = list(itertools.takewhile(lambda p: not p.exists(), [outdir, *outdir.parents]))
         try:
             outdir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file in the way, or no permission
@@ -393,6 +396,11 @@ def main(argv=None):
     except SystemExit as exc:  # argparse: 2 for a bad setting, 0 for --help
         return int(exc.code or 0)
     except InputError as exc:
+        for path in created:  # an input fault leaves no empty directory behind
+            try:
+                path.rmdir()
+            except OSError:  # not empty, or never made
+                pass
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 -- CLI boundary

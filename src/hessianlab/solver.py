@@ -35,12 +35,15 @@ preconditioner is a constant-coefficient solve scaled pointwise by the
 operator diagonal (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  It keeps
 the mean diagonal weights alone, so each axis's orthonormal real
 cosine/sine basis diagonalizes it (Lynch, Rice & Thomas, Numer. Math. 6,
-1964), applied as one real BLAS GEMM per axis.  It is exact for constant
-weights at any q (flat metric, u = 0: one GMRES iteration), but under a
-conformal factor only at q = 0, which no driver solves (they take q = 1,
-eps or 1/eps): on conformal-n2's metric at N = 16, u = 0, m = 1 / 2, a
-consistent right-hand side asked for 1e-10 takes 1 / 1 iterations at
-q = 0, 7 / 6 at q = 0.01, 23 / 21 at q = 1, 9 / 11 at q = 100.
+1964), applied as one real BLAS GEMM per axis, except on the 65 (n = 2) or
+233 (n = 3) lowest modes, where one dense block, inverted per Krylov solve,
+keeps the varying zeroth-order term q / s whole (Nicolaides, SIAM J. Numer.
+Anal. 24, 1987).  It is exact for constant weights at any q (flat metric,
+u = 0: one GMRES iteration), but under a conformal factor only at q = 0,
+which no caller solves (they take q = 1, eps or 1/eps): on conformal-n2's
+metric at N = 16, u = 0, m = 1 / 2, a consistent right-hand side asked for
+1e-10 takes 1 / 1 iterations at q = 0, 5 / 4 at q = 0.01, 18 / 16 at
+q = 1, 9 / 11 at q = 100.
 The relative residual asked of the inner solve follows the inexact-Newton
 forcing rule min(3e-2, 0.3 |F|) (|F| the outer sup residual), which keeps
 the quadratic tail, but never asks for less than 0.5 newton_tol / |F|,
@@ -55,8 +58,9 @@ any candidate outside the cone, so each accepted iterate is strictly
 elliptic and has S_m > 0.
 
 SolverConfig holds only what callers set; the line search (step halved down
-to 2^-20), the cap of 50 Newton steps per solve, the Krylov cap, the cap of
-12 t-step halvings and the path tolerance 0.1 are constants.
+to 2^-20), the cap of 50 Newton steps per solve, the Krylov cap, the
+preconditioner's low modes, the cap of 12 t-step halvings and the path
+tolerance 0.1 are constants.
 """
 
 from __future__ import annotations
@@ -97,6 +101,7 @@ _MAX_NEWTON = 50  # Newton steps per _newton call before giving up
 _KRYLOV_MAX = 60  # GMRES iterations per solve, the basis size
 _MAX_T_HALVINGS = 12  # continuity step halvings before giving up
 _PATH_TOL = 0.1  # residual target at the continuity points t < 1
+_LOW_K2 = 3  # |k|^2 bound of the modes the preconditioner solves densely
 
 
 @dataclass
@@ -214,19 +219,61 @@ def _axis_basis(N):
     return basis, 2.0 * np.cos(k * h) - 2.0
 
 
-def _spectral_preconditioner(lin):
-    """psolve(v) = C^{-1}(v / s): the constant-coefficient operator C, scaled
-    pointwise by s, the magnitude 4 tr(w) + q of the operator diagonal over
-    its grid mean (each plane Laplacian puts -4 times its weight on the
-    centre point, the cross stencils put nothing there).
+def _low_modes(n, N):
+    """The modes that _spectral_preconditioner solves by a dense block: every
+    tensor product of the rows cos 0, cos x, sin x of _axis_basis with
+    |k|^2 <= _LOW_K2, the constant mode first.  Returns their per-axis picks
+    0, 1, 2 (rows 0, 1 and N/2 + 1), a (modes, 2n) array, and their flat
+    indices in the transform's coefficient array."""
+    picks = np.indices((3,) * (2 * n)).reshape(2 * n, -1).T
+    picks = picks[np.count_nonzero(picks, axis=1) <= _LOW_K2]
+    rows = np.array([0, 1, N // 2 + 1])[picks]
+    return picks, np.ravel_multi_index(rows.T, (N,) * (2 * n))
 
-    C has the diagonal weights mean(w_jj / s) and zeroth-order term
-    q mean(1 / s); the mean cross weights are left out, so C is a sum of
-    one-axis second differences, which each axis's orthonormal real
-    cosine/sine basis diagonalizes: the fast diagonalization method (Lynch,
-    Rice & Thomas, Numer. Math. 6, 1964).  P = s C equals the operator
-    wherever the weights are a scalar field times constant diagonal weights
-    and q = 0.  1/s is the only per-point array, built in place.
+
+def _galerkin(field, picks, basis):
+    """G_IJ = sum_x field(x) q_I(x) q_J(x) over the low-mode basis fields
+    q_I named by ``picks`` (_low_modes).
+
+    Each axis contracts the field with the 6 distinct products r_i r_j,
+    i <= j, of its rows r = cos 0, cos x, sin x: one (N, 6) GEMM per axis,
+    rotated as the transform, so the 9^(2n) tensor of all row pairs (729 x
+    729 at n = 3) is never built; G is read from the 6^(2n) result.
+    """
+    N = basis.shape[1]
+    rows = basis[[0, 1, N // 2 + 1]]
+    i, j = np.triu_indices(3)
+    pair = np.empty((3, 3), dtype=np.intp)  # pair[i, j]: the column of r_i r_j
+    pair[i, j] = pair[j, i] = np.arange(6)
+    products = (rows[i] * rows[j]).T
+    a = field.reshape(-1)
+    for _ in range(picks.shape[1]):
+        a = a.reshape(N, -1).T @ products
+    return a.reshape((6,) * picks.shape[1])[tuple(pair[np.ix_(col, col)] for col in picks.T)]
+
+
+def _spectral_preconditioner(lin):
+    """psolve(v) = P^{-1}(v / s), s the magnitude 4 tr(w) + q of the
+    operator diagonal over its grid mean (each plane Laplacian puts -4 times
+    its weight on the centre point, the cross stencils put nothing there).
+
+    Off the _low_modes P is the constant-coefficient operator C with the
+    diagonal weights mean(w_jj / s) and zeroth-order term q mean(1 / s); the
+    mean cross weights are left out, so C is a sum of one-axis second
+    differences, which each axis's orthonormal real cosine/sine basis
+    diagonalizes: the fast diagonalization method (Lynch, Rice & Thomas,
+    Numer. Math. 6, 1964).  On the _low_modes (65 at n = 2, 233 at n = 3) P
+    is the dense block E = diag(sum_a wdiag_(a//2) lambda(k_a)) - G, G the
+    Galerkin matrix of q / s on them (_galerkin), an exact coarse space
+    (Nicolaides, SIAM J. Numer. Anal. 24, 1987): it keeps whole the scaled
+    zeroth-order term, which a conformal factor makes vary (by e^3.6 on
+    conformal-n2) and which outweighs the second differences on those modes.
+    Where q / s is constant G is q mean(1 / s) I and P is C, and s C equals
+    the operator wherever the weights are a scalar field times constant
+    diagonal weights and q = 0.  A build adds one contraction the size of a
+    transform and the inverse of E (233 x 233 at most), an apply one
+    product with that inverse.  1/s is the only per-point array, built in
+    place.
 
     The transform is one real GEMM per axis, each taking the leading axis of
     the C-order field to its basis and rotating it to the back, so no
@@ -242,20 +289,27 @@ def _spectral_preconditioner(lin):
     wdiag = [np.dot(lin.weights[j, j].reshape(-1), flat_s) / flat_s.size for j in range(n)]
     basis, lam = _axis_basis(N)
     basis_t = np.ascontiguousarray(basis.T)
-    inv_sym = wdiag[0] * lam - lin.q * np.mean(inv_s)
+    inv_sym = wdiag[0] * lam
     for a in range(1, 2 * n):
         inv_sym = np.add.outer(inv_sym, wdiag[a // 2] * lam)
     inv_sym = inv_sym.reshape(-1)
+    picks, low = _low_modes(n, N)
+    inv_block = np.diag(inv_sym[low])
+    inv_block -= lin.q * _galerkin(flat_s, picks, basis)
+    inv_sym -= lin.q * np.mean(inv_s)
     if inv_sym[0] == 0.0:  # the constant mode is null at q = 0: keep it, signed like the rest
-        inv_sym[0] = -1.0
+        inv_sym[0] = inv_block[0, 0] = -1.0
     np.divide(1.0, inv_sym, out=inv_sym)
+    inv_block = np.linalg.inv(inv_block)
 
     def psolve(v):
         a = v * flat_s
         for _ in range(2 * n):
             a = a.reshape(N, -1).T @ basis_t
         a = a.reshape(-1)
+        coarse = inv_block @ a[low]
         a *= inv_sym
+        a[low] = coarse
         for _ in range(2 * n):
             a = a.reshape(N, -1).T @ basis
         return a.reshape(-1)

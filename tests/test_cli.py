@@ -336,6 +336,27 @@ class TestSolveCommand:
         assert code == 2
         assert blocker.read_text() == ""
 
+    def test_input_fault_leaves_no_out_directory(self, tmp_path, capsys):
+        # main made fo and fo/x for --out; the fault removes both again
+        code = main(["solve", "--n", "2", "--m", "1", "--N", "8",
+                     "--H", "cos:1,0,0,0:0.1", "--metric-scale", "-1",
+                     "--out", str(tmp_path / "fo" / "x")])
+        assert code == 2
+        assert "metric scale -1.0" in capsys.readouterr().err
+        assert not (tmp_path / "fo").exists()
+
+    def test_input_fault_keeps_directories_it_did_not_make(self, tmp_path):
+        # an --out that existed before, or that holds a file, stays
+        (tmp_path / "fo").mkdir()
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "note").write_text("")
+        for out in (tmp_path / "fo", tmp_path / "kept"):
+            assert main(["solve", "--n", "2", "--m", "1", "--N", "8",
+                         "--H", "cos:1,0,0,0:0.1", "--metric-scale", "-1",
+                         "--out", str(out)]) == 2
+            assert out.is_dir()
+        assert (tmp_path / "kept" / "note").read_text() == ""
+
     def test_unknown_flag_exit_2(self, tmp_path):
         assert main(["solve", "--frobnicate", "1"]) == 2
 

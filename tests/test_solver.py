@@ -41,6 +41,39 @@ def flat(n=2, N=8):
 FAST = SolverConfig(t_steps=1)
 
 
+def conformal_linearization(n, N):
+    """An m = 2, q = 0.7 linearization at u != 0 relative to a conformal
+    metric: weights with cross terms and a varying scale s."""
+    grid = TorusGrid(n, N)
+    x1 = (1,) + (0,) * (2 * n - 1)
+    omega = MetricField.conformal(grid, np.eye(n), [(x1, 0.3, 0.0)])
+    y1_x2 = (0, 1, 1) + (0,) * (2 * n - 3)
+    return linearize(make_field(grid, [(x1, 0.1, 0.0), (y1_x2, 0.0, 0.05)]), omega, 2, 0.7)
+
+
+def explicit_low_modes(grid):
+    """The modes |k|^2 <= 3 of the per-axis rows 1/sqrt(N), sqrt(2/N) cos x
+    and sqrt(2/N) sin x, as (modes, 2n) picks 0, 1, 2 in lexicographic order,
+    and a generator of (points, Q): their basis fields, one a column, built
+    from coordinates on consecutive blocks of N^(2n-2) flat grid points (the
+    whole Q is 0.5 GB at n = 3, N = 8)."""
+    n2, N = 2 * grid.n, grid.N
+    picks = np.array([p for p in itertools.product(range(3), repeat=n2)
+                      if np.count_nonzero(p) <= 3])
+    x = grid.h * np.arange(N)
+    rows = np.stack([np.full(N, N**-0.5), np.sqrt(2 / N) * np.cos(x), np.sqrt(2 / N) * np.sin(x)])
+    index = np.indices(grid.shape).reshape(n2, -1)
+
+    def blocks():
+        for points in np.split(np.arange(grid.points), N * N):
+            q = np.ones((points.size, len(picks)))
+            for a in range(n2):
+                q *= rows[picks[:, a]][:, index[a, points]].T
+            yield points, q
+
+    return picks, blocks
+
+
 class TestKrylovSolve:
     def test_zero_rhs(self):
         grid, omega = flat()
@@ -177,35 +210,68 @@ class TestKrylovSolve:
         assert iters <= 10
 
     @pytest.mark.parametrize("n, N", [(2, 8), (2, 10), (3, 8)])
+    def test_low_mode_block_matches_explicit_galerkin(self, n, N):
+        # G = Q^T diag(q / s) Q from basis fields built from coordinates, on
+        # the |k|^2 <= 3 modes in lexicographic order.  Measured relative
+        # gap: at most 2.3e-15
+        lin = conformal_linearization(n, N)
+        inv_s = 4.0 * np.trace(lin.weights) + lin.q
+        inv_s = np.mean(inv_s) / inv_s
+        picks, blocks = explicit_low_modes(lin.grid)
+        assert len(picks) == {2: 65, 3: 233}[n]
+        got_picks, _ = solver._low_modes(n, N)
+        assert np.array_equal(got_picks, picks)
+        weight = lin.q * inv_s.reshape(-1)
+        want = sum(q.T @ (weight[rows, None] * q) for rows, q in blocks())
+        basis, _ = solver._axis_basis(N)
+        got = lin.q * solver._galerkin(inv_s, got_picks, basis)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n, N", [(2, 8), (2, 10), (3, 8)])
     def test_gemm_psolve_matches_pocketfft(self, n, N):
         # the per-axis real GEMMs against numpy's FFT with the same 1/s and the
         # diagonal symbol -q' + sum_a wdiag_(a//2) (2 cos(k_a h) - 2), built
-        # here on rfftn's half spectrum; the weights have cross terms, which P
-        # leaves out.  wdiag is summed by the same dot, since a pairwise mean
-        # differs in the 14th digit at 24^4.  Measured relative gap: at most
-        # 1.5e-15, on these grids and on 16^4 to 40^4 and 10^6
-        grid = TorusGrid(n, N)
-        x1 = (1,) + (0,) * (2 * n - 1)
-        omega = MetricField.conformal(grid, np.eye(n), [(x1, 0.3, 0.0)])
-        y1_x2 = (0, 1, 1) + (0,) * (2 * n - 3)
-        lin = linearize(make_field(grid, [(x1, 0.1, 0.0), (y1_x2, 0.0, 0.05)]), omega, 2, 0.7)
+        # here on rfftn's half spectrum, with the low modes then solved by the
+        # dense block E = diag(sum_a wdiag_(a//2) (2 cos(k_a h) - 2)) - G on
+        # basis fields built from coordinates; the weights have cross terms,
+        # which P leaves out.  wdiag is summed by the same dot, since a
+        # pairwise mean differs in the 14th digit at 24^4.  Measured relative
+        # gap: at most 7.1e-16; the block moves psolve by 0.8-3.7%
+        lin = conformal_linearization(n, N)
+        grid = lin.grid
         assert lin.pairs
         inv_s = 4.0 * np.trace(lin.weights) + lin.q
         inv_s = np.mean(inv_s) / inv_s
         sym = -lin.q * np.mean(inv_s)
+        wdiag = [np.dot(lin.weights[a // 2, a // 2].reshape(-1), inv_s.reshape(-1)) / inv_s.size
+                 for a in range(2 * n)]
         for a in range(2 * n):
             k = np.fft.rfftfreq(N, 1 / N) if a == 2 * n - 1 else np.fft.fftfreq(N, 1 / N)
             shape = [1] * (2 * n)
             shape[a] = k.size
-            wdiag = np.dot(lin.weights[a // 2, a // 2].reshape(-1), inv_s.reshape(-1))
-            sym = sym + wdiag / inv_s.size * (2.0 * np.cos(k * grid.h) - 2.0).reshape(shape)
+            sym = sym + wdiag[a] * (2.0 * np.cos(k * grid.h) - 2.0).reshape(shape)
         v = np.random.default_rng(N).standard_normal(grid.shape)
         axes = range(2 * n)
         want = np.fft.irfftn(np.fft.rfftn(v * inv_s, axes=axes) / sym, s=grid.shape, axes=axes)
-        got = _spectral_preconditioner(lin)(v.reshape(-1)).reshape(grid.shape)
+        # on the low modes, replace c / sym by E^{-1} c
+        picks, blocks = explicit_low_modes(grid)
+        lap = (picks != 0) @ (np.array(wdiag) * (2.0 * np.cos(grid.h) - 2.0))
+        weight, scaled = lin.q * inv_s.reshape(-1), (v * inv_s).reshape(-1)
+        block, coef = np.diag(lap), np.zeros(len(picks))
+        for rows, q in blocks():
+            block -= q.T @ (weight[rows, None] * q)
+            coef += scaled[rows] @ q
+        fix = np.linalg.solve(block, coef) - coef / (lap - lin.q * np.mean(inv_s))
+        want = want.reshape(-1)
+        for rows, q in blocks():
+            want[rows] += q @ fix
+        got = _spectral_preconditioner(lin)(v.reshape(-1))
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_spectral_iteration_ceiling_on_conformal_metric(self):
+        # conformal-n2's metric: q / s varies by about e^3.6, which the dense
+        # low-mode block keeps whole.  Measured: 13 iterations (18 with the
+        # diagonal symbol alone), plus a margin of 2 for summation order
         grid = TorusGrid(2, 8)
         metric_terms = [((1, 0, 0, 0), 1.2, 0.0), ((0, 0, 1, 1), 0.0, 0.6)]
         omega = MetricField.conformal(grid, np.eye(2), metric_terms)
@@ -213,7 +279,7 @@ class TestKrylovSolve:
         lin = linearize(u, omega, 2, 1.0)
         rhs = np.random.default_rng(0).standard_normal(grid.shape)
         _, iters, _ = krylov_solve(lin, rhs, 1e-10)
-        assert iters <= 24
+        assert iters <= 13 + 2
 
 
 class TestGmresRaw:
@@ -330,12 +396,13 @@ class TestSolveExponential:
         u, rep = solve_exponential(H, omega, 2, cfg)
         assert rep.converged
         res = [r.residual_sup for r in rep.trace]
-        # three consecutive residuals: middle below 1e-3, all above the
-        # floating-point noise floor; observed order at least 1.5
+        # the last three consecutive residuals above the floating-point noise
+        # floor that end in the tail, below 1e-3; observed order at least 1.5.
+        # Measured: 0.193, 2.9e-3, 7.1e-7 (order 1.98), before 7.7e-14
         trios = [
             (res[i], res[i + 1], res[i + 2])
             for i in range(len(res) - 2)
-            if res[i + 1] <= 1e-3 and res[i + 2] >= 1e-13
+            if res[i + 2] <= 1e-3 and min(res[i:i + 3]) >= 1e-13
         ]
         assert trios
         r1, r2, r3 = trios[-1]
@@ -868,7 +935,8 @@ class TestWarmStartedNormalized:
     """A perturbed density solved at the last eps alone, from the base's raw v.
 
     On this n=2 N=8 problem the started and cold solutions differ by at most
-    4.5e-10 (newton_tol level), and the started solve takes 3/2/2 Newton
+    1.0e-9, about twice the sum of their final residuals (newton_tol level),
+    and the started solve takes 3/2/2 Newton
     steps for delta 0.1/0.01/0.001 against 13 cold, at m = 1 and m = 2.
     """
 
@@ -896,7 +964,17 @@ class TestWarmStartedNormalized:
                                                 v0=v)
         assert cold.converged and warm.converged
         assert c_warm == pytest.approx(c_cold, rel=1e-8)
-        assert np.max(np.abs(u_warm.data - u_cold.data)) <= 1e-9
+        # Each solve stops at some sup residual R below newton_tol, and the two
+        # solutions differ by the linearized response to the difference of
+        # their residuals, of sup at most R_cold + R_warm.  u = v - max v
+        # drops the constant mode; on the others the response is largest on
+        # the lowest, whose eigenvalue at u = 0 is lambda_1 = (m / 4n)
+        # (2 - 2 cos h) / h^2, and it moves u by at most its oscillation,
+        # twice its amplitude.  Measured: at most 0.28 of this bound
+        r_cold, r_warm = (rep.eps_path[-1][1].t_path[-1][2] for rep in (cold, warm))
+        h = f.grid.h
+        lambda_1 = m / (4 * f.grid.n) * (2.0 - 2.0 * math.cos(h)) / h**2
+        assert np.max(np.abs(u_warm.data - u_cold.data)) <= 2.0 * (r_cold + r_warm) / lambda_1
         assert warm.newton_steps < cold.newton_steps
         # one eps, started by Newton from v: no continuity path
         assert [e for e, _ in warm.eps_path] == [self.SCHED[-1]]

@@ -13,7 +13,6 @@ from .geometry import (
     MetricField,
     ScalarField,
     TorusGrid,
-    gradient_sup,
     make_field,
     read_field,
     write_field,
@@ -32,7 +31,6 @@ from .inequalities import (
     MaxPrincipleReport,
     StabilityRecord,
     check_max_principle,
-    laplacian_gradient_ratio,
     lp_norm,
     stability_sweep,
     sublevel_volume_decay,

@@ -47,12 +47,7 @@ from .experiments import (
     mms_study,
 )
 from .geometry import MetricField, ScalarField, TorusGrid, make_field, write_field
-from .inequalities import (
-    StabilityRecord,
-    laplacian_gradient_ratio,
-    stability_sweep,
-    sublevel_volume_decay,
-)
+from .inequalities import StabilityRecord, stability_sweep, sublevel_volume_decay
 from .solver import SolverConfig, solve_exponential, solve_normalized
 from .symfunc import verify_cone_inequalities
 
@@ -175,9 +170,7 @@ def _cmd_solve(args, outdir):
     u, report = solve_exponential(H, omega, args.m, _solver_config(args))
     write_field(outdir / "u.field", u, kind="u")
     _write_trace(outdir, [report])
-    # diagnostic only: the second-order-vs-gradient constant is unknown
-    _write_json(outdir, "report.json",
-                _doc(report) | {"laplacian_gradient_ratio": laplacian_gradient_ratio(u)})
+    _write_json(outdir, "report.json", report)
     print(f"solve: converged={report.converged} sup_u={report.sup_u:.6g} "
           f"inf_u={report.inf_u:.6g} wallclock={report.wallclock:.2f}s")
     return 0 if report.converged else 1

@@ -19,7 +19,8 @@ matvec (hessop) runs it on its vector too, so dd^c is written once,
 straight into the Hermitian layout that every per-point matrix field
 shares: real, shape (n, n) + grid.shape, with M_jj on [j, j] and, for
 j < k, Re M_kj on [k, j] and Im M_kj on [j, k].  The complex grid.shape +
-(n, n) field is built from it only for tests and diagnostics.
+(n, n) field is built from it only by analytic_complex_hessian, for callers
+that ask for one; no solve builds it.
 
 Every grid kernel, here and in hessop, runs over slabs of whole rows along
 axis 0 (_slabs), so that a slab's temporaries stay in cache.  A slab is one
@@ -45,7 +46,6 @@ __all__ = [
     "make_field",
     "analytic_hessian_layout",
     "analytic_complex_hessian",
-    "gradient_sup",
     "write_field",
     "read_field",
     "check_hermitian",
@@ -388,15 +388,6 @@ def _hessian_rows(data, h, rows, out):
     return out
 
 
-def complex_hessian_layout(data, grid):
-    """dd^c of ``data`` in the Hermitian layout, (n, n) + grid.shape real,
-    one slab of rows at a time."""
-    out = np.empty((grid.n, grid.n) + grid.shape)
-    for rows in _slabs(grid.shape):
-        _hessian_rows(data, grid.h, rows, out[:, :, rows])
-    return out
-
-
 def complex_of_layout(x):
     """The complex shape + (n, n) matrix field held in the Hermitian layout x."""
     k, j = np.tril_indices(x.shape[0], -1)
@@ -416,7 +407,7 @@ def layout_of_complex(a):
 
 def analytic_hessian_layout(grid, terms):
     """Exact continuum dd^c of a trigonometric polynomial, sampled, in the
-    Hermitian layout that complex_hessian_layout writes.
+    Hermitian layout that _hessian_rows writes for the discrete dd^c.
 
     The manufactured-solution oracle: differentiating term-by-term gives
     d^2/dtheta_a dtheta_b [c cos(k.theta) + s sin(k.theta)]
@@ -447,18 +438,6 @@ def analytic_complex_hessian(grid, terms):
     """The exact continuum complex Hessian of analytic_hessian_layout as a
     complex grid.shape + (n, n) field."""
     return complex_of_layout(analytic_hessian_layout(grid, terms))
-
-
-def gradient_sup(u):
-    """Max Euclidean norm of the central-difference gradient over the grid."""
-    data, h = np.ascontiguousarray(u.data), u.grid.h
-    total = np.zeros(u.grid.shape)
-    d = np.empty(u.grid.shape)
-    for axis in range(2 * u.grid.n):
-        _difference(data, axis, d)
-        d /= 2.0 * h
-        total += np.multiply(d, d, out=d)
-    return float(np.sqrt(np.max(total)))
 
 
 # --------------------------------------------------------------------------

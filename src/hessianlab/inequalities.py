@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import (
-    ScalarField,
-    _slabs,
-    complex_hessian_layout,
-    complex_of_layout,
-    gradient_sup,
-)
+from .geometry import ScalarField
 from .hessop import check_degree, sk_table_of_state, state_matrices
 from .solver import check_density, check_schedule, solve_normalized
 
@@ -30,7 +24,6 @@ __all__ = [
     "stability_sweep",
     "DecayReport",
     "sublevel_volume_decay",
-    "laplacian_gradient_ratio",
     "lp_norm",
 ]
 
@@ -188,29 +181,3 @@ def sublevel_volume_decay(phi, t_list, omega, m):
     ratio = worst / reference if reference > 0 else (0.0 if worst == 0 else math.inf)
     return DecayReport(rows=rows, bounded=bounded, bound_ratio=ratio)
 
-
-def _spectral_radius(x):
-    """Spectral radius of each Hermitian matrix held in the layout x, (n, n)
-    + shape real: at n = 2 the closed form |a + d| / 2 + sqrt(((a - d) / 2)^2
-    + |b|^2) of the eigenvalues (a + d) / 2 +- sqrt(...), at n = 3 numpy's
-    eigvalsh of the complex matrices."""
-    if x.shape[0] == 2:
-        a, d, re, im = x[0, 0], x[1, 1], x[1, 0], x[0, 1]
-        half_gap = 0.5 * (a - d)
-        return 0.5 * np.abs(a + d) + np.sqrt(half_gap * half_gap + re * re + im * im)
-    return np.max(np.abs(np.linalg.eigvalsh(complex_of_layout(x))), axis=-1)
-
-
-def laplacian_gradient_ratio(u):
-    """sup spectral radius of dd^c u over (1 + sup |grad u|^2).
-
-    The radius is read from the Hermitian layout of dd^c u one slab of rows
-    at a time, so no complex field of the whole grid is built.  Purely
-    diagnostic: the Laplacian-versus-gradient constant of the second order
-    estimate is unknown, so this is reported and never asserted.
-    """
-    x = complex_hessian_layout(u.data, u.grid)
-    radius = max(float(np.max(_spectral_radius(x[:, :, rows])))
-                 for rows in _slabs(u.grid.shape))
-    gsup = gradient_sup(u)
-    return radius / (1.0 + gsup**2)

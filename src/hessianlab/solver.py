@@ -65,7 +65,6 @@ tolerance 0.1 are constants.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -116,7 +115,7 @@ class SolverConfig:
         if not 0 < self.newton_tol < math.inf:
             raise InputError("newton_tol must be finite and positive")
         if self.t_steps < 1:
-            raise InputError("iteration counts must be >= 1")
+            raise InputError("t_steps must be >= 1")
 
 
 @dataclass
@@ -219,6 +218,19 @@ def _axis_basis(N):
     return basis, 2.0 * np.cos(k * h) - 2.0
 
 
+def _axis_gemm(a, matrix, axes):
+    """Contract the leading ``axes`` axes of the C-order array ``a`` with
+    ``matrix``, one real GEMM per axis: each takes the leading axis, of
+    matrix.shape[0] entries, to matrix.shape[1] and rotates it to the back,
+    so no transpose is copied and ``axes`` = a.ndim GEMMs leave the axes in
+    their own order.  Each product drops the one before, and ``a`` too when
+    the caller passed it as a temporary.  Returns a 2-d array; callers
+    reshape it."""
+    for _ in range(axes):
+        a = a.reshape(matrix.shape[0], -1).T @ matrix
+    return a
+
+
 def _low_modes(n, N):
     """The modes that _spectral_preconditioner solves by a dense block: every
     tensor product of the rows cos 0, cos x, sin x of _axis_basis with
@@ -236,9 +248,9 @@ def _galerkin(field, picks, basis):
     q_I named by ``picks`` (_low_modes).
 
     Each axis contracts the field with the 6 distinct products r_i r_j,
-    i <= j, of its rows r = cos 0, cos x, sin x: one (N, 6) GEMM per axis,
-    rotated as the transform, so the 9^(2n) tensor of all row pairs (729 x
-    729 at n = 3) is never built; G is read from the 6^(2n) result.
+    i <= j, of its rows r = cos 0, cos x, sin x: one (N, 6) GEMM per axis
+    (_axis_gemm), so the 9^(2n) tensor of all row pairs (729 x 729 at
+    n = 3) is never built; G is read from the 6^(2n) result.
     """
     N = basis.shape[1]
     rows = basis[[0, 1, N // 2 + 1]]
@@ -246,9 +258,7 @@ def _galerkin(field, picks, basis):
     pair = np.empty((3, 3), dtype=np.intp)  # pair[i, j]: the column of r_i r_j
     pair[i, j] = pair[j, i] = np.arange(6)
     products = (rows[i] * rows[j]).T
-    a = field.reshape(-1)
-    for _ in range(picks.shape[1]):
-        a = a.reshape(N, -1).T @ products
+    a = _axis_gemm(field, products, picks.shape[1])
     return a.reshape((6,) * picks.shape[1])[tuple(pair[np.ix_(col, col)] for col in picks.T)]
 
 
@@ -275,10 +285,8 @@ def _spectral_preconditioner(lin):
     product with that inverse.  1/s is the only per-point array, built in
     place.
 
-    The transform is one real GEMM per axis, each taking the leading axis of
-    the C-order field to its basis and rotating it to the back, so no
-    transpose is copied and 2n GEMMs leave the axes in their own order; the
-    inverse runs the same way with the transposed basis.
+    The transform is one real GEMM per axis with the transposed basis
+    (_axis_gemm), the inverse the same with the basis.
     """
     n, N = lin.grid.n, lin.grid.N
     inv_s = np.trace(lin.weights)
@@ -302,17 +310,18 @@ def _spectral_preconditioner(lin):
     np.divide(1.0, inv_sym, out=inv_sym)
     inv_block = np.linalg.inv(inv_block)
 
-    def psolve(v):
-        a = v * flat_s
-        for _ in range(2 * n):
-            a = a.reshape(N, -1).T @ basis_t
+    def solve_coefficients(a):
         a = a.reshape(-1)
         coarse = inv_block @ a[low]
         a *= inv_sym
         a[low] = coarse
-        for _ in range(2 * n):
-            a = a.reshape(N, -1).T @ basis
-        return a.reshape(-1)
+        return a
+
+    def psolve(v):
+        # each transform's input a temporary: an apply holds two grid arrays
+        # at a time, where a local would keep a third
+        return _axis_gemm(solve_coefficients(_axis_gemm(v * flat_s, basis_t, 2 * n)),
+                          basis, 2 * n).reshape(-1)
 
     return psolve
 
@@ -463,16 +472,17 @@ def _continuity_solve(eq, harr, cfg, report):
 
 
 def _interpolate(u, grid):
-    """Band-limited interpolation of the coarse field u onto ``grid``: the
-    modes |k| < M/2 of u's DFT, zero-padded to the fine half spectrum.  The
-    coarse Nyquist mode, which has no unique continuation, is dropped."""
+    """Band-limited interpolation of the coarse field u onto ``grid``: along
+    each axis, u's coefficients on the _axis_basis(M) rows cos k x and
+    sin k x with k < M/2, read off the same rows of _axis_basis(N), scaled by
+    sqrt(N/M) for the two normalizations; one (M, N) matrix applied by
+    _axis_gemm.  The coarse Nyquist mode, which has no unique continuation,
+    is dropped."""
     M, N = u.shape[0], grid.N
-    coef = np.fft.rfftn(u)
-    fine = np.zeros(grid.shape[:-1] + (N // 2 + 1,), dtype=complex)
-    low, high = slice(0, M // 2), slice(1 - M // 2, None)  # k = 0..M/2-1, 1-M/2..-1
-    for corner in itertools.product((low, high), repeat=u.ndim - 1):
-        fine[corner + (low,)] = coef[corner + (low,)]
-    return np.fft.irfftn(fine, s=grid.shape, axes=range(u.ndim)) * (N / M) ** u.ndim
+    k = np.arange(1, M // 2)
+    coarse = _axis_basis(M)[0][np.r_[0, k, M // 2 + k]]
+    fine = _axis_basis(N)[0][np.r_[0, k, N // 2 + k]]
+    return _axis_gemm(u, math.sqrt(N / M) * (coarse.T @ fine), u.ndim).reshape(grid.shape)
 
 
 def _companion_start(eq, harr, cfg, report):

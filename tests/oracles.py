@@ -1,14 +1,16 @@
 """Oracles for the tests: an eigensolve, which the solver itself never needs,
-the operator built and read back as the solver builds it, and the
-manufactured data built the long way, on the whole grid and as a complex
-field, to which the library's sub-grid and Hermitian-layout route must be
-bit-identical."""
+the operator built and read back as the solver builds it, the discrete
+complex Hessian of a whole field, the DFT route of the nested start's
+interpolation, and the manufactured data built the long way, on the whole
+grid and as a complex field, to which the library's sub-grid and
+Hermitian-layout route must be bit-identical."""
 
+import itertools
 import math
 
 import numpy as np
 
-from hessianlab.geometry import MetricField, complex_hessian_layout, complex_of_layout
+from hessianlab.geometry import MetricField, _hessian_rows, _slabs, complex_of_layout
 from hessianlab.hessop import linearization, sk_table_of_state, state_matrices
 from hessianlab.symfunc import table_margin
 
@@ -26,6 +28,28 @@ def generalized_eigh(g, omega):
     lit = li.conj().swapaxes(-1, -2)
     w, v = np.linalg.eigh(li @ np.asarray(g, dtype=complex) @ lit)
     return w[..., ::-1], lit @ v[..., :, ::-1]
+
+
+def complex_hessian_layout(data, grid):
+    """dd^c of ``data`` in the Hermitian layout, (n, n) + grid.shape real,
+    one slab of rows at a time, as the solver's state is built."""
+    out = np.empty((grid.n, grid.n) + grid.shape)
+    for rows in _slabs(grid.shape):
+        _hessian_rows(data, grid.h, rows, out[:, :, rows])
+    return out
+
+
+def fft_interpolate(u, grid):
+    """Band-limited interpolation of the coarse field u onto ``grid`` by the
+    DFT: the modes |k| < M/2 of u's rfftn, zero-padded to the fine half
+    spectrum and transformed back, the coarse Nyquist mode dropped."""
+    M, N = u.shape[0], grid.N
+    coef = np.fft.rfftn(u)
+    fine = np.zeros(grid.shape[:-1] + (N // 2 + 1,), dtype=complex)
+    low, high = slice(0, M // 2), slice(1 - M // 2, None)  # k = 0..M/2-1, 1-M/2..-1
+    for corner in itertools.product((low, high), repeat=u.ndim - 1):
+        fine[corner + (low,)] = coef[corner + (low,)]
+    return np.fft.irfftn(fine, s=grid.shape, axes=range(u.ndim)) * (N / M) ** u.ndim
 
 
 def complex_hessian(u):

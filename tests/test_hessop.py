@@ -13,7 +13,6 @@ from hessianlab.geometry import (
     MetricField,
     ScalarField,
     TorusGrid,
-    complex_hessian_layout,
     complex_of_layout,
     layout_of_complex,
     make_field,
@@ -32,7 +31,13 @@ from hessianlab.hessop import (
 )
 from hessianlab.solver import _Equation
 from hessianlab.symfunc import cone_mask, elementary_symmetric_table
-from oracles import coefficient_matrices, complex_hessian, generalized_eigh, linearize
+from oracles import (
+    coefficient_matrices,
+    complex_hessian,
+    complex_hessian_layout,
+    generalized_eigh,
+    linearize,
+)
 
 
 def flat(n=2, N=16):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 
 import hessianlab
 from hessianlab import solver
+from hessianlab.cli import main
 from hessianlab.errors import InputError
 from hessianlab.experiments import manufactured_problem, mms_study
 from hessianlab.geometry import MetricField, ScalarField, TorusGrid, make_field
@@ -30,7 +32,7 @@ from hessianlab.solver import (
     solve_normalized,
 )
 from hessianlab.symfunc import cone_mask, elementary_symmetric_table
-from oracles import linearize
+from oracles import fft_interpolate, linearize
 
 
 def flat(n=2, N=8):
@@ -267,6 +269,23 @@ class TestKrylovSolve:
             want[rows] += q @ fix
         got = _spectral_preconditioner(lin)(v.reshape(-1))
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n, N", [(2, 24), (3, 8)])
+    def test_psolve_holds_two_grid_arrays(self, n, N):
+        # tracemalloc peak of one apply after a warm-up: the transforms free
+        # each array once its product is made.  Measured: 2.0 grid arrays;
+        # 3.0 when the coefficients outlive the inverse transform's first GEMM
+        lin = conformal_linearization(n, N)
+        psolve = _spectral_preconditioner(lin)
+        v = np.random.default_rng(n).standard_normal(lin.grid.points)
+        psolve(v)
+        tracemalloc.start()
+        try:
+            psolve(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / v.nbytes <= 2.25
 
     def test_spectral_iteration_ceiling_on_conformal_metric(self):
         # conformal-n2's metric: q / s varies by about e^3.6, which the dense
@@ -519,15 +538,34 @@ def _conformal(N):
 
 
 class TestNestedStart:
-    @pytest.mark.parametrize("M", [8, 12])
-    def test_interpolation_reproduces_band_limited_polynomials(self, M):
-        # |k_a| < M/2, the largest in every sign pattern
-        coarse, fine = TorusGrid(2, M), TorusGrid(2, 2 * M)
+    PAIRS = [pytest.param(2, 8, 16, id="8"), pytest.param(2, 12, 24, id="12"),  # (n, M, N)
+             pytest.param(2, 8, 12, id="n2-8-12"), pytest.param(3, 8, 10, id="n3-8-10")]
+
+    @pytest.mark.parametrize("n, M, N", PAIRS)
+    def test_interpolation_reproduces_band_limited_polynomials(self, n, M, N):
+        # |k_a| < M/2, the largest in every sign pattern up to the overall
+        # sign (k and -k are one real mode), on the nested pairs and two that
+        # are not (8 -> 10 is n = 3's only pair up to N = 10).  Measured: at
+        # most 4.3e-14
+        coarse, fine = TorusGrid(n, M), TorusGrid(n, N)
         top = M // 2 - 1
-        terms = [(k, 0.3, -0.2) for k in itertools.product((-top, top), repeat=4)]
-        terms += [((1, 0, 2, 0), 0.5, 0.1), ((0, 1, 0, top), 0.0, 0.4), ((0,) * 4, 0.7, 0.0)]
+        one = np.eye(2 * n, dtype=int)
+        terms = [((top,) + k, 0.3, -0.2)
+                 for k in itertools.product((-top, top), repeat=2 * n - 1)]
+        terms += [(one[0] + 2 * one[2], 0.5, 0.1), (one[1] + top * one[-1], 0.0, 0.4),
+                  ((0,) * (2 * n), 0.7, 0.0)]
         got = solver._interpolate(_trig(coarse, terms), fine)
         assert np.max(np.abs(got - _trig(fine, terms))) <= 1e-13
+
+    @pytest.mark.parametrize("n, M, N", PAIRS)
+    def test_interpolation_matches_dft_zero_padding(self, n, M, N):
+        # the per-axis real matrices against rfftn zero-padding on a random
+        # coarse field, whose coarse Nyquist modes both routes drop.
+        # Measured: at most 7.5e-15
+        u = np.random.default_rng(M + N).standard_normal((M,) * (2 * n))
+        fine = TorusGrid(n, N)
+        got = solver._interpolate(u, fine)
+        assert np.max(np.abs(got - fft_interpolate(u, fine))) <= 1e-13
 
     @pytest.mark.parametrize("problem", ["mms", "conformal"])
     def test_nested_agrees_with_cold(self, problem):
@@ -1058,6 +1096,30 @@ class TestWarmStartedNormalized:
         assert rep.t_path == [(1.0, 0, math.inf)]
 
 
+class TestRealSolvePath:
+    def test_no_dft_and_no_stacked_eigvalsh(self, monkeypatch, tmp_path):
+        # a nested solve and the solve command run on real arrays alone: no
+        # DFT, and no eigensolve but the metric check's one (n, n) eigvalsh
+        eigvalsh = np.linalg.eigvalsh
+
+        def no_dft(*args, **kwargs):
+            raise AssertionError("DFT on a solve path")
+
+        def one_matrix(a, *args, **kwargs):
+            if np.ndim(a) > 2:
+                raise AssertionError("stacked eigvalsh on a solve path")
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfftn", no_dft)
+        monkeypatch.setattr(np.fft, "irfftn", no_dft)
+        monkeypatch.setattr(np.linalg, "eigvalsh", one_matrix)
+        omega, H = _conformal(16)
+        _, rep = solve_exponential(H, omega, 2, FAST)
+        assert rep.converged and rep.start == "nested"
+        assert main(["solve", "--n", "3", "--m", "2", "--N", "8", "--H", "cos:1,0,0,0,0,0:0.5",
+                     "--out", str(tmp_path / "solve")]) == 0
+
+
 class TestSolverConfigValidation:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(InputError):
@@ -1066,7 +1128,7 @@ class TestSolverConfigValidation:
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("name", ["t_steps"])
     def test_rejects_nonpositive_counts(self, name, value):
-        with pytest.raises(InputError, match="iteration counts"):
+        with pytest.raises(InputError, match="t_steps must be >= 1"):
             SolverConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
